@@ -16,8 +16,9 @@ from .classes import (Averaged, Cocoercive, Lipschitz, Monotone,
                       shifted_lipschitz_ball, srg, strongly_monotone)
 from .errors import (AmbiguousArgmaxError, DysRatesError, EmptyRegionError,
                      InvalidClassError, PreconditionError,
-                     SingularResolventError, UnboundedRegionError,
-                     UnsupportedInversionError, UnsupportedOrientationError)
+                     SingularResolventError, TooManyAtomsError,
+                     UnboundedRegionError, UnsupportedInversionError,
+                     UnsupportedOrientationError)
 from .geometry import (Arc, BoundaryGrid, Disk, DiskExterior, HalfPlane,
                        Region, Segment, boundary_grid, boundary_pieces,
                        contains, farthest_point_on_circle, has_arc_property,

@@ -147,8 +147,11 @@ class ProblemSpec:
                     raise SpecFileError("search.parallel must be a boolean")
                 self.search_kwargs[key] = value
             elif key in ("max_iters", "top_k"):
-                self.search_kwargs[key] = int(
-                    _finite_number(value, f"search.{key}"))
+                number = _finite_number(value, f"search.{key}")
+                if not number.is_integer():
+                    raise SpecFileError(
+                        f"search.{key}: expected an integer, got {value!r}")
+                self.search_kwargs[key] = int(number)
             else:
                 self.search_kwargs[key] = _finite_number(value,
                                                          f"search.{key}")
@@ -178,6 +181,9 @@ class ProblemSpec:
                                               "plot.circle_radius")
         self.plot_eps = _finite_number(plot_cfg.get("eps", 1.0 / 30.0),
                                        "plot.eps")
+        if self.plot_eps <= 0:
+            raise SpecFileError(f"plot.eps: must be positive, got "
+                                f"{self.plot_eps!r}")
 
     def params(self) -> DysParams:
         return DysParams(self.alpha, self.lam, self.shift)
@@ -265,8 +271,8 @@ def compute_factor(spec: ProblemSpec, theorem: str = "auto"):
                                            role="B_lip")
         raise PreconditionError("A or B carries L")
     if theorem == "41":
-        if c.L is None:
-            raise PreconditionError("C carries L_C")
+        if c.L is None or not cls.is_monotone_class(c):
+            raise PreconditionError("C monotone and L_C-Lipschitz")
         if abs(lam - 1.0) > 1e-12:
             raise PreconditionError("lambda = 1",
                                     "averagedness requires lambda = 1")
@@ -293,7 +299,10 @@ def _search_config(spec: ProblemSpec, args) -> SearchConfig:
     kwargs = dict(spec.search_kwargs)
     if getattr(args, "eps", None) is not None:
         kwargs["eps_grid"] = args.eps
-    return SearchConfig(**kwargs)
+    try:
+        return SearchConfig(**kwargs)
+    except ValueError as exc:
+        raise SpecFileError(f"search settings: {exc}") from exc
 
 
 def cmd_maxmod(args) -> int:

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     AmbiguousArgmaxError,
     EmptyRegionError,
+    TooManyAtomsError,
     UnboundedRegionError,
     UnsupportedInversionError,
     UnsupportedOrientationError,
@@ -261,9 +262,11 @@ class Arc:
     def length(self) -> float:
         return (self.angle_end - self.angle_start) * self.radius
 
-    def point_at(self, t: float) -> complex:
+    def point_at(self, t):
+        """The point at parameter t in [0, 1]; an array of t gives an array."""
         ang = (1.0 - t) * self.angle_start + t * self.angle_end
-        return self.center + self.radius * cmath.exp(1j * ang)
+        exp = np.exp if isinstance(ang, np.ndarray) else cmath.exp
+        return self.center + self.radius * exp(1j * ang)
 
     def sample(self, n_intervals: int) -> np.ndarray:
         angs = np.linspace(self.angle_start, self.angle_end, n_intervals + 1)
@@ -292,7 +295,8 @@ class Segment:
     def length(self) -> float:
         return abs(self.p1 - self.p0)
 
-    def point_at(self, t: float) -> complex:
+    def point_at(self, t):
+        """The point at parameter t in [0, 1]; an array of t gives an array."""
         return (1.0 - t) * self.p0 + t * self.p1
 
     def sample(self, n_intervals: int) -> np.ndarray:
@@ -451,11 +455,14 @@ def boundary_pieces(region: Region) -> list:
 
     The pieces pairwise intersect only at endpoints; circle-circle corners
     come out of the closed-form radical-line construction.  Raises
-    EmptyRegionError when the atoms have empty intersection and
-    UnboundedRegionError when the boundary contains an infinite line.
+    EmptyRegionError when the atoms have empty intersection,
+    UnboundedRegionError when the boundary contains an infinite line and
+    TooManyAtomsError when the region has more than 3 atoms.
     """
     if len(region.atoms) > 3:
-        raise ValueError("boundary decomposition supports at most 3 atoms")
+        raise TooManyAtomsError(
+            f"a class region has {len(region.atoms)} atoms; boundary "
+            "decomposition supports at most 3")
     return _pieces_unchecked(region)
 
 

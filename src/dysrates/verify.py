@@ -6,6 +6,9 @@ assembled from realized resolvents is itself a scaled rotation whose
 spectral norm equals the symbol modulus exactly.  This gives a check on
 every claimed contraction or averagedness factor that shares no code path
 with the region geometry or the closed forms.
+
+Each function below takes one 2x2 matrix or an (n, 2, 2) stack of them, so
+a verification run checks all of its trials in one batched pass.
 """
 
 from __future__ import annotations
@@ -26,40 +29,44 @@ from .symbol import DysParams
 I2 = np.eye(2)
 
 
-def realize(z: complex) -> np.ndarray:
-    """The scaled-rotation matrix acting on R^2 as multiplication by z."""
-    z = complex(z)
-    return np.array([[z.real, -z.imag], [z.imag, z.real]])
+def realize(z) -> np.ndarray:
+    """The scaled-rotation matrix acting on R^2 as multiplication by z; an
+    array of n values gives an (n, 2, 2) stack."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([np.stack([z.real, -z.imag], -1),
+                     np.stack([z.imag, z.real], -1)], -2)
 
 
 def rotation_value(m: np.ndarray) -> complex:
     return complex(m[0, 0], m[1, 0])
 
 
-def spectral_norm_2x2(m: np.ndarray) -> float:
+def spectral_norm_2x2(m: np.ndarray):
     """Largest singular value of a 2x2 matrix, in closed form."""
-    a = m[0, 0] ** 2 + m[1, 0] ** 2
-    d = m[0, 1] ** 2 + m[1, 1] ** 2
-    b = m[0, 0] * m[0, 1] + m[1, 0] * m[1, 1]
-    disc = math.sqrt(max((a - d) ** 2 + 4.0 * b * b, 0.0))
-    return math.sqrt(max(0.5 * (a + d + disc), 0.0))
+    a = m[..., 0, 0] ** 2 + m[..., 1, 0] ** 2
+    d = m[..., 0, 1] ** 2 + m[..., 1, 1] ** 2
+    b = m[..., 0, 0] * m[..., 0, 1] + m[..., 1, 0] * m[..., 1, 1]
+    disc = np.sqrt(np.maximum((a - d) ** 2 + 4.0 * b * b, 0.0))
+    return np.sqrt(np.maximum(0.5 * (a + d + disc), 0.0))
 
 
-def _sym_min_eig(m: np.ndarray) -> float:
-    s = 0.5 * (m + m.T)
-    tr = s[0, 0] + s[1, 1]
-    disc = math.sqrt(max((s[0, 0] - s[1, 1]) ** 2 + 4.0 * s[0, 1] ** 2, 0.0))
+def _sym_min_eig(m: np.ndarray):
+    s = 0.5 * (m + np.swapaxes(m, -1, -2))
+    tr = s[..., 0, 0] + s[..., 1, 1]
+    disc = np.sqrt(np.maximum(
+        (s[..., 0, 0] - s[..., 1, 1]) ** 2 + 4.0 * s[..., 0, 1] ** 2, 0.0))
     return 0.5 * (tr - disc)
 
 
-def operator_from_resolvent_point(z_j: complex, alpha: float) -> np.ndarray:
+def operator_from_resolvent_point(z_j, alpha: float) -> np.ndarray:
     """The operator A with resolvent value z_j: A = ((realize z_j)^{-1} - I)/alpha."""
-    if z_j == 0:
+    z_j = np.asarray(z_j, dtype=complex)
+    if np.any(z_j == 0):
         raise SingularResolventError(
             "resolvent value 0 is not invertible as a map")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return (realize(1.0 / complex(z_j)) - I2) / alpha
+    return (realize(1.0 / z_j) - I2) / alpha
 
 
 def dys_matrix(j_a: np.ndarray, j_b: np.ndarray, c: np.ndarray,
@@ -73,26 +80,32 @@ def class_membership(m: np.ndarray, spec: OperatorClassSpec,
     """Check each atom's defining inequality for the linear map m."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
+    return bool(_members(m, spec, tol))
+
+
+def _members(m: np.ndarray, spec: OperatorClassSpec, tol) -> np.ndarray:
+    """Mask of the matrices in m that satisfy every atom of spec within tol,
+    a scalar or one tolerance per matrix."""
+    ok = np.ones(m.shape[:-2], dtype=bool)
     for atom in spec.atoms:
         if isinstance(atom, Monotone):
-            ok = _sym_min_eig(m) >= -tol
+            ok &= _sym_min_eig(m) >= -tol
         elif isinstance(atom, StronglyMonotone):
-            ok = _sym_min_eig(m) >= atom.mu - tol
+            ok &= _sym_min_eig(m) >= atom.mu - tol
         elif isinstance(atom, Lipschitz):
-            ok = spectral_norm_2x2(m) <= atom.L + tol
+            ok &= spectral_norm_2x2(m) <= atom.L + tol
         elif isinstance(atom, Cocoercive):
             # <x, Mx> >= beta ||Mx||^2  <=>  sym(M) - beta M^T M psd
-            ok = _sym_min_eig(m - atom.beta * (m.T @ m)) >= -tol
+            mtm = np.swapaxes(m, -1, -2) @ m
+            ok &= _sym_min_eig(m - atom.beta * mtm) >= -tol
         elif isinstance(atom, Averaged):
-            ok = spectral_norm_2x2(m - (1.0 - atom.theta) * I2) \
+            ok &= spectral_norm_2x2(m - (1.0 - atom.theta) * I2) \
                 <= atom.theta + tol
         elif isinstance(atom, ShiftedLipschitzBall):
-            ok = spectral_norm_2x2(m - atom.center * I2) <= atom.radius + tol
+            ok &= spectral_norm_2x2(m - atom.center * I2) <= atom.radius + tol
         else:
             raise ValueError(f"unknown atom {atom!r}")
-        if not ok:
-            return False
-    return True
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +124,9 @@ def _random_boundary_points(region: Region, n: int,
     choices = rng.choice(len(pieces), size=n, p=weights)
     ts = rng.random(n)
     out = np.empty(n, dtype=complex)
-    for i, (ci, t) in enumerate(zip(choices, ts)):
-        out[i] = pieces[ci].point_at(float(t))
+    for k, piece in enumerate(pieces):
+        on_piece = choices == k
+        out[on_piece] = piece.point_at(ts[on_piece])
     return out
 
 
@@ -135,42 +149,50 @@ class VerificationReport:
                 "passed": self.passed}
 
 
-class _Checker:
-    def __init__(self, specs, params: DysParams, bound: float, center: float,
-                 tol: float, report: VerificationReport):
-        self.specs = specs
-        self.params = params
-        self.bound = bound
-        self.center = center
-        self.tol = tol
-        self.report = report
-        self.worst_t = None
-
-    def check(self, z_a: complex, z_b: complex, z_c: complex,
-              check_classes: bool = True) -> None:
-        a_spec, b_spec, c_spec = self.specs
-        alpha = self.params.alpha
-        if check_classes:
-            ok = (class_membership(operator_from_resolvent_point(z_a, alpha),
-                                   a_spec, 1e-9)
-                  and class_membership(
-                      operator_from_resolvent_point(z_b, alpha), b_spec, 1e-9)
-                  and class_membership(realize(z_c), c_spec, 1e-9))
-            if not ok:
-                self.report.violations.append(
-                    {"kind": "class_membership",
-                     "triple": [str(z_a), str(z_b), str(z_c)]})
-                return
-        t = dys_matrix(realize(z_a), realize(z_b), realize(z_c),
-                       self.params.alpha, self.params.lam)
-        norm = spectral_norm_2x2(t - self.center * I2)
-        if norm > self.report.max_norm_seen:
-            self.report.max_norm_seen = norm
-            self.worst_t = t
-        if norm > self.bound + self.tol:
-            self.report.violations.append(
-                {"kind": "norm_bound", "norm": norm, "bound": self.bound,
-                 "triple": [str(z_a), str(z_b), str(z_c)]})
+def _check_trials(specs, params: DysParams, bound: float, center: float,
+                  n_trials: int, rng: np.random.Generator, tol: float,
+                  extremal: bool):
+    """Realize n_trials random boundary triples as (n, 2, 2) stacks, check
+    the classes of the induced operators and ||T - center*I|| <= bound + tol,
+    and report in trial order.  The extremal probe is checked last, without
+    class checks.  Returns the report and the worst realized T."""
+    report = VerificationReport(trials=n_trials, rho=bound)
+    if n_trials <= 0:
+        report.warnings.append("no trials requested; vacuous pass")
+        return report, None
+    regions = (resolvent_srg(specs[0], params.alpha),
+               resolvent_srg(specs[1], params.alpha), srg(specs[2]))
+    zs = [_random_boundary_points(r, n_trials, rng) for r in regions]
+    member = np.ones(n_trials, dtype=bool)
+    for m, spec in zip((operator_from_resolvent_point(zs[0], params.alpha),
+                        operator_from_resolvent_point(zs[1], params.alpha),
+                        realize(zs[2])), specs):
+        # A = (J^{-1} - I)/alpha carries rounding relative to its norm,
+        # which grows without bound as the resolvent value J nears 0
+        member &= _members(m, spec, 1e-9 * np.maximum(1.0,
+                                                      spectral_norm_2x2(m)))
+    if extremal:
+        config = SearchConfig(eps_grid=1.0 / 40.0, top_k=8)
+        best = search_regions(*regions, params, config).best_point
+        zs = [np.append(z, p) for z, p in zip(zs, best)]
+        member = np.append(member, True)
+    t = dys_matrix(*(realize(z) for z in zs), params.alpha, params.lam)
+    norms = spectral_norm_2x2(t - center * I2)
+    seen = np.where(member & (norms > 0.0), norms, 0.0)
+    worst = int(np.argmax(seen))  # the first maximum, as a scan keeps it
+    worst_t = None
+    if seen[worst] > 0.0:
+        report.max_norm_seen, worst_t = float(seen[worst]), t[worst]
+    for i in np.flatnonzero(~member | (norms > bound + tol)):
+        triple = [str(complex(z[i])) for z in zs]
+        if member[i]:
+            report.violations.append({"kind": "norm_bound",
+                                      "norm": float(norms[i]),
+                                      "bound": bound, "triple": triple})
+        else:
+            report.violations.append({"kind": "class_membership",
+                                      "triple": triple})
+    return report, worst_t
 
 
 def _iteration_check(t: np.ndarray, limit: float,
@@ -179,15 +201,16 @@ def _iteration_check(t: np.ndarray, limit: float,
     """Power iterations: ||x_k|| must stay within limit^k of ||x_0||."""
     for _ in range(10):
         x = rng.standard_normal(2)
-        base = float(np.linalg.norm(x))
+        base = math.sqrt(x.dot(x))
         if base == 0.0:
             continue
         for k in range(1, 101):
             x = t @ x
-            if float(np.linalg.norm(x)) > (limit ** k) * base * (1 + 1e-12):
+            norm = math.sqrt(x.dot(x))
+            if norm > (limit ** k) * base * (1 + 1e-12):
                 report.violations.append(
                     {"kind": "iteration_growth", "step": k,
-                     "ratio": float(np.linalg.norm(x) / base)})
+                     "ratio": norm / base})
                 return
 
 
@@ -204,30 +227,11 @@ def verify_contraction(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
     max-modulus search, which makes undersized rho values fail
     deterministically rather than only when random sampling gets lucky.
     """
-    report = VerificationReport(trials=n_trials, rho=rho)
-    if n_trials <= 0:
-        report.warnings.append("no trials requested; vacuous pass")
-        return report
     rng = np.random.default_rng(rng_seed)
-    region_a = resolvent_srg(a_spec, params.alpha)
-    region_b = resolvent_srg(b_spec, params.alpha)
-    region_c = srg(c_spec)
-    checker = _Checker((a_spec, b_spec, c_spec), params, rho, 0.0, tol,
-                       report)
-
-    zs_a = _random_boundary_points(region_a, n_trials, rng)
-    zs_b = _random_boundary_points(region_b, n_trials, rng)
-    zs_c = _random_boundary_points(region_c, n_trials, rng)
-    for z_a, z_b, z_c in zip(zs_a, zs_b, zs_c):
-        checker.check(complex(z_a), complex(z_b), complex(z_c))
-
-    if include_extremal:
-        config = SearchConfig(eps_grid=1.0 / 40.0, top_k=8)
-        result = search_regions(region_a, region_b, region_c, params, config)
-        checker.check(*result.best_point, check_classes=False)
-
-    if checker.worst_t is not None:
-        _iteration_check(checker.worst_t, rho + tol, rng, report)
+    report, worst_t = _check_trials((a_spec, b_spec, c_spec), params, rho,
+                                    0.0, n_trials, rng, tol, include_extremal)
+    if worst_t is not None:
+        _iteration_check(worst_t, rho + tol, rng, report)
     return report
 
 
@@ -238,19 +242,6 @@ def verify_averagedness(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
                         tol: float = 1e-9) -> VerificationReport:
     """Averagedness as a norm bound: ||T - (1-theta) I|| <= theta + tol on
     scaled-rotation realizations of boundary triples."""
-    report = VerificationReport(trials=n_trials, rho=theta)
-    if n_trials <= 0:
-        report.warnings.append("no trials requested; vacuous pass")
-        return report
-    rng = np.random.default_rng(rng_seed)
-    region_a = resolvent_srg(a_spec, params.alpha)
-    region_b = resolvent_srg(b_spec, params.alpha)
-    region_c = srg(c_spec)
-    checker = _Checker((a_spec, b_spec, c_spec), params, theta, 1.0 - theta,
-                       tol, report)
-    zs_a = _random_boundary_points(region_a, n_trials, rng)
-    zs_b = _random_boundary_points(region_b, n_trials, rng)
-    zs_c = _random_boundary_points(region_c, n_trials, rng)
-    for z_a, z_b, z_c in zip(zs_a, zs_b, zs_c):
-        checker.check(complex(z_a), complex(z_b), complex(z_c))
-    return report
+    return _check_trials((a_spec, b_spec, c_spec), params, theta,
+                         1.0 - theta, n_trials,
+                         np.random.default_rng(rng_seed), tol, False)[0]

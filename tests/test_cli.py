@@ -175,6 +175,45 @@ def test_verify_low_rho_fails(tmp_path, capsys):
     assert payload["violations"]
 
 
+# The two defects recorded with repro specs in bench/known_defects.json.
+THM41_LIPSCHITZ_C = {
+    "classes": {
+        "A": [{"kind": "strongly_monotone", "mu": 1.0}],
+        "B": [{"kind": "monotone"}],
+        "C": [{"kind": "lipschitz", "L": 1.0}],
+    },
+    "params": {"alpha": 0.5, "lambda": 1.0, "s": 0.0},
+}
+
+THM41_SMALL_ALPHA = {
+    "classes": {
+        "A": [{"kind": "strongly_monotone", "mu": 0.0799534}],
+        "B": [{"kind": "monotone"}],
+        "C": [{"kind": "monotone"}, {"kind": "lipschitz", "L": 1.8013049}],
+    },
+    "params": {"alpha": 0.0102964, "lambda": 1.0, "s": 0.0},
+}
+
+
+@pytest.mark.parametrize("command", ["factor", "verify"])
+def test_thm41_requires_monotone_c(tmp_path, capsys, command):
+    spec = write_spec(tmp_path, THM41_LIPSCHITZ_C)
+    code = main([command, spec])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "C monotone" in captured.err
+
+
+def test_verify_thm41_small_alpha_passes(tmp_path, capsys):
+    # z_B near 0 makes ||A|| ~ 7e4; the membership tolerance scales with it
+    spec = write_spec(tmp_path, THM41_SMALL_ALPHA)
+    code, payload = run(capsys, ["verify", spec, "--trials", "1000"])
+    assert code == 0
+    assert payload["passed"] is True
+
+
 def test_verify_zero_trials_warns(tmp_path, capsys):
     spec = write_spec(tmp_path, ALL_ONES_31)
     code = main(["verify", spec, "--trials", "0"])
@@ -182,6 +221,45 @@ def test_verify_zero_trials_warns(tmp_path, capsys):
     assert code == 0
     assert "warning" in captured.err
     assert json.loads(captured.out)["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# bad settings: one stderr line and the documented exit code
+# ---------------------------------------------------------------------------
+
+FOUR_ATOM_C = [{"kind": "cocoercive", "beta": 1.0},
+               {"kind": "strongly_monotone", "mu": 0.5},
+               {"kind": "lipschitz", "L": 1.0},
+               {"kind": "averaged", "theta": 0.9}]
+
+
+@pytest.mark.parametrize("section, value, argv, expected", [
+    ("search", {"top_k": 0.5}, ["maxmod", "--eps", "0.1"], 2),
+    ("search", {"max_iters": 2.7}, ["maxmod", "--eps", "0.1"], 2),
+    ("search", {"eps_grid": 0}, ["maxmod"], 2),
+    (None, None, ["maxmod", "--eps", "-1"], 2),
+    ("plot", {"eps": 0}, ["plot", "--out", "fig.svg"], 2),
+    ("C", FOUR_ATOM_C, ["maxmod", "--eps", "0.1"], 3),
+    ("C", FOUR_ATOM_C, ["verify", "--trials", "10"], 3),
+], ids=["top_k_fraction", "max_iters_fraction", "eps_grid_zero",
+        "eps_negative", "plot_eps_zero", "four_atoms_maxmod",
+        "four_atoms_verify"])
+def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
+                                             value, argv, expected):
+    payload = json.loads(json.dumps(PUBLISHED))
+    if section == "C":
+        payload["classes"]["C"] = value
+    elif section is not None:
+        payload[section] = value
+    spec = write_spec(tmp_path, payload)
+    args = [argv[0], spec] + argv[1:]
+    if "--out" in args:
+        args[-1] = str(tmp_path / args[-1])
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,26 @@
 """2x2 realizations: embedding homomorphism, class membership, operator
 assembly and the contraction / averagedness checks."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from dysrates import (DysParams, SearchConfig, SingularResolventError,
-                      class_membership, cocoercive, dys_matrix, lipschitz,
-                      monotone, operator_from_resolvent_point, realize,
-                      rotation_value, search, spectral_norm_2x2,
-                      strongly_monotone, verify_averagedness,
-                      verify_contraction, zeta)
+from dysrates import (Averaged, Cocoercive, DysParams, InvalidClassError,
+                      Lipschitz, Monotone, OperatorClassSpec, SearchConfig,
+                      ShiftedLipschitzBall, SingularResolventError,
+                      StronglyMonotone, class_membership, cocoercive,
+                      contraction_thm33, dys_matrix, lipschitz, monotone,
+                      operator_from_resolvent_point, realize, rotation_value,
+                      search, spectral_norm_2x2, strongly_monotone,
+                      verify_averagedness, verify_contraction, zeta)
 from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import boundary_grid
+from dysrates.verify import _members, _sym_min_eig
 
 P11 = DysParams(1.0, 1.0)
 
@@ -208,7 +215,6 @@ def test_verify_averagedness_norm_bound():
 
 
 def test_verify_thm33_instance_clean():
-    from dysrates import contraction_thm33
     a = monotone().intersect(lipschitz(1.0))
     c = cocoercive(1.0).intersect(strongly_monotone(0.5))
     rho = contraction_thm33(1.0, 1.0, 1.0, 1.0, 0.5, role="A_lip").rho
@@ -216,3 +222,156 @@ def test_verify_thm33_instance_clean():
                                 rng_seed=0)
     assert report.passed
     assert report.max_norm_seen <= rho + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against independent oracles
+# ---------------------------------------------------------------------------
+
+# |z| >= 1e-100 keeps the squares in the closed-form norms clear of underflow
+COMPLEX = st.complex_numbers(min_magnitude=1e-100, max_magnitude=10.0)
+STACK = st.lists(COMPLEX, min_size=1, max_size=16).map(
+    lambda zs: np.array(zs, dtype=complex))
+POSITIVE = st.floats(0.05, 5.0)
+ATOM = st.one_of(
+    st.just(Monotone()), st.builds(StronglyMonotone, POSITIVE),
+    st.builds(Lipschitz, POSITIVE), st.builds(Cocoercive, POSITIVE),
+    st.builds(Averaged, st.floats(0.05, 0.95)),
+    st.builds(ShiftedLipschitzBall, st.floats(-3.0, 3.0), POSITIVE))
+
+
+@settings(deadline=None)
+@given(STACK)
+def test_realized_stack_norm_is_modulus(zs):
+    norms = spectral_norm_2x2(realize(zs))
+    assert norms.shape == zs.shape
+    for z, norm in zip(zs, norms):
+        assert norm == pytest.approx(abs(complex(z)), rel=1e-14)
+
+
+# the closed form squares squared entries, so entries stay clear of 1e-77
+ENTRY = st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) > 1e-50)
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 16), st.just(2),
+                                    st.just(2)), elements=ENTRY))
+def test_stack_norm_is_largest_singular_value(ms):
+    for m, norm in zip(ms, spectral_norm_2x2(ms)):
+        assert norm == pytest.approx(np.linalg.norm(m, 2), rel=1e-12,
+                                     abs=1e-150)
+
+
+@settings(deadline=None)
+@given(STACK)
+def test_realized_stack_symmetric_part_min_eigenvalue_is_real_part(zs):
+    for z, eig in zip(zs, _sym_min_eig(realize(zs))):
+        assert eig == pytest.approx(z.real, rel=1e-14)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(COMPLEX, COMPLEX, COMPLEX), min_size=1,
+                max_size=16),
+       st.floats(0.01, 2.0), st.floats(0.01, 2.0))
+def test_dys_matrix_stack_norm_is_symbol_modulus(triples, alpha, lam):
+    za, zb, zc = (np.array(z, dtype=complex) for z in zip(*triples))
+    norms = spectral_norm_2x2(dys_matrix(realize(za), realize(zb),
+                                         realize(zc), alpha, lam))
+    for (a, b, c), norm in zip(triples, norms):
+        expect = abs(1 - lam * a - lam * b + lam * (2 - alpha * c) * a * b)
+        # zeta may cancel, so the error is relative to the terms summed
+        scale = 1 + lam * abs(b) + lam * abs(a) * (
+            1 + 2 * abs(b) + alpha * abs(c) * abs(b))
+        assert abs(norm - expect) <= 1e-14 * scale
+
+
+@settings(deadline=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(
+    arrays(np.float64, (n, 2, 2), elements=st.floats(-10.0, 10.0)),
+    arrays(np.float64, n, elements=st.floats(0.0, 1e-3)))),
+    st.lists(ATOM, min_size=1, max_size=3))
+def test_batched_membership_matches_scalar(stack_and_tols, atoms):
+    ms, tols = stack_and_tols
+    try:
+        spec = OperatorClassSpec(tuple(atoms))
+    except InvalidClassError:
+        assume(False)
+    mask = _members(ms, spec, tols)
+    assert mask.shape == tols.shape
+    assert list(mask) == [class_membership(m, spec, float(t))
+                          for m, t in zip(ms, tols)]
+
+
+# ---------------------------------------------------------------------------
+# golden reports
+# ---------------------------------------------------------------------------
+
+def _negative_control():
+    a = monotone()
+    b = monotone().intersect(lipschitz(0.5))
+    c = cocoercive(1.0).intersect(strongly_monotone(0.5))
+    best = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 40.0)).best_value
+    return verify_contraction(a, b, c, P11, best - 0.01, n_trials=200,
+                              rng_seed=0)
+
+
+GOLDEN_RUNS = {
+    "thm31": lambda: verify_contraction(
+        strongly_monotone(1.0).intersect(lipschitz(1.0)), monotone(),
+        cocoercive(1.0), P11, 2.0 / 3.0, n_trials=1000, rng_seed=0),
+    "thm33": lambda: verify_contraction(
+        monotone().intersect(lipschitz(1.0)), monotone(),
+        cocoercive(1.0).intersect(strongly_monotone(0.5)), P11,
+        contraction_thm33(1.0, 1.0, 1.0, 1.0, 0.5, role="A_lip").rho,
+        n_trials=1000, rng_seed=0),
+    "thm41": lambda: verify_averagedness(
+        strongly_monotone(1.0), monotone(),
+        monotone().intersect(lipschitz(1.0)), P11, 2.0 / 3.0,
+        n_trials=1000, rng_seed=0),
+    "negative_control": _negative_control,
+}
+
+GOLDEN = {
+    "thm31": {"max_norm_seen": 0.5773502691896258, "passed": True,
+              "rho": 0.6666666666666666, "trials": 1000, "violations": [],
+              "warnings": []},
+    "thm33": {"max_norm_seen": 0.8090169943749473, "passed": True,
+              "rho": 0.8660254037844386, "trials": 1000, "violations": [],
+              "warnings": []},
+    "thm41": {"max_norm_seen": 0.6654079940610714, "passed": True,
+              "rho": 0.6666666666666666, "trials": 1000, "violations": [],
+              "warnings": []},
+    "negative_control": {
+        "max_norm_seen": 0.723606797749979, "passed": False,
+        "rho": 0.713606797749979, "trials": 200, "warnings": [],
+        "violations": [
+            {"kind": "norm_bound", "norm": 0.723606797749979,
+             "bound": 0.713606797749979,
+             "triple": ["(0.7236067977499788-0.44721359549995804j)",
+                        "(0.7999999999999999+0.4000000000000001j)",
+                        "(0.5+0.5j)"]},
+            {"kind": "iteration_growth", "step": 1,
+             "ratio": 0.723606797749979}]},
+}
+
+
+def _assert_matches(got, expected, where):
+    if isinstance(expected, float):
+        assert isinstance(got, float), where
+        assert got == pytest.approx(expected, rel=1e-15), where
+    elif isinstance(expected, dict):
+        assert sorted(got) == sorted(expected), where
+        for key in expected:
+            _assert_matches(got[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(got) == len(expected), where
+        for i, (g, e) in enumerate(zip(got, expected)):
+            _assert_matches(g, e, f"{where}[{i}]")
+    else:
+        assert type(got) is type(expected) and got == expected, where
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_verify_report_golden(name):
+    report = json.loads(json.dumps(GOLDEN_RUNS[name]().as_dict()))
+    _assert_matches(report, GOLDEN[name], name)
