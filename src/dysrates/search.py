@@ -1,15 +1,18 @@
 """Maximization of |zeta - s| over the boundary product of three regions.
 
-The pipeline: sample each boundary on an eps-grid, take the exhaustive grid
-maximum, refine the top grid points by projected gradient ascent (plus an
-exact per-coordinate polish, since the symbol is affine in each argument),
-and certify a global upper bound
+The pipeline: sample the boundaries of B and C on an eps-grid; for every
+grid pair (z_B, z_C) maximize over the boundary of A exactly, since
+zeta - s is affine in z_A and each arc or segment of A has a closed-form
+farthest point; refine the top grid triples by projected gradient ascent
+(plus an exact per-coordinate polish, since the symbol is affine in each
+argument); and certify a global upper bound
 
     certified_upper = grid_best + lipschitz_constant * covering_radius
 
-which is valid regardless of how far the local refinements got.  The
-covering radius combines the per-boundary radii in the Euclidean product
-metric, sqrt(r_A^2 + r_B^2 + r_C^2).
+which is valid regardless of how far the local refinements got.  Only B
+and C are sampled, so the covering radius combines their radii in the
+Euclidean product metric, sqrt(r_B^2 + r_C^2), while lipschitz_constant
+stays the bound over all three coordinates.
 """
 
 from __future__ import annotations
@@ -22,11 +25,9 @@ import numpy as np
 from . import geometry
 from .classes import OperatorClassSpec, resolvent_srg, srg
 from .errors import PreconditionError, UnboundedRegionError
-from .geometry import Arc, Region, boundary_grid
+from .geometry import TWO_PI, Arc, Region, boundary_grid
 from .symbol import (DysParams, grad_shifted_modulus_sq, lipschitz_bound,
                      shifted_modulus_sq, zeta, zeta_partials)
-
-_CHUNK = 64  # slab size along the first axis of the grid product
 
 
 @dataclass(frozen=True)
@@ -78,47 +79,66 @@ class SearchResult:
 # Grid stage
 # ---------------------------------------------------------------------------
 
-def grid_evaluate(boundary_a, boundary_b, boundary_c, params: DysParams,
-                  top_k: int = 1):
-    """Exhaustive |zeta - s| maximum over the Cartesian product of three
-    boundary sample lists.
+def _max_on_piece(piece, p_coef, q_coef):
+    """Point of one boundary piece maximizing |P z + Q|, elementwise over
+    arrays P and Q of one shape.
 
-    Returns (best_value, best_triple, candidates, evaluations) where
-    candidates holds the top_k grid triples ordered by value then
-    lexicographic index (a deterministic, schedule-independent reduction).
+    On a segment |P z + Q| is convex in the parameter, so an endpoint wins.
+    On an arc z = c + r e^{it}, P z + Q = W + P r e^{it} with W = P c + Q,
+    which reaches |W| + |P| r at t = arg W - arg P; off that angle the value
+    falls monotonically, so outside the arc an endpoint wins.  Where P = 0
+    or W = 0 the value is constant on the piece and its first endpoint is
+    taken.
     """
-    za = np.asarray(boundary_a, dtype=complex)
-    zb = np.asarray(boundary_b, dtype=complex)
-    zc = np.asarray(boundary_c, dtype=complex)
-    if za.size == 0 or zb.size == 0 or zc.size == 0:
+    e0, e1 = piece.point_at(0.0), piece.point_at(1.0)
+    far = np.where(np.abs(p_coef * e1 + q_coef) > np.abs(p_coef * e0 + q_coef),
+                   e1, e0)
+    if isinstance(piece, Arc):
+        w = p_coef * piece.center + q_coef
+        ang = piece.angle_start + (np.angle(w) - np.angle(p_coef)
+                                   - piece.angle_start) % TWO_PI
+        on_arc = (ang <= piece.angle_end) & (p_coef != 0) & (w != 0)
+        far = np.where(on_arc, piece.center + piece.radius * np.exp(1j * ang),
+                       np.where((p_coef == 0) | (w == 0), e0, far))
+    return far
+
+
+def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams,
+                  top_k: int = 1):
+    """|zeta - s| maximum over boundary A, exactly, times the Cartesian
+    product of the B and C sample lists.
+
+    zeta - s = P z_A + Q is affine in z_A, so for every grid pair (z_B, z_C)
+    each piece of A yields its maximizing z_A in closed form, scored by
+    |P z_A + Q| at that point; the best piece gives the pair's z_A (the
+    first piece wins a tie).  Returns (best_value, best_triple, candidates,
+    evaluations) where candidates holds the top_k triples ordered by value
+    then (B, C) grid index, and evaluations counts
+    len(pieces_a) * len(boundary_b) * len(boundary_c).
+    """
+    zb = np.asarray(boundary_b, dtype=complex)[:, None]
+    zc = np.asarray(boundary_c, dtype=complex)[None, :]
+    if len(pieces_a) == 0 or zb.size == 0 or zc.size == 0:
         raise PreconditionError("all three boundaries nonempty",
                                 "empty boundary sample")
     lam, alpha, s = params.lam, params.alpha, params.shift
-    zb_row = zb[None, :, None]
-    zc_row = zc[None, None, :]
-    base = 1.0 - lam * zb_row - s  # constant in z_A
-    coef = -lam + lam * (2.0 - alpha * zc_row) * zb_row
-    candidates = []  # (-value, i, j, k)
-    keep = max(1, top_k)
-    for start in range(0, za.size, _CHUNK):
-        chunk = za[start:start + _CHUNK, None, None]
-        vals = np.abs(base + coef * chunk)
-        flat = vals.ravel()
-        if flat.size > keep:
-            idx = np.argpartition(flat, flat.size - keep)[-keep:]
-        else:
-            idx = np.arange(flat.size)
-        for f in idx:
-            i, j, k = np.unravel_index(int(f), vals.shape)
-            candidates.append((-float(flat[f]), start + int(i), int(j),
-                               int(k)))
-    candidates.sort()
-    candidates = candidates[:keep]
-    neg, i, j, k = candidates[0]
-    best_triple = (complex(za[i]), complex(zb[j]), complex(zc[k]))
-    triples = [(complex(za[ci]), complex(zb[cj]), complex(zc[ck]))
-               for _, ci, cj, ck in candidates]
-    return -neg, best_triple, triples, za.size * zb.size * zc.size
+    q_coef = 1.0 - lam * zb - s
+    p_coef = -lam + lam * (2.0 - alpha * zc) * zb
+    za = np.stack([_max_on_piece(piece, p_coef, q_coef)
+                   for piece in pieces_a])  # (pieces, n_B, n_C)
+    vals = np.abs(q_coef + p_coef * za)
+    first = np.argmax(vals, axis=0)[None]  # the first piece wins a tie
+    za = np.take_along_axis(za, first, 0)[0]
+    vals = np.take_along_axis(vals, first, 0)[0].ravel()
+    keep = min(max(1, top_k), vals.size)
+    cut = np.partition(vals, vals.size - keep)[vals.size - keep]
+    top = np.flatnonzero(vals >= cut)
+    top = top[np.argsort(-vals[top], kind="stable")[:keep]]
+    js, ks = np.unravel_index(top, za.shape)
+    triples = [(complex(a), complex(zb[j, 0]), complex(zc[0, k]))
+               for a, j, k in zip(za.ravel()[top], js, ks)]
+    return (float(vals[top[0]]), triples[0], triples,
+            len(pieces_a) * vals.size)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +276,14 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
     grids = [boundary_grid(r, config.eps_grid)
              for r in (region_a, region_b, region_c)]
     grid_best, grid_point, seeds, grid_evals = grid_evaluate(
-        grids[0].points, grids[1].points, grids[2].points, params,
+        grids[0].pieces, grids[1].points, grids[2].points, params,
         top_k=config.top_k)
 
     lipschitz = lipschitz_bound(region_a.smallest_disk_atom(),
                                 region_b.smallest_disk_atom(),
                                 region_c.smallest_disk_atom(), params)
-    covering = math.sqrt(sum(g.covering_radius ** 2 for g in grids))
+    # the grid stage is exact over A, so only B and C carry sampling slack
+    covering = math.hypot(grids[1].covering_radius, grids[2].covering_radius)
     certified = grid_best + lipschitz * covering
 
     pieces_triple = tuple(g.pieces for g in grids)

@@ -42,12 +42,19 @@ def rotation_value(m: np.ndarray) -> complex:
 
 
 def spectral_norm_2x2(m: np.ndarray):
-    """Largest singular value of a 2x2 matrix, in closed form."""
+    """Largest singular value of a 2x2 matrix, in closed form.
+
+    The formula squares squared entries, so each matrix is first scaled by
+    the power of two that brings its largest entry into [0.5, 1); that
+    scaling is exact and keeps tiny and huge entries from underflowing or
+    overflowing."""
+    e = np.frexp(np.max(np.abs(m), axis=(-2, -1)))[1]
+    m = np.ldexp(m, -e[..., None, None])
     a = m[..., 0, 0] ** 2 + m[..., 1, 0] ** 2
     d = m[..., 0, 1] ** 2 + m[..., 1, 1] ** 2
     b = m[..., 0, 0] * m[..., 0, 1] + m[..., 1, 0] * m[..., 1, 1]
     disc = np.sqrt(np.maximum((a - d) ** 2 + 4.0 * b * b, 0.0))
-    return np.sqrt(np.maximum(0.5 * (a + d + disc), 0.0))
+    return np.ldexp(np.sqrt(np.maximum(0.5 * (a + d + disc), 0.0)), e)
 
 
 def _sym_min_eig(m: np.ndarray):

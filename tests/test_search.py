@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dysrates import (DysParams, PreconditionError, SearchConfig,
                       UnboundedRegionError, ascend, cocoercive,
@@ -11,7 +13,9 @@ from dysrates import (DysParams, PreconditionError, SearchConfig,
                       monotone, search, shifted_lipschitz_ball,
                       shifted_modulus, strongly_monotone)
 from dysrates.classes import resolvent_srg, srg
-from dysrates.geometry import boundary_grid
+from dysrates.geometry import Arc, Segment, boundary_grid
+from dysrates.search import _max_on_piece, search_regions
+from dysrates.verify import _random_boundary_points
 
 P11 = DysParams(1.0, 1.0)
 
@@ -35,8 +39,8 @@ def instance_pieces(a, b, c, eps):
 # ---------------------------------------------------------------------------
 
 def test_grid_single_point_boundaries():
-    best, triple, _, evals = grid_evaluate([0.5 + 0j], [0.5 + 0j], [1 + 0j],
-                                           P11)
+    best, triple, _, evals = grid_evaluate([Segment(0.5 + 0j, 0.5 + 0j)],
+                                           [0.5 + 0j], [1 + 0j], P11)
     assert best == pytest.approx(0.25)
     assert triple == (0.5 + 0j, 0.5 + 0j, 1.0 + 0j)
     assert evals == 1
@@ -44,13 +48,14 @@ def test_grid_single_point_boundaries():
 
 def test_grid_empty_boundary_rejected():
     with pytest.raises(PreconditionError):
-        grid_evaluate([0.5 + 0j], [0.5 + 0j], [], P11)
+        grid_evaluate([Segment(0.5 + 0j, 0.5 + 0j)], [0.5 + 0j], [], P11)
 
 
 def test_grid_lexicographic_tie_break():
     # all four triples give |zeta| = 1; the first index wins
     zs = [0j, 0j]
-    best, triple, top, _ = grid_evaluate(zs, zs, [1.0 + 0j], P11, top_k=4)
+    best, triple, top, _ = grid_evaluate([Segment(z, z) for z in zs], zs,
+                                         [1.0 + 0j], P11, top_k=4)
     assert best == pytest.approx(1.0)
     assert triple == (0j, 0j, 1.0 + 0j)
 
@@ -58,9 +63,93 @@ def test_grid_lexicographic_tie_break():
 def test_grid_close_to_published_value_within_certificate_slack():
     a, b, c = published_instance()
     grids = instance_pieces(a, b, c, 1.0 / 120.0)
-    best, _, _, _ = grid_evaluate(grids[0].points, grids[1].points,
+    best, _, _, _ = grid_evaluate(grids[0].pieces, grids[1].points,
                                   grids[2].points, P11)
     assert abs(best - 0.7236067977) <= 6.0 / 120.0
+
+
+# ---------------------------------------------------------------------------
+# closed-form maximum over A (property tests)
+# ---------------------------------------------------------------------------
+
+COMPLEX = st.complex_numbers(max_magnitude=5.0)
+PIECE = st.one_of(
+    st.builds(lambda c, r, a0, span: Arc(c, r, a0, a0 + span),
+              st.floats(-2.0, 2.0), st.floats(0.01, 2.0),
+              st.floats(-math.pi, math.pi), st.floats(1e-3, 2.0 * math.pi)),
+    st.builds(Segment, COMPLEX, COMPLEX))
+PARAMS = st.builds(DysParams, st.floats(0.05, 3.0), st.floats(0.1, 2.0),
+                   st.floats(-0.5, 0.5))
+AB_CLASS = st.one_of(
+    st.just(monotone()), st.floats(0.1, 2.0).map(strongly_monotone),
+    st.floats(0.2, 3.0).map(lambda L: monotone().intersect(lipschitz(L))))
+C_CLASS = st.one_of(
+    st.floats(0.3, 3.0).map(cocoercive),
+    st.builds(lambda beta, frac: cocoercive(beta).intersect(
+        strongly_monotone(frac / beta)),
+        st.floats(0.3, 3.0), st.floats(0.05, 0.9)))
+
+
+def _instance_regions(a, b, c, params):
+    return (resolvent_srg(a, params.alpha), resolvent_srg(b, params.alpha),
+            srg(c))
+
+
+@settings(deadline=None)
+@given(PIECE, st.lists(st.tuples(COMPLEX, COMPLEX), min_size=1,
+                       max_size=8))
+def test_max_on_piece_is_sound_and_lies_on_piece(piece, pq):
+    p_coef, q_coef = (np.array(v, dtype=complex) for v in zip(*pq))
+    far = _max_on_piece(piece, p_coef, q_coef)
+    samples = piece.point_at(np.linspace(0.0, 1.0, 200))
+    for p, q, z in zip(p_coef, q_coef, far):
+        scale = 1.0 + abs(p) * max(abs(z), np.abs(samples).max()) + abs(q)
+        assert np.abs(p * samples + q).max() <= abs(p * z + q) + 1e-13 * scale
+        assert abs(piece.project(z) - z) <= 1e-12 * (1.0 + abs(z))
+
+
+@settings(deadline=None)
+@given(st.lists(PIECE, min_size=1, max_size=3),
+       st.lists(COMPLEX, min_size=1, max_size=6),
+       st.lists(COMPLEX, min_size=1, max_size=6), PARAMS,
+       st.integers(1, 8))
+def test_grid_value_is_symbol_at_reported_triple(pieces, zbs, zcs, params,
+                                                 top_k):
+    best, triple, top, evals = grid_evaluate(pieces, zbs, zcs, params,
+                                             top_k=top_k)
+    za, zb, zc = triple
+    lam, alpha = params.lam, params.alpha
+    terms = (1.0 + lam * abs(za) + lam * abs(zb) + abs(params.shift)
+             + lam * abs(2.0 - alpha * zc) * abs(za) * abs(zb))
+    assert best == pytest.approx(float(shifted_modulus(*triple, params)),
+                                 rel=1e-14, abs=1e-14 * terms)
+    assert top[0] == triple and len(top) == min(top_k, len(zbs) * len(zcs))
+    assert evals == len(pieces) * len(zbs) * len(zcs)
+
+
+@settings(deadline=None, max_examples=40)
+@given(AB_CLASS, AB_CLASS, C_CLASS, PARAMS)
+def test_grid_dominates_sampled_cubic_grid(a, b, c, params):
+    grids = [boundary_grid(r, 1.0 / 20.0)
+             for r in _instance_regions(a, b, c, params)]
+    best, _, _, _ = grid_evaluate(grids[0].pieces, grids[1].points,
+                                  grids[2].points, params)
+    brute = shifted_modulus(grids[0].points[:, None, None],
+                            grids[1].points[None, :, None],
+                            grids[2].points[None, None, :], params).max()
+    assert best >= brute - 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(AB_CLASS, AB_CLASS, C_CLASS, PARAMS, st.integers(0, 2 ** 32 - 1))
+def test_certified_upper_bounds_random_boundary_triples(a, b, c, params,
+                                                        seed):
+    regions = _instance_regions(a, b, c, params)
+    result = search_regions(*regions, params,
+                            SearchConfig(eps_grid=1.0 / 20.0, top_k=4))
+    rng = np.random.default_rng(seed)
+    zs = [_random_boundary_points(r, 500, rng) for r in regions]
+    assert shifted_modulus(*zs, params).max() <= result.certified_upper
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +174,6 @@ def test_ascend_stationary_point_unchanged():
     # zeta is constant when lambda-gradient vanishes: pick the point where
     # the projected gradient is zero by symmetry (the degenerate case of a
     # single-point boundary)
-    from dysrates.geometry import Segment
     point_pieces = ((Segment(0.5 + 0j, 0.5 + 0j),),
                     (Segment(0.5 + 0j, 0.5 + 0j),),
                     (Segment(1.0 + 0j, 1.0 + 0j),))
@@ -185,7 +273,7 @@ def test_search_never_exceeds_closed_form():
 def test_ascent_from_best_grid_point_reaches_published_value():
     a, b, c = published_instance()
     grids = instance_pieces(a, b, c, 1.0 / 120.0)
-    _, triple, _, _ = grid_evaluate(grids[0].points, grids[1].points,
+    _, triple, _, _ = grid_evaluate(grids[0].pieces, grids[1].points,
                                     grids[2].points, P11)
     pieces = tuple(g.pieces for g in grids)
     v1, x1, _ = ascend(triple, pieces, P11, SearchConfig())

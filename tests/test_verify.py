@@ -262,6 +262,22 @@ def test_stack_norm_is_largest_singular_value(ms):
                                      abs=1e-150)
 
 
+WIDE_ENTRY = st.one_of(st.just(0.0), st.builds(
+    lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+    st.floats(1.0, 10.0) | st.floats(-10.0, -1.0), st.integers(-150, 150)))
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(WIDE_ENTRY, min_size=4, max_size=4), min_size=1,
+                max_size=16))
+def test_stack_norm_exact_across_exponent_range(entries):
+    # entries from 1e-150 to 1e150: squaring twice would underflow to 0 or
+    # overflow to inf without the power-of-two rescaling
+    ms = np.array(entries).reshape(-1, 2, 2)
+    for m, norm in zip(ms, spectral_norm_2x2(ms)):
+        assert norm == pytest.approx(np.linalg.norm(m, 2), rel=1e-12, abs=0)
+
+
 @settings(deadline=None)
 @given(STACK)
 def test_realized_stack_symmetric_part_min_eigenvalue_is_real_part(zs):
