@@ -21,14 +21,13 @@ from .errors import (AmbiguousArgmaxError, DysRatesError, EmptyRegionError,
                      UnsupportedOrientationError)
 from .geometry import (Arc, BoundaryGrid, Disk, DiskExterior, HalfPlane,
                        Region, Segment, boundary_grid, boundary_pieces,
-                       contains, farthest_point_on_circle, has_arc_property,
-                       has_left_arc_property, has_right_arc_property, invert,
-                       sample_boundary, scale, translate)
+                       farthest_point_on_circle, has_left_arc_property,
+                       has_right_arc_property, sample_boundary)
 from .rates import (AveragednessReport, DominanceReport, ParameterRanges,
                     RateReport, averagedness_thm41, contraction_thm31,
                     contraction_thm32, contraction_thm33, default_eps,
                     default_eta, dominance_check, updated_prior_factors)
-from .search import (SearchConfig, SearchResult, ascend, coordinate_polish,
+from .search import (SearchConfig, SearchResult, coordinate_polish,
                      grid_evaluate, search, search_regions)
 from .symbol import (DysParams, grad_shifted_modulus_sq, lipschitz_bound,
                      lipschitz_bound_coarse, shifted_modulus,

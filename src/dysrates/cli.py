@@ -57,8 +57,7 @@ _ATOM_KINDS = {
     "shifted_lipschitz_ball": (("center", "radius"), cls.ShiftedLipschitzBall),
 }
 
-_SEARCH_KEYS = {"eps_grid", "ascent_step", "ascent_shrink", "max_iters",
-                "stop_tol", "top_k", "parallel"}
+_SEARCH_KEYS = {"eps_grid", "top_k"}
 
 
 class SpecFileError(DysRatesError):
@@ -142,11 +141,7 @@ class ProblemSpec:
         _reject_unknown(search_cfg, _SEARCH_KEYS, "search")
         self.search_kwargs = {}
         for key, value in search_cfg.items():
-            if key == "parallel":
-                if not isinstance(value, bool):
-                    raise SpecFileError("search.parallel must be a boolean")
-                self.search_kwargs[key] = value
-            elif key in ("max_iters", "top_k"):
+            if key == "top_k":
                 number = _finite_number(value, f"search.{key}")
                 if not number.is_integer():
                     raise SpecFileError(
@@ -487,8 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "splitting via complex-plane region analysis")
     parser.add_argument("--json-indent", type=int, default=2,
                         help="indentation for JSON output (default 2)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; results are identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factor", help="closed-form factor for a spec file")
@@ -528,8 +521,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except SpecFileError as exc:

@@ -135,6 +135,8 @@ class Region:
         return any(isinstance(a, Disk) for a in self.atoms)
 
     def contains(self, z: complex, tol: float = 0.0) -> bool:
+        if tol < 0:
+            raise ValueError("tol must be nonnegative")
         return all(a.contains(z, tol) for a in self.atoms)
 
     def contains_many(self, zs: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -220,25 +222,6 @@ def _invert_atom(atom: RegionAtom) -> RegionAtom:
     return DiskExterior(new_c, new_r) if d > 0 else Disk(new_c, new_r)
 
 
-# module-level aliases matching the operation vocabulary
-def translate(region: Region, a: float) -> Region:
-    return region.translate(a)
-
-
-def scale(region: Region, a: float) -> Region:
-    return region.scale(a)
-
-
-def invert(region: Region) -> Region:
-    return region.invert()
-
-
-def contains(region: Region, z: complex, tol: float = 0.0) -> bool:
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return region.contains(z, tol)
-
-
 # ---------------------------------------------------------------------------
 # Boundary pieces
 # ---------------------------------------------------------------------------
@@ -256,7 +239,6 @@ class Arc:
     radius: float
     angle_start: float
     angle_end: float
-    orientation: int = 1
 
     @property
     def length(self) -> float:
@@ -619,11 +601,6 @@ def has_left_arc_property(region: Region, n_samples: int = 720,
     if all(_atom_left_arc_exact(a) for a in region.atoms):
         return True
     return _arc_sampling_refuter(region, n_samples, n_theta, tol, left=True)
-
-
-def has_arc_property(region: Region, **kw) -> bool:
-    return has_right_arc_property(region, **kw) or \
-        has_left_arc_property(region, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -236,14 +236,16 @@ FOUR_ATOM_C = [{"kind": "cocoercive", "beta": 1.0},
 @pytest.mark.parametrize("section, value, argv, expected", [
     ("search", {"top_k": 0.5}, ["maxmod", "--eps", "0.1"], 2),
     ("search", {"max_iters": 2.7}, ["maxmod", "--eps", "0.1"], 2),
+    ("search", {"ascent_step": 0.01}, ["maxmod", "--eps", "0.1"], 2),
+    ("search", {"parallel": True}, ["maxmod", "--eps", "0.1"], 2),
     ("search", {"eps_grid": 0}, ["maxmod"], 2),
     (None, None, ["maxmod", "--eps", "-1"], 2),
     ("plot", {"eps": 0}, ["plot", "--out", "fig.svg"], 2),
     ("C", FOUR_ATOM_C, ["maxmod", "--eps", "0.1"], 3),
     ("C", FOUR_ATOM_C, ["verify", "--trials", "10"], 3),
-], ids=["top_k_fraction", "max_iters_fraction", "eps_grid_zero",
-        "eps_negative", "plot_eps_zero", "four_atoms_maxmod",
-        "four_atoms_verify"])
+], ids=["top_k_fraction", "max_iters_fraction", "ascent_step_removed",
+        "parallel_removed", "eps_grid_zero", "eps_negative", "plot_eps_zero",
+        "four_atoms_maxmod", "four_atoms_verify"])
 def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
                                              value, argv, expected):
     payload = json.loads(json.dumps(PUBLISHED))

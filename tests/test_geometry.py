@@ -43,9 +43,8 @@ def test_contains_derived_point_on_shifted_disk():
 
 
 def test_contains_rejects_negative_tol():
-    from dysrates import contains
     with pytest.raises(ValueError):
-        contains(Region((Disk(0.0, 1.0),)), 0j, -1.0)
+        Region((Disk(0.0, 1.0),)).contains(0j, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Grid maximization, projected ascent and the certified upper bound."""
+"""Grid maximization, exact coordinate polish and the certified upper
+bound."""
 
 import math
 
@@ -8,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dysrates import (DysParams, PreconditionError, SearchConfig,
-                      UnboundedRegionError, ascend, cocoercive,
-                      coordinate_polish, grid_evaluate, lipschitz,
-                      monotone, search, shifted_lipschitz_ball,
-                      shifted_modulus, strongly_monotone)
+                      UnboundedRegionError, cocoercive, coordinate_polish,
+                      grid_evaluate, lipschitz, monotone, search,
+                      shifted_lipschitz_ball, shifted_modulus,
+                      strongly_monotone)
 from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import Arc, Segment, boundary_grid
-from dysrates.search import _max_on_piece, search_regions
+from dysrates.search import _max_on_piece, _value_on_piece, search_regions
 from dysrates.verify import _random_boundary_points
 
 P11 = DysParams(1.0, 1.0)
@@ -108,6 +109,31 @@ def test_max_on_piece_is_sound_and_lies_on_piece(piece, pq):
         assert abs(piece.project(z) - z) <= 1e-12 * (1.0 + abs(z))
 
 
+VALUE_PIECE = st.one_of(
+    PIECE,
+    st.builds(lambda c, r: Arc(c, r, -math.pi, math.pi),
+              st.floats(-2.0, 2.0), st.floats(0.01, 2.0)))
+# P = 0 makes the piece's value constant; on an arc so does W = Pc + Q = 0
+PQ_KIND = st.sampled_from(["free", "p_zero", "w_zero"])
+
+
+@settings(deadline=None)
+@given(VALUE_PIECE, st.lists(st.tuples(COMPLEX, COMPLEX, PQ_KIND),
+                             min_size=1, max_size=8))
+def test_value_on_piece_is_value_at_max_on_piece(piece, pqs):
+    anchor = piece.center if isinstance(piece, Arc) else piece.p0
+    p_coef = np.array([0j if kind == "p_zero" else p for p, _, kind in pqs])
+    q_coef = np.array([-p * anchor if kind == "w_zero" else q
+                       for (_, q, kind), p in zip(pqs, p_coef)])
+    value = _value_on_piece(piece, p_coef, q_coef)
+    far = _max_on_piece(piece, p_coef, q_coef)
+    samples = piece.point_at(np.linspace(0.0, 1.0, 200))
+    for p, q, v, z in zip(p_coef, q_coef, value, far):
+        scale = 1.0 + abs(p) * max(abs(z), np.abs(samples).max()) + abs(q)
+        assert abs(v - abs(p * z + q)) <= 1e-13 * scale
+        assert np.abs(p * samples + q).max() <= v + 1e-13 * scale
+
+
 @settings(deadline=None)
 @given(st.lists(PIECE, min_size=1, max_size=3),
        st.lists(COMPLEX, min_size=1, max_size=6),
@@ -153,32 +179,16 @@ def test_certified_upper_bounds_random_boundary_triples(a, b, c, params,
 
 
 # ---------------------------------------------------------------------------
-# ascent
+# coordinate polish
 # ---------------------------------------------------------------------------
 
-def test_ascend_returns_no_worse_value_random_starts():
-    a, b, c = published_instance()
-    grids = instance_pieces(a, b, c, 1.0 / 20.0)
-    pieces = tuple(g.pieces for g in grids)
-    rng = np.random.default_rng(0)
-    config = SearchConfig(eps_grid=1.0 / 20.0, max_iters=60)
-    for _ in range(200):
-        start = tuple(
-            g.points[rng.integers(len(g.points))] for g in grids)
-        v0 = float(shifted_modulus(*start, P11))
-        v1, _, _ = ascend(start, pieces, P11, config)
-        assert v1 >= v0 - 1e-15
-
-
-def test_ascend_stationary_point_unchanged():
-    # zeta is constant when lambda-gradient vanishes: pick the point where
-    # the projected gradient is zero by symmetry (the degenerate case of a
-    # single-point boundary)
+def test_coordinate_polish_stationary_point_unchanged():
+    # single-point boundaries leave every coordinate nowhere to move
     point_pieces = ((Segment(0.5 + 0j, 0.5 + 0j),),
                     (Segment(0.5 + 0j, 0.5 + 0j),),
                     (Segment(1.0 + 0j, 1.0 + 0j),))
     start = (0.5 + 0j, 0.5 + 0j, 1.0 + 0j)
-    value, point, _ = ascend(start, point_pieces, P11)
+    value, point, _ = coordinate_polish(start, point_pieces, P11)
     assert value == pytest.approx(0.25)
     assert point == start
 
@@ -193,6 +203,26 @@ def test_coordinate_polish_monotone():
         v0 = float(shifted_modulus(*start, P11))
         v1, _, _ = coordinate_polish(start, pieces, P11)
         assert v1 >= v0 - 1e-15
+
+
+@settings(deadline=None, max_examples=40)
+@given(AB_CLASS, AB_CLASS, C_CLASS, PARAMS,
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                          st.integers(0, 10 ** 6)), min_size=1, max_size=6))
+def test_batched_polish_is_best_single_row(a, b, c, params, picks):
+    grids = [boundary_grid(r, 1.0 / 10.0)
+             for r in _instance_regions(a, b, c, params)]
+    pieces = tuple(g.pieces for g in grids)
+    # each start and its mirror image, which often reach conjugate points
+    # of equal value: a tie the first row must win
+    starts = [tuple(g.points[i % len(g.points)] for g, i in zip(grids, pick))
+              for pick in picks]
+    starts += [tuple(z.conjugate() for z in start) for start in starts]
+    value, point, _ = coordinate_polish(starts, pieces, params)
+    rows = [coordinate_polish([start], pieces, params)[:2]
+            for start in starts]
+    assert (value, point) == max(rows, key=lambda row: row[0])
+    assert value >= shifted_modulus(*np.array(starts).T, params).max()
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +253,11 @@ def test_search_invariant_chain():
         + result.lipschitz_constant * result.covering_radius)
 
 
-def test_search_deterministic_and_parallel_flag_neutral():
+def test_search_deterministic():
     a, b, c = published_instance()
     r1 = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 30.0))
     r2 = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 30.0))
-    r3 = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 30.0,
-                                           parallel=True))
+    r3 = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 30.0))
     assert r1.grid_best_value == r2.grid_best_value == r3.grid_best_value
     assert abs(r1.best_value - r3.best_value) <= 1e-12
     assert r1.best_point == r3.best_point
@@ -276,6 +305,5 @@ def test_ascent_from_best_grid_point_reaches_published_value():
     _, triple, _, _ = grid_evaluate(grids[0].pieces, grids[1].points,
                                     grids[2].points, P11)
     pieces = tuple(g.pieces for g in grids)
-    v1, x1, _ = ascend(triple, pieces, P11, SearchConfig())
-    v2, _, _ = coordinate_polish(x1, pieces, P11)
-    assert max(v1, v2) == pytest.approx(0.7236067977, abs=1e-9)
+    value, _, _ = coordinate_polish(triple, pieces, P11)
+    assert value == pytest.approx(0.7236067977, abs=1e-9)
