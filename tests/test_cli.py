@@ -1,5 +1,6 @@
 """Command-line surface: JSON report schema, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -294,6 +295,47 @@ def plot_spec(tmp_path):
     return write_spec(tmp_path, payload)
 
 
+# SHA-256 of the files written before the figure path moved to numpy arrays,
+# with the plot report's point counts and circle radius (as repr).
+PLOT_GOLDEN = {
+    "cprime": ("b77ba90e6b55ed5930f4835ceb986ae6"
+               "fbac9cd2e6c8561f06073893079d0cd7", 29131, 20368,
+               "0.7745966692"),
+    "thm33": ("220a493364abcd707a1bf80c856f1e0e"
+              "c52cd638589d83c9eab24327ae3b3b6d", 29131, 24157,
+              "0.7745966692"),
+    "auto_circle": ("52019da5d0d0b054aa8bbc01aa037e5f"
+                    "c72a4ea1de4a4ca1e19d945df36ed856", 29131, 20368,
+                    "0.7741460515242731"),
+}
+DUMP_GRID_SHA256 = ("eb979f07b060e036a54e6ed2da3afdf2"
+                    "9c0aa9a7fe51df3504b7e57b8436e366")
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("variant", sorted(PLOT_GOLDEN))
+def test_plot_golden_bytes(tmp_path, capsys, variant):
+    payload = json.loads(open(plot_spec(tmp_path)).read())
+    if variant == "thm33":
+        del payload["classes"]["Cprime"]
+        payload["enlargement"] = {"mode": "thm33"}
+    elif variant == "auto_circle":
+        del payload["plot"]["circle_radius"]
+    spec = write_spec(tmp_path, payload, name=f"{variant}.json")
+    out = tmp_path / "fig.svg"
+    code, report = run(capsys, ["plot", spec, "--out", str(out)])
+    digest, dark, light, radius = PLOT_GOLDEN[variant]
+    assert code == 0
+    assert sha256_of(out) == digest
+    assert report == {"schema_version": "1", "out": str(out),
+                      "dark_points": dark, "light_points": light,
+                      "circle_radius": float(radius)}
+    assert repr(report["circle_radius"]) == radius
+
+
 def test_plot_structure_and_determinism(tmp_path, capsys):
     spec = plot_spec(tmp_path)
     out1 = tmp_path / "fig1.svg"
@@ -361,3 +403,4 @@ def test_maxmod_dump_grid_csv(tmp_path, capsys):
     assert len(lines) > 1000
     re_, im_, mod_ = lines[1].split(",")
     assert abs(complex(float(re_), float(im_))) == pytest.approx(float(mod_))
+    assert sha256_of(csv_path) == DUMP_GRID_SHA256
