@@ -22,7 +22,7 @@ from .errors import (AmbiguousArgmaxError, DysRatesError, EmptyRegionError,
 from .geometry import (Arc, BoundaryGrid, Disk, DiskExterior, HalfPlane,
                        Region, Segment, boundary_grid, boundary_pieces,
                        farthest_point_on_circle, has_left_arc_property,
-                       has_right_arc_property, sample_boundary)
+                       has_right_arc_property)
 from .rates import (AveragednessReport, DominanceReport, ParameterRanges,
                     RateReport, averagedness_thm41, contraction_thm31,
                     contraction_thm32, contraction_thm33, default_eps,
@@ -30,8 +30,8 @@ from .rates import (AveragednessReport, DominanceReport, ParameterRanges,
 from .search import (SearchConfig, SearchResult, coordinate_polish,
                      grid_evaluate, search, search_regions)
 from .symbol import (DysParams, grad_shifted_modulus_sq, lipschitz_bound,
-                     lipschitz_bound_coarse, shifted_modulus,
-                     shifted_modulus_sq, zeta, zeta_partials)
+                     shifted_modulus, shifted_modulus_sq, zeta,
+                     zeta_partials)
 from .verify import (VerificationReport, class_membership, dys_matrix,
                      operator_from_resolvent_point, realize, rotation_value,
                      spectral_norm_2x2, verify_averagedness,

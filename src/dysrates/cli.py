@@ -64,6 +64,10 @@ class SpecFileError(DysRatesError):
     pass
 
 
+class OutputFileError(DysRatesError):
+    """An output file could not be written (exit 5)."""
+
+
 def _finite_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecFileError(f"{where}: expected a number, got {value!r}")
@@ -204,6 +208,15 @@ def load_spec(path: str) -> ProblemSpec:
     return ProblemSpec(raw)
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to path as UTF-8, with no newline translation."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputFileError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(payload: dict, indent) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     sys.stdout.write(json.dumps(payload, indent=indent, sort_keys=True))
@@ -320,19 +333,12 @@ def cmd_maxmod(args) -> int:
 
 def _dump_grid_csv(path: str, spec: ProblemSpec, c_spec, params: DysParams,
                    eps: float, cap: int = 100_000) -> None:
-    """Decimated symbol values on the grid product, for external plotting."""
-    import csv
-
-    values = _cloud(spec, c_spec, params, eps, cap=cap)
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["re", "im", "shifted_modulus"])
-            for v in values:
-                writer.writerow([repr(float(v.real)), repr(float(v.imag)),
-                                 repr(abs(complex(v) - params.shift))])
-    except OSError as exc:
-        raise SpecFileError(f"cannot write {path}: {exc}") from exc
+    """Decimated symbol values on the grid product (see _cloud), for
+    external plotting: CSV rows re,im,shifted_modulus with CRLF line ends."""
+    rows = ["re,im,shifted_modulus"]
+    rows.extend(f"{v.real!r},{v.imag!r},{abs(v - params.shift)!r}"
+                for v in _cloud(spec, c_spec, params, eps, cap=cap).tolist())
+    _write_text(path, "\r\n".join(rows) + "\r\n")
 
 
 def cmd_verify(args) -> int:
@@ -412,17 +418,22 @@ def cmd_compare(args) -> int:
 
 def _cloud(spec: ProblemSpec, c_spec, params: DysParams, eps: float,
            cap: int = 30000):
+    """Symbol values over the grid product of the three boundaries, in
+    A-major order.  A product larger than cap is decimated to every
+    (size // cap + 1)-th value and only the kept triples are evaluated, so
+    memory stays O(cap) however fine eps is."""
     from .classes import resolvent_srg, srg
     from .geometry import boundary_grid
     za = boundary_grid(resolvent_srg(spec.a, params.alpha), eps).points
     zb = boundary_grid(resolvent_srg(spec.b, params.alpha), eps).points
     zc = boundary_grid(srg(c_spec), eps).points
-    values = zeta(za[:, None, None], zb[None, :, None], zc[None, None, :],
-                  params).ravel()
-    if values.size > cap:
-        stride = values.size // cap + 1
-        values = values[::stride]
-    return values
+    shape = (za.size, zb.size, zc.size)
+    size = za.size * zb.size * zc.size
+    if size <= cap:
+        return zeta(za[:, None, None], zb[None, :, None], zc[None, None, :],
+                    params).ravel()
+    ia, ib, ic = np.unravel_index(np.arange(0, size, size // cap + 1), shape)
+    return zeta(za[ia], zb[ib], zc[ic], params)
 
 
 def cmd_plot(args) -> int:
@@ -443,7 +454,7 @@ def cmd_plot(args) -> int:
             peak = max(peak, float(np.max(np.abs(light))))
         circle = peak
 
-    pts = list(dark) + (list(light) if light is not None else [])
+    pts = dark if light is None else np.concatenate([dark, light])
     xmin, xmax, ymin, ymax = bounds_for(pts, circle)
     fig = SvgFigure(xmin, xmax, ymin, ymax)
     fig.add_axes()
@@ -459,12 +470,7 @@ def cmd_plot(args) -> int:
         legend.append(("enlarged cloud", "#bbbbbb"))
     legend.append((f"|z| = {circle:.10f}", "#000000"))
     fig.add_legend(legend)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(fig.render())
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, fig.render())
     _emit({"out": args.out, "dark_points": int(len(dark)),
            "light_points": int(len(light)) if light is not None else 0,
            "circle_radius": circle}, args.json_indent)
@@ -535,6 +541,9 @@ def main(argv=None) -> int:
     except UnboundedRegionError as exc:
         print(f"error: unbounded search domain: {exc}", file=sys.stderr)
         return EXIT_UNBOUNDED
+    except OutputFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except DysRatesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

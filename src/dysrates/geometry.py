@@ -254,19 +254,6 @@ class Arc:
         angs = np.linspace(self.angle_start, self.angle_end, n_intervals + 1)
         return self.center + self.radius * np.exp(1j * angs)
 
-    def project(self, w: complex) -> complex:
-        """Nearest point of the arc to w."""
-        v = w - self.center
-        if v == 0:
-            return self.point_at(0.0)
-        ang = cmath.phase(v)
-        # normalize into [angle_start, angle_start + 2*pi)
-        ang = self.angle_start + (ang - self.angle_start) % TWO_PI
-        if ang <= self.angle_end:
-            return self.center + self.radius * v / abs(v)
-        p0, p1 = self.point_at(0.0), self.point_at(1.0)
-        return p0 if abs(w - p0) <= abs(w - p1) else p1
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -284,15 +271,6 @@ class Segment:
     def sample(self, n_intervals: int) -> np.ndarray:
         ts = np.linspace(0.0, 1.0, n_intervals + 1)
         return (1.0 - ts) * self.p0 + ts * self.p1
-
-    def project(self, w: complex) -> complex:
-        d = self.p1 - self.p0
-        denom = abs(d) ** 2
-        if denom == 0.0:
-            return self.p0
-        t = ((w - self.p0).real * d.real + (w - self.p0).imag * d.imag) / denom
-        t = min(1.0, max(0.0, t))
-        return self.point_at(t)
 
 
 BoundaryPiece = Union[Arc, Segment]
@@ -501,11 +479,6 @@ def boundary_grid(region: Region, eps: float) -> BoundaryGrid:
     # samples are spaced <= max_gap along each piece, so every boundary
     # point is within max_gap/2 in arc length, hence in chord distance
     return BoundaryGrid(points, 0.5 * max_gap, tuple(pieces))
-
-
-def sample_boundary(region: Region, eps: float) -> list:
-    """Boundary points with every boundary point within eps of a sample."""
-    return list(boundary_grid(region, eps).points)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .geometry import Arc, Segment
 
 _W, _H = 640, 640
@@ -27,7 +29,8 @@ class SvgFigure:
     ymax: float
     elements: list = field(default_factory=list)
 
-    def _map(self, x: float, y: float):
+    def _map(self, x, y):
+        """Figure coordinates of (x, y); elementwise on arrays."""
         sx = (_W - 2 * _MARGIN) / (self.xmax - self.xmin)
         sy = (_H - 2 * _MARGIN) / (self.ymax - self.ymin)
         s = min(sx, sy)
@@ -47,12 +50,24 @@ class SvgFigure:
             f'<line x1="{_fmt(xv)}" y1="{_fmt(yv0)}" x2="{_fmt(xv)}" '
             f'y2="{_fmt(yv1)}" stroke="#888888" stroke-width="1"/>')
 
+    def _coords(self, zs) -> tuple:
+        """Mapped coordinates of an array of points as the flat Python
+        tuple (x0, y0, x1, y1, ...), ready for one %-format."""
+        zs = np.asarray(zs)
+        px, py = self._map(zs.real, zs.imag)
+        xy = np.empty(2 * zs.size)
+        xy[0::2] = px
+        xy[1::2] = py
+        return tuple(xy.tolist())
+
     def add_points(self, zs, color: str, radius: float = 0.8):
-        for z in zs:
-            px, py = self._map(z.real, z.imag)
-            self.elements.append(
-                f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(radius)}" '
-                f'fill="{color}"/>')
+        xy = self._coords(zs)
+        if not xy:
+            return
+        rest = f'" r="{_fmt(radius)}" fill="{color}"/>'.replace("%", "%%")
+        point = '<circle cx="%.6f" cy="%.6f' + rest
+        # one element string per cloud; render() joins elements with "\n"
+        self.elements.append("\n".join([point] * (len(xy) // 2)) % xy)
 
     def add_circle(self, center: complex, radius: float, color: str,
                    width: float = 1.5):
@@ -65,14 +80,13 @@ class SvgFigure:
     def add_piece_outline(self, piece, color: str, width: float = 1.0):
         if isinstance(piece, Arc):
             n = max(16, int(piece.length * 64))
-            pts = [piece.point_at(i / n) for i in range(n + 1)]
+            pts = piece.point_at(np.arange(n + 1) / n)
         elif isinstance(piece, Segment):
-            pts = [piece.p0, piece.p1]
+            pts = np.array([piece.p0, piece.p1])
         else:
             raise TypeError(f"unknown piece {piece!r}")
-        coords = " ".join(
-            "{},{}".format(*map(_fmt, self._map(z.real, z.imag)))
-            for z in pts)
+        xy = self._coords(pts)
+        coords = " ".join(["%.6f,%.6f"] * (len(xy) // 2)) % xy
         self.elements.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"/>')
@@ -97,7 +111,12 @@ class SvgFigure:
 
 
 def bounds_for(points, radius: float) -> tuple:
-    xs = [z.real for z in points] + [radius, -radius]
-    ys = [z.imag for z in points] + [radius, -radius]
-    pad = 0.1 * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-    return (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
+    """(xmin, xmax, ymin, ymax) of an array of points and the circle
+    |z| = radius, padded by a tenth of the larger extent."""
+    points = np.asarray(points)
+    xs = np.append(points.real, (radius, -radius))
+    ys = np.append(points.imag, (radius, -radius))
+    xmin, xmax = float(xs.min()), float(xs.max())
+    ymin, ymax = float(ys.min()), float(ys.max())
+    pad = 0.1 * max(xmax - xmin, ymax - ymin, 1e-9)
+    return (xmin - pad, xmax + pad, ymin - pad, ymax + pad)

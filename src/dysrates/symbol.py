@@ -97,7 +97,7 @@ def lipschitz_bound(enclosure_a: Disk, enclosure_b: Disk, enclosure_c: Disk,
     Combines per-coordinate suprema M_X >= sup |d zeta / d z_X| as
     sqrt(M_A^2 + M_B^2 + M_C^2); the per-coordinate bounds are exact for
     degenerate (zero-radius) enclosures and never exceed the coarse
-    triangle-inequality bound below.
+    triangle-inequality bound lam*(1 + (2 + alpha*sup|z_C|)*sup|z_B|).
     """
     lam, alpha = params.lam, params.alpha
     w0 = 2.0 - alpha * enclosure_c.center
@@ -105,18 +105,4 @@ def lipschitz_bound(enclosure_a: Disk, enclosure_b: Disk, enclosure_c: Disk,
     m_a = lam * _sup_affine(w0, rw, enclosure_b.center, enclosure_b.radius)
     m_b = lam * _sup_affine(w0, rw, enclosure_a.center, enclosure_a.radius)
     m_c = lam * alpha * _sup_abs(enclosure_a) * _sup_abs(enclosure_b)
-    return math.sqrt(m_a * m_a + m_b * m_b + m_c * m_c)
-
-
-def lipschitz_bound_coarse(enclosure_a: Disk, enclosure_b: Disk,
-                           enclosure_c: Disk, params: DysParams) -> float:
-    """Looser bound lam*(1 + (2 + alpha*sup|z_C|)*sup|z_B|) per coordinate;
-    monotone in alpha and in each enclosure, kept for reporting and as a
-    sanity ceiling (unit-disk enclosures at alpha = lam = 1 give
-    sqrt(33) < 6)."""
-    lam, alpha = params.lam, params.alpha
-    sa, sb, sc = map(_sup_abs, (enclosure_a, enclosure_b, enclosure_c))
-    m_a = lam * (1.0 + (2.0 + alpha * sc) * sb)
-    m_b = lam * (1.0 + (2.0 + alpha * sc) * sa)
-    m_c = lam * alpha * sa * sb
     return math.sqrt(m_a * m_a + m_b * m_b + m_c * m_c)

@@ -1,0 +1,50 @@
+"""Reference implementations that tests compare the package against.
+
+They are deliberately simple, scalar and independent of the package's
+vectorized kernels.
+"""
+
+import cmath
+import math
+
+from dysrates import Arc, Segment
+
+TWO_PI = 2.0 * math.pi
+
+
+def project(piece, w: complex) -> complex:
+    """Nearest point of an Arc or a Segment to w."""
+    if isinstance(piece, Arc):
+        v = w - piece.center
+        if v == 0:
+            return piece.point_at(0.0)
+        # normalize the angle of v into [angle_start, angle_start + 2*pi)
+        ang = piece.angle_start + (cmath.phase(v) - piece.angle_start) % TWO_PI
+        if ang <= piece.angle_end:
+            return piece.center + piece.radius * v / abs(v)
+        p0, p1 = piece.point_at(0.0), piece.point_at(1.0)
+        return p0 if abs(w - p0) <= abs(w - p1) else p1
+    if isinstance(piece, Segment):
+        d = piece.p1 - piece.p0
+        denom = abs(d) ** 2
+        if denom == 0.0:
+            return piece.p0
+        t = ((w - piece.p0).real * d.real
+             + (w - piece.p0).imag * d.imag) / denom
+        return piece.point_at(min(1.0, max(0.0, t)))
+    raise TypeError(f"unknown piece {piece!r}")
+
+
+def lipschitz_bound_coarse(enclosure_a, enclosure_b, enclosure_c,
+                           params) -> float:
+    """Triangle-inequality Lipschitz bound of |zeta - s| on three disk
+    enclosures: lam*(1 + (2 + alpha*sup|z_C|)*sup|z_B|) per coordinate,
+    monotone in alpha and in each enclosure (unit disks at alpha = lam = 1
+    give sqrt(33) < 6)."""
+    lam, alpha = params.lam, params.alpha
+    sa, sb, sc = (abs(d.center) + d.radius
+                  for d in (enclosure_a, enclosure_b, enclosure_c))
+    m_a = lam * (1.0 + (2.0 + alpha * sc) * sb)
+    m_b = lam * (1.0 + (2.0 + alpha * sc) * sa)
+    m_c = lam * alpha * sa * sb
+    return math.sqrt(m_a * m_a + m_b * m_b + m_c * m_c)

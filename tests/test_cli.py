@@ -4,9 +4,15 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dysrates.cli import main
+from dysrates.classes import resolvent_srg, srg
+from dysrates.cli import ProblemSpec, _cloud, main
+from dysrates.geometry import boundary_grid
+from dysrates.symbol import zeta
 
 ALL_ONES_31 = {
     "classes": {
@@ -284,7 +290,7 @@ def test_compare_thm31_margin(tmp_path, capsys):
 # plot
 # ---------------------------------------------------------------------------
 
-def plot_spec(tmp_path):
+def plot_payload():
     payload = json.loads(json.dumps(PUBLISHED))
     payload["classes"]["Cprime"] = [
         {"kind": "cocoercive", "beta": 1.0},
@@ -292,7 +298,11 @@ def plot_spec(tmp_path):
          "radius": 1.0 / math.sqrt(2.0)},
     ]
     payload["plot"] = {"circle_radius": 0.7745966692, "eps": 1.0 / 15.0}
-    return write_spec(tmp_path, payload)
+    return payload
+
+
+def plot_spec(tmp_path):
+    return write_spec(tmp_path, plot_payload())
 
 
 # SHA-256 of the files written before the figure path moved to numpy arrays,
@@ -353,8 +363,6 @@ def test_plot_structure_and_determinism(tmp_path, capsys):
 def test_plot_clouds_relative_to_circle(tmp_path, capsys):
     # the dark cloud stays strictly inside the published circle; the
     # enlarged cloud touches it (within grid resolution)
-    import numpy as np
-    from dysrates.cli import ProblemSpec, _cloud
     from dysrates.symbol import DysParams
     spec = ProblemSpec(json.loads(open(plot_spec(tmp_path)).read()))
     params = DysParams(1.0, 1.0, 0.0)
@@ -404,3 +412,66 @@ def test_maxmod_dump_grid_csv(tmp_path, capsys):
     re_, im_, mod_ = lines[1].split(",")
     assert abs(complex(float(re_), float(im_))) == pytest.approx(float(mod_))
     assert sha256_of(csv_path) == DUMP_GRID_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the decimated symbol cloud and the write paths
+# ---------------------------------------------------------------------------
+
+def full_cube(spec, c_spec, params, eps):
+    za = boundary_grid(resolvent_srg(spec.a, params.alpha), eps).points
+    zb = boundary_grid(resolvent_srg(spec.b, params.alpha), eps).points
+    zc = boundary_grid(srg(c_spec), eps).points
+    return zeta(za[:, None, None], zb[None, :, None], zc[None, None, :],
+                params).ravel()
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(["C", "Cprime", "thm33"]),
+       st.floats(1.0 / 40.0, 1.0 / 8.0), st.data())
+def test_cloud_is_the_strided_cube_bit_for_bit(which, eps, data):
+    payload = plot_payload()
+    payload["enlargement"] = {"mode": "thm33"}
+    spec = ProblemSpec(payload)
+    params = spec.params()
+    c_spec = {"C": spec.c, "Cprime": spec.c_prime,
+              "thm33": spec.effective_c()}[which]
+    cube = full_cube(spec, c_spec, params, eps)
+    size = cube.size
+    cap = data.draw(st.one_of(st.sampled_from([1, size - 1, size, size + 1]),
+                              st.integers(1, 2 * size)), label="cap")
+    expected = cube if size <= cap else cube[::size // cap + 1]
+    got = _cloud(spec, c_spec, params, eps, cap)
+    assert got.shape == expected.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(expected).view(np.uint64))
+
+
+def test_cloud_memory_does_not_grow_with_the_cube():
+    # at eps 1/120 the full cube of the published instance is 408 MB
+    import tracemalloc
+    spec = ProblemSpec(PUBLISHED)
+    tracemalloc.start()
+    try:
+        values = _cloud(spec, spec.c, spec.params(), 1.0 / 120.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < values.size <= 30000
+    assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot", "--out"],
+    ["maxmod", "--eps", "0.1", "--dump-grid"],
+], ids=["plot_out", "maxmod_dump_grid"])
+def test_unwritable_output_exits_io(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, PUBLISHED)
+    target = tmp_path / "missing" / "out.file"
+    code = main([argv[0], spec] + argv[1:] + [str(target)])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot write {target}: ")

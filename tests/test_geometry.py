@@ -11,9 +11,9 @@ from dysrates import (AmbiguousArgmaxError, Arc, Disk, DiskExterior,
                       EmptyRegionError, HalfPlane, Region, Segment,
                       UnboundedRegionError, UnsupportedOrientationError,
                       boundary_pieces, farthest_point_on_circle,
-                      has_left_arc_property, has_right_arc_property,
-                      sample_boundary)
+                      has_left_arc_property, has_right_arc_property)
 from dysrates.geometry import boundary_grid
+from oracles import project
 
 
 def lens(c1, r1, c2, r2):
@@ -234,7 +234,7 @@ def test_pieces_meet_only_at_endpoints():
     region = lens(0.5, 0.5, 4.0 / 3.0, 2.0 / 3.0)
     p1, p2 = boundary_pieces(region)
     inner1 = p1.sample(500)[1:-1]
-    dist_to_p2 = np.array([abs(p2.project(z) - z) for z in inner1])
+    dist_to_p2 = np.array([abs(project(p2, z) - z) for z in inner1])
     assert dist_to_p2.min() > 1e-6
 
 
@@ -264,12 +264,12 @@ def test_degenerate_point_region_has_point_boundary():
 # ---------------------------------------------------------------------------
 
 def test_sample_counts_unit_circle():
-    pts = sample_boundary(Region((Disk(0.0, 1.0),)), math.pi / 2.0)
+    pts = boundary_grid(Region((Disk(0.0, 1.0),)), math.pi / 2.0).points
     assert len(pts) >= 4
 
 
 def test_sample_counts_shifted_disk():
-    pts = sample_boundary(Region((Disk(0.5, 0.5),)), 1.0 / 120.0)
+    pts = boundary_grid(Region((Disk(0.5, 0.5),)), 1.0 / 120.0).points
     assert len(pts) >= 378
 
 
@@ -286,12 +286,12 @@ def test_sampling_covers_boundary():
 
 def test_sample_unbounded_region_rejected():
     with pytest.raises(UnboundedRegionError):
-        sample_boundary(Region((HalfPlane(0.0),)), 0.1)
+        boundary_grid(Region((HalfPlane(0.0),)), 0.1)
 
 
 def test_lens_samples_stay_on_boundary():
     region = lens(0.5, 0.5, 4.0 / 3.0, 2.0 / 3.0)
-    pts = np.array(sample_boundary(region, 0.02))
+    pts = boundary_grid(region, 0.02).points
     on_c1 = np.abs(np.abs(pts - 0.5) - 0.5) <= 1e-9
     on_c2 = np.abs(np.abs(pts - 4.0 / 3.0) - 2.0 / 3.0) <= 1e-9
     assert np.all(on_c1 | on_c2)

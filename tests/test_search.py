@@ -17,6 +17,7 @@ from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import Arc, Segment, boundary_grid
 from dysrates.search import _max_on_piece, _value_on_piece, search_regions
 from dysrates.verify import _random_boundary_points
+from oracles import project
 
 P11 = DysParams(1.0, 1.0)
 
@@ -106,7 +107,7 @@ def test_max_on_piece_is_sound_and_lies_on_piece(piece, pq):
     for p, q, z in zip(p_coef, q_coef, far):
         scale = 1.0 + abs(p) * max(abs(z), np.abs(samples).max()) + abs(q)
         assert np.abs(p * samples + q).max() <= abs(p * z + q) + 1e-13 * scale
-        assert abs(piece.project(z) - z) <= 1e-12 * (1.0 + abs(z))
+        assert abs(project(piece, z) - z) <= 1e-12 * (1.0 + abs(z))
 
 
 VALUE_PIECE = st.one_of(
