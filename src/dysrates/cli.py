@@ -64,10 +64,6 @@ class SpecFileError(DysRatesError):
     pass
 
 
-class OutputFileError(DysRatesError):
-    """An output file could not be written (exit 5)."""
-
-
 def _finite_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecFileError(f"{where}: expected a number, got {value!r}")
@@ -214,7 +210,7 @@ def _write_text(path: str, text: str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OutputFileError(f"cannot write {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(payload: dict, indent) -> None:
@@ -420,7 +416,7 @@ def _cloud(spec: ProblemSpec, c_spec, params: DysParams, eps: float,
            cap: int = 30000):
     """Symbol values over the grid product of the three boundaries, in
     A-major order.  A product larger than cap is decimated to every
-    (size // cap + 1)-th value and only the kept triples are evaluated, so
+    (size // cap + 1)-th value; only the kept triples are evaluated, so
     memory stays O(cap) however fine eps is."""
     from .classes import resolvent_srg, srg
     from .geometry import boundary_grid
@@ -429,10 +425,8 @@ def _cloud(spec: ProblemSpec, c_spec, params: DysParams, eps: float,
     zc = boundary_grid(srg(c_spec), eps).points
     shape = (za.size, zb.size, zc.size)
     size = za.size * zb.size * zc.size
-    if size <= cap:
-        return zeta(za[:, None, None], zb[None, :, None], zc[None, None, :],
-                    params).ravel()
-    ia, ib, ic = np.unravel_index(np.arange(0, size, size // cap + 1), shape)
+    stride = size // cap + 1 if size > cap else 1
+    ia, ib, ic = np.unravel_index(np.arange(0, size, stride), shape)
     return zeta(za[ia], zb[ib], zc[ic], params)
 
 
@@ -541,9 +535,6 @@ def main(argv=None) -> int:
     except UnboundedRegionError as exc:
         print(f"error: unbounded search domain: {exc}", file=sys.stderr)
         return EXIT_UNBOUNDED
-    except OutputFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except DysRatesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

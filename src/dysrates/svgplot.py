@@ -64,8 +64,8 @@ class SvgFigure:
         xy = self._coords(zs)
         if not xy:
             return
-        rest = f'" r="{_fmt(radius)}" fill="{color}"/>'.replace("%", "%%")
-        point = '<circle cx="%.6f" cy="%.6f' + rest
+        point = ('<circle cx="%.6f" cy="%.6f" r="' + _fmt(radius)
+                 + '" fill="' + color + '"/>')
         # one element string per cloud; render() joins elements with "\n"
         self.elements.append("\n".join([point] * (len(xy) // 2)) % xy)
 
@@ -80,7 +80,8 @@ class SvgFigure:
     def add_piece_outline(self, piece, color: str, width: float = 1.0):
         if isinstance(piece, Arc):
             n = max(16, int(piece.length * 64))
-            pts = piece.point_at(np.arange(n + 1) / n)
+            # scalar t, so each point comes from cmath.exp as before
+            pts = np.array([piece.point_at(i / n) for i in range(n + 1)])
         elif isinstance(piece, Segment):
             pts = np.array([piece.p0, piece.p1])
         else:
