@@ -7,6 +7,8 @@ vectorized kernels.
 import cmath
 import math
 
+import pytest
+
 from dysrates import Arc, Segment
 
 TWO_PI = 2.0 * math.pi
@@ -48,3 +50,21 @@ def lipschitz_bound_coarse(enclosure_a, enclosure_b, enclosure_c,
     m_b = lam * (1.0 + (2.0 + alpha * sc) * sa)
     m_c = lam * alpha * sa * sb
     return math.sqrt(m_a * m_a + m_b * m_b + m_c * m_c)
+
+
+def assert_matches(got, expected, where):
+    """Same structure and types as expected, with floats equal to
+    rel=1e-15."""
+    if isinstance(expected, float):
+        assert isinstance(got, float), where
+        assert got == pytest.approx(expected, rel=1e-15), where
+    elif isinstance(expected, dict):
+        assert sorted(got) == sorted(expected), where
+        for key in expected:
+            assert_matches(got[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(got) == len(expected), where
+        for i, (g, e) in enumerate(zip(got, expected)):
+            assert_matches(g, e, f"{where}[{i}]")
+    else:
+        assert type(got) is type(expected) and got == expected, where

@@ -21,6 +21,7 @@ from dysrates import (Averaged, Cocoercive, DysParams, InvalidClassError,
 from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import boundary_grid
 from dysrates.verify import _members, _sym_min_eig
+from oracles import assert_matches
 
 P11 = DysParams(1.0, 1.0)
 
@@ -371,23 +372,7 @@ GOLDEN = {
 }
 
 
-def _assert_matches(got, expected, where):
-    if isinstance(expected, float):
-        assert isinstance(got, float), where
-        assert got == pytest.approx(expected, rel=1e-15), where
-    elif isinstance(expected, dict):
-        assert sorted(got) == sorted(expected), where
-        for key in expected:
-            _assert_matches(got[key], expected[key], f"{where}.{key}")
-    elif isinstance(expected, list):
-        assert len(got) == len(expected), where
-        for i, (g, e) in enumerate(zip(got, expected)):
-            _assert_matches(g, e, f"{where}[{i}]")
-    else:
-        assert type(got) is type(expected) and got == expected, where
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_verify_report_golden(name):
     report = json.loads(json.dumps(GOLDEN_RUNS[name]().as_dict()))
-    _assert_matches(report, GOLDEN[name], name)
+    assert_matches(report, GOLDEN[name], name)
