@@ -220,89 +220,21 @@ def _emit(payload: dict, indent) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Theorem dispatch
-# ---------------------------------------------------------------------------
-
-def _dispatch_auto(spec: ProblemSpec) -> str:
-    a, b, c = spec.a, spec.b, spec.c
-    if c.mu is not None:
-        return "33"
-    if c.L is not None and c.beta is None:
-        return "41"
-    if (a.mu is not None and a.L is not None) or \
-            (b.mu is not None and b.L is not None):
-        return "31"
-    if (a.L is not None and b.mu is not None) or \
-            (a.mu is not None and b.L is not None):
-        return "32"
-    raise PreconditionError(
-        "theorem hypotheses recognizable",
-        "no theorem matches the (mu, L) placement across A, B, C")
-
-
-def compute_factor(spec: ProblemSpec, theorem: str = "auto"):
-    if theorem == "auto":
-        theorem = _dispatch_auto(spec)
-    a, b, c = spec.a, spec.b, spec.c
-    alpha, lam = spec.alpha, spec.lam
-    if theorem == "31":
-        carrier, role = (a, "A") if a.mu is not None and a.L is not None \
-            else (b, "B")
-        if carrier.mu is None or carrier.L is None or c.beta is None:
-            raise PreconditionError(
-                "one of A, B carries (mu, L) and C carries beta_C")
-        return rates.contraction_thm31(alpha, lam, c.beta, carrier.mu,
-                                       carrier.L, role=role)
-    if theorem == "32":
-        if c.beta is None:
-            raise PreconditionError("C carries beta_C")
-        if a.L is not None and b.mu is not None:
-            return rates.contraction_thm32(alpha, lam, c.beta, a.L, b.mu,
-                                           role="A_lip_B_sm")
-        if a.mu is not None and b.L is not None:
-            return rates.contraction_thm32(alpha, lam, c.beta, b.L, a.mu,
-                                           role="A_sm_B_lip")
-        raise PreconditionError("A Lipschitz and B strongly monotone, or "
-                                "A strongly monotone and B Lipschitz")
-    if theorem == "33":
-        if c.beta is None or c.mu is None:
-            raise PreconditionError("C carries beta_C and mu_C")
-        if a.L is not None:
-            return rates.contraction_thm33(alpha, lam, c.beta, a.L, c.mu,
-                                           role="A_lip")
-        if b.L is not None:
-            return rates.contraction_thm33(alpha, lam, c.beta, b.L, c.mu,
-                                           role="B_lip")
-        raise PreconditionError("A or B carries L")
-    if theorem == "41":
-        if c.L is None or not cls.is_monotone_class(c):
-            raise PreconditionError("C monotone and L_C-Lipschitz")
-        if abs(lam - 1.0) > 1e-12:
-            raise PreconditionError("lambda = 1",
-                                    "averagedness requires lambda = 1")
-        if a.mu is not None:
-            return rates.averagedness_thm41(alpha, a.mu, c.L, role="A_sm")
-        if b.mu is not None:
-            return rates.averagedness_thm41(alpha, b.mu, c.L, role="B_sm")
-        raise PreconditionError("A or B carries mu")
-    raise SpecFileError(f"unknown theorem {theorem!r}")
-
-
-# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_factor(args) -> int:
     spec = load_spec(args.spec)
-    report = compute_factor(spec, args.theorem)
+    report = rates.factor(spec.a, spec.b, spec.c, spec.alpha, spec.lam,
+                          args.theorem)
     _emit(report.as_dict(), args.json_indent)
     return EXIT_OK
 
 
 def _search_config(spec: ProblemSpec, args) -> SearchConfig:
     kwargs = dict(spec.search_kwargs)
-    if getattr(args, "eps", None) is not None:
-        kwargs["eps_grid"] = args.eps
+    if args.eps is not None:
+        kwargs["eps_grid"] = _finite_number(args.eps, "--eps")
     try:
         return SearchConfig(**kwargs)
     except ValueError as exc:
@@ -311,7 +243,8 @@ def _search_config(spec: ProblemSpec, args) -> SearchConfig:
 
 def cmd_maxmod(args) -> int:
     spec = load_spec(args.spec)
-    shift = args.shift if args.shift is not None else spec.shift
+    shift = spec.shift if args.shift is None else _finite_number(
+        args.shift, "--shift")
     params = DysParams(spec.alpha, spec.lam, shift)
     config = _search_config(spec, args)
     effective_c = spec.effective_c()
@@ -340,24 +273,24 @@ def _dump_grid_csv(path: str, spec: ProblemSpec, c_spec, params: DysParams,
 def cmd_verify(args) -> int:
     spec = load_spec(args.spec)
     params = spec.params()
+    for flag, value in (("--trials", args.trials), ("--seed", args.seed)):
+        if value < 0:
+            raise SpecFileError(f"{flag}: must be >= 0, got {value}")
+    check = verify_contraction
     if args.rho == "auto":
-        report = compute_factor(spec, "auto")
+        report = rates.factor(spec.a, spec.b, spec.c, spec.alpha, spec.lam)
         if isinstance(report, rates.AveragednessReport):
-            theta = report.theta
-            ver = verify_averagedness(spec.a, spec.b, spec.c, params, theta,
-                                      n_trials=args.trials,
-                                      rng_seed=args.seed)
+            check, bound = verify_averagedness, report.theta
         else:
-            ver = verify_contraction(spec.a, spec.b, spec.c, params,
-                                     report.rho, n_trials=args.trials,
-                                     rng_seed=args.seed)
+            bound = report.rho
     else:
         try:
             rho = float(args.rho)
         except ValueError as exc:
             raise SpecFileError("--rho must be a number or 'auto'") from exc
-        ver = verify_contraction(spec.a, spec.b, spec.c, params, rho,
-                                 n_trials=args.trials, rng_seed=args.seed)
+        bound = _finite_number(rho, "--rho")
+    ver = check(spec.a, spec.b, spec.c, params, bound, n_trials=args.trials,
+                rng_seed=args.seed)
     for warning in ver.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     _emit(ver.as_dict(), args.json_indent)
@@ -366,49 +299,8 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = load_spec(args.spec)
-    a, b, c = spec.a, spec.b, spec.c
-    alpha, lam = spec.alpha, spec.lam
-    if c.beta is None:
-        raise PreconditionError("C carries beta_C")
-    beta_c = c.beta
-    eps = rates.default_eps(alpha, beta_c)
-    eta = rates.default_eta(alpha, beta_c, eps)
-    pairs = []
-
-    def add(new_report, prior_report):
-        pairs.append({
-            "new": new_report.as_dict(), "prior": prior_report.as_dict(),
-            "margin": prior_report.rho - new_report.rho})
-
-    for carrier, role in ((a, "A"), (b, "B")):
-        if carrier.mu is not None and carrier.L is not None:
-            new = rates.contraction_thm31(alpha, lam, beta_c, carrier.mu,
-                                          carrier.L, role=role)
-            add(new, rates.prior_d61(alpha, lam, beta_c, carrier.mu,
-                                     carrier.L))
-            add(new, rates.prior_d62(alpha, lam, beta_c, carrier.mu,
-                                     carrier.L, eps))
-    if a.mu is not None and b.L is not None:
-        new = rates.contraction_thm32(alpha, lam, beta_c, b.L, a.mu,
-                                      role="A_sm_B_lip")
-        add(new, rates.prior_d63(alpha, lam, beta_c, a.mu, b.L, eps))
-    if a.L is not None and b.mu is not None:
-        new = rates.contraction_thm32(alpha, lam, beta_c, a.L, b.mu,
-                                      role="A_lip_B_sm")
-        add(new, rates.prior_d64(alpha, lam, beta_c, b.mu, a.L, eps))
-    if c.mu is not None and a.L is not None:
-        new = rates.contraction_thm33(alpha, lam, beta_c, a.L, c.mu,
-                                      role="A_lip")
-        add(new, rates.prior_d65(alpha, lam, beta_c, c.mu, a.L, eps, eta))
-    if c.mu is not None and b.L is not None:
-        new = rates.contraction_thm33(alpha, lam, beta_c, b.L, c.mu,
-                                      role="B_lip")
-        add(new, rates.prior_d66(alpha, lam, beta_c, c.mu, b.L, eta))
-    if not pairs:
-        raise PreconditionError(
-            "comparable factor pair available",
-            "no (mu, L) placement matches a theorem/prior pairing")
-    _emit({"pairs": pairs, "epsilon": eps, "eta": eta}, args.json_indent)
+    _emit(rates.compare(spec.a, spec.b, spec.c, spec.alpha, spec.lam),
+          args.json_indent)
     return EXIT_OK
 
 

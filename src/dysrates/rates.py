@@ -1,5 +1,5 @@
 """Closed-form contraction factors, the averagedness coefficient, updated
-prior factors, and strict-dominance comparisons.
+prior factors, their placement table and strict-dominance comparisons.
 
 Every formula is implemented exactly as displayed in its source statement,
 with no algebraic re-derivation; preconditions are hard errors naming the
@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .classes import is_monotone_class
 from .errors import PreconditionError
 
 _REL_TOL = 1e-12
@@ -306,6 +307,132 @@ def updated_prior_factors(alpha: float, lam: float, beta_c: float, *,
 
 
 # ---------------------------------------------------------------------------
+# Placement table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Placement:
+    """Where one theorem wants mu, L and beta across A, B and C.  Each
+    argument is named by its source: "alpha", "lambda", "epsilon", "eta",
+    or an operator's parameter such as "C.beta".  Closed forms are named,
+    not held, so every call sees the module attribute as it is then."""
+
+    theorem: str
+    role: str
+    form: str
+    args: tuple
+    priors: tuple = ()  # (label, form, args) of each prior it improves on
+
+
+_CORE = ("alpha", "lambda", "C.beta")
+
+PLACEMENTS = (
+    Placement("31", "A", "contraction_thm31", _CORE + ("A.mu", "A.L"),
+              (("D.6.1", "prior_d61", _CORE + ("A.mu", "A.L")),
+               ("D.6.2", "prior_d62", _CORE + ("A.mu", "A.L", "epsilon")))),
+    Placement("31", "B", "contraction_thm31", _CORE + ("B.mu", "B.L"),
+              (("D.6.1", "prior_d61", _CORE + ("B.mu", "B.L")),
+               ("D.6.2", "prior_d62", _CORE + ("B.mu", "B.L", "epsilon")))),
+    Placement("32", "A_lip_B_sm", "contraction_thm32", _CORE + ("A.L", "B.mu"),
+              (("D.6.4", "prior_d64", _CORE + ("B.mu", "A.L", "epsilon")),)),
+    Placement("32", "A_sm_B_lip", "contraction_thm32", _CORE + ("B.L", "A.mu"),
+              (("D.6.3", "prior_d63", _CORE + ("A.mu", "B.L", "epsilon")),)),
+    Placement("33", "A_lip", "contraction_thm33", _CORE + ("A.L", "C.mu"),
+              (("D.6.5", "prior_d65",
+                _CORE + ("C.mu", "A.L", "epsilon", "eta")),)),
+    Placement("33", "B_lip", "contraction_thm33", _CORE + ("B.L", "C.mu"),
+              (("D.6.6", "prior_d66", _CORE + ("C.mu", "B.L", "eta")),)),
+    Placement("41", "A_sm", "averagedness_thm41", ("alpha", "A.mu", "C.L")),
+    Placement("41", "B_sm", "averagedness_thm41", ("alpha", "B.mu", "C.L")),
+)
+
+# theorem: (needs, inequality when none of its placements applies, auto),
+# in auto-dispatch order.  Needs are (test(C, lambda), inequality, detail);
+# auto tests C, or is None: A and B carry what a placement reads from them.
+THEOREMS = {
+    "33": ([(lambda c, lam: c.beta is not None and c.mu is not None,
+             "C carries beta_C and mu_C", "")], "A or B carries L",
+           lambda c: c.beta is not None and c.mu is not None),
+    "41": ([(lambda c, lam: c.L is not None and is_monotone_class(c),
+             "C monotone and L_C-Lipschitz", ""),
+            (lambda c, lam: abs(lam - 1.0) <= 1e-12, "lambda = 1",
+             "averagedness requires lambda = 1")], "A or B carries mu",
+           lambda c: c.L is not None and c.beta is None),
+    "31": ([(lambda c, lam: c.beta is not None,
+             "one of A, B carries (mu, L) and C carries beta_C", "")],
+           "one of A, B carries (mu, L) and C carries beta_C", None),
+    "32": ([(lambda c, lam: c.beta is not None, "C carries beta_C", "")],
+           "A Lipschitz and B strongly monotone, or A strongly monotone "
+           "and B Lipschitz", None),
+}
+
+
+def _sources(a, b, c, alpha, lam, **extra) -> dict:
+    values = {"alpha": alpha, "lambda": lam, **extra}
+    for name, spec in (("A", a), ("B", b), ("C", c)):
+        for param in ("mu", "L", "beta"):
+            values[f"{name}.{param}"] = getattr(spec, param)
+    return values
+
+
+def _carried(args, values) -> bool:
+    return all(values[s] is not None for s in args)
+
+
+def _call(form: str, args, values, **kwargs):
+    return globals()[form](*(values[s] for s in args), **kwargs)
+
+
+def factor(a, b, c, alpha: float, lam: float, theorem: str = "auto"):
+    """Closed-form factor of the first placement of `theorem` that the
+    classes a, b and c carry; "auto" picks the theorem as THEOREMS says."""
+    values = _sources(a, b, c, alpha, lam)
+    if theorem == "auto":
+        placed = {row.theorem for row in PLACEMENTS if _carried(
+            [s for s in row.args if s[:2] in ("A.", "B.")], values)}
+        theorem = next((name for name, (_, _, auto) in THEOREMS.items()
+                        if (auto(c) if auto else name in placed)), None)
+        if theorem is None:
+            raise PreconditionError(
+                "theorem hypotheses recognizable",
+                "no theorem matches the (mu, L) placement across A, B, C")
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}")
+    needs, unplaced, _ = THEOREMS[theorem]
+    for test, inequality, detail in needs:
+        if not test(c, lam):
+            raise PreconditionError(inequality, detail)
+    for row in PLACEMENTS:
+        if row.theorem == theorem and _carried(row.args, values):
+            return _call(row.form, row.args, values, role=row.role)
+    raise PreconditionError(unplaced)
+
+
+def compare(a, b, c, alpha: float, lam: float) -> dict:
+    """Each carried placement's factor against every prior it improves on,
+    in table order, with epsilon and eta at their window midpoints."""
+    if c.beta is None:
+        raise PreconditionError("C carries beta_C")
+    eps = default_eps(alpha, c.beta)
+    eta = default_eta(alpha, c.beta, eps)
+    values = _sources(a, b, c, alpha, lam, epsilon=eps, eta=eta)
+    pairs = []
+    for row in PLACEMENTS:
+        if not row.priors or not _carried(row.args, values):
+            continue
+        new = _call(row.form, row.args, values, role=row.role)
+        for _, form, args in row.priors:
+            prior = _call(form, args, values)
+            pairs.append({"new": new.as_dict(), "prior": prior.as_dict(),
+                          "margin": prior.rho - new.rho})
+    if not pairs:
+        raise PreconditionError(
+            "comparable factor pair available",
+            "no (mu, L) placement matches a theorem/prior pairing")
+    return {"pairs": pairs, "epsilon": eps, "eta": eta}
+
+
+# ---------------------------------------------------------------------------
 # Dominance sweeps
 # ---------------------------------------------------------------------------
 
@@ -343,21 +470,11 @@ class DominanceReport:
             for p in self.pairings], "all_strict": self.all_strict}
 
 
-def _record(pairing: PairingResult, new_rho: float, prior_rho: float,
-            tup: dict) -> None:
-    margin = prior_rho - new_rho
-    pairing.samples += 1
-    pairing.min_margin = min(pairing.min_margin, margin)
-    if margin <= 0.0:
-        pairing.violations.append(
-            {"margin": margin, "new": new_rho, "prior": prior_rho, **tup})
-
-
 def dominance_check(sample_count: int = 1000,
                     ranges: ParameterRanges = ParameterRanges(),
                     rng_seed: int = 0) -> DominanceReport:
-    """Sampled strict-dominance sweep of each new factor against its
-    corrected prior counterpart.
+    """Sampled strict-dominance sweep of each corrected prior against the
+    first placement that lists it, in label order.
 
     Each sampled tuple respects the shared window alpha < 2 beta_C (so the
     eps window is nonempty), lambda below both 2 - alpha/(2 beta_C) and
@@ -365,14 +482,12 @@ def dominance_check(sample_count: int = 1000,
     alpha/(2 beta_C (2 - lambda)) as the comparison chain requires.
     """
     rng = np.random.default_rng(rng_seed)
-    pairs = {
-        "d61": PairingResult("thm31", "D.6.1"),
-        "d62": PairingResult("thm31", "D.6.2"),
-        "d63": PairingResult("thm32", "D.6.3"),
-        "d64": PairingResult("thm32", "D.6.4"),
-        "d65": PairingResult("thm33", "D.6.5"),
-        "d66": PairingResult("thm33", "D.6.6"),
-    }
+    first = {}
+    for row in PLACEMENTS:
+        for label, form, args in row.priors:
+            first.setdefault(label, (row, form, args))
+    pairings = [(PairingResult(f"thm{first[label][0].theorem}", label),
+                 *first[label]) for label in sorted(first)]
 
     def draw(lo_hi):
         lo, hi = lo_hi
@@ -399,26 +514,16 @@ def dominance_check(sample_count: int = 1000,
         eta = 0.5 * (eta_floor + 1.0)
         tup = {"alpha": alpha, "lambda": lam, "beta_C": beta_c,
                "mu": mu, "L": L, "mu_C": mu_c, "epsilon": eps, "eta": eta}
-
-        _record(pairs["d61"], contraction_thm31(alpha, lam, beta_c, mu, L).rho,
-                prior_d61(alpha, lam, beta_c, mu, L).rho, tup)
-        _record(pairs["d62"], contraction_thm31(alpha, lam, beta_c, mu, L).rho,
-                prior_d62(alpha, lam, beta_c, mu, L, eps).rho, tup)
-        _record(pairs["d63"],
-                contraction_thm32(alpha, lam, beta_c, L, mu,
-                                  role="A_sm_B_lip").rho,
-                prior_d63(alpha, lam, beta_c, mu, L, eps).rho, tup)
-        _record(pairs["d64"],
-                contraction_thm32(alpha, lam, beta_c, L, mu,
-                                  role="A_lip_B_sm").rho,
-                prior_d64(alpha, lam, beta_c, mu, L, eps).rho, tup)
-        _record(pairs["d65"],
-                contraction_thm33(alpha, lam, beta_c, L, mu_c).rho,
-                prior_d65(alpha, lam, beta_c, mu_c, L, eps, eta).rho, tup)
-        _record(pairs["d66"],
-                contraction_thm33(alpha, lam, beta_c, L, mu_c,
-                                  role="B_lip").rho,
-                prior_d66(alpha, lam, beta_c, mu_c, L, eta).rho, tup)
+        values = {**tup, "C.beta": beta_c, "C.mu": mu_c,
+                  "A.mu": mu, "B.mu": mu, "A.L": L, "B.L": L}
+        for pairing, row, form, args in pairings:
+            new = _call(row.form, row.args, values, role=row.role).rho
+            prior = _call(form, args, values).rho
+            pairing.samples += 1
+            pairing.min_margin = min(pairing.min_margin, prior - new)
+            if prior - new <= 0.0:
+                pairing.violations.append({"margin": prior - new, "new": new,
+                                           "prior": prior, **tup})
         produced += 1
 
-    return DominanceReport(list(pairs.values()))
+    return DominanceReport([p[0] for p in pairings])

@@ -69,8 +69,8 @@ def grad_shifted_modulus_sq(z_a, z_b, z_c, params: DysParams):
     numbers G with d|zeta - s|^2 = Re(conj(G) dz).
 
     For g holomorphic in z, the plane gradient of |g|^2 is 2*g*conj(g').
-    The squared modulus is differentiated (rather than the modulus) so the
-    ascent stays smooth at zeros of zeta - s.
+    No search uses it: it is the gradient that acceptance criterion 10
+    checks against central differences of the squared modulus.
     """
     g = zeta(z_a, z_b, z_c, params) - params.shift
     da, db, dc = zeta_partials(z_a, z_b, z_c, params)

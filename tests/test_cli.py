@@ -213,6 +213,47 @@ def test_thm41_requires_monotone_c(tmp_path, capsys, command):
     assert "C monotone" in captured.err
 
 
+# C is strongly monotone and Lipschitz but not cocoercive: no beta_C, so
+# thm33 cannot apply and auto-dispatch must reach thm41.
+SM_LIP_C = {
+    "classes": {
+        "A": [{"kind": "strongly_monotone", "mu": 0.6}],
+        "B": [{"kind": "monotone"}],
+        "C": [{"kind": "strongly_monotone", "mu": 0.3},
+              {"kind": "lipschitz", "L": 0.8}],
+    },
+    "params": {"alpha": 0.5, "lambda": 1.0},
+}
+
+
+@pytest.mark.parametrize("command", ["factor", "verify"])
+def test_auto_sends_strongly_monotone_lipschitz_c_to_thm41(tmp_path, capsys,
+                                                          command):
+    spec = write_spec(tmp_path, SM_LIP_C)
+    code, payload = run(capsys, [command, spec, "--trials", "50"]
+                        if command == "verify" else [command, spec])
+    theta = 2.0 / (4.0 - 0.5 * 0.8 ** 2 / 0.6)
+    assert code == 0
+    if command == "factor":
+        assert payload["theorem"] == "thm41"
+        assert payload["theta"] == pytest.approx(theta, rel=1e-15)
+    else:
+        assert payload["passed"] is True
+        assert payload["rho"] == pytest.approx(theta, rel=1e-15)
+
+
+@pytest.mark.parametrize("command", ["factor", "verify"])
+def test_auto_names_the_missing_thm41_hypothesis(tmp_path, capsys, command):
+    payload = json.loads(json.dumps(SM_LIP_C))
+    payload["params"]["lambda"] = 0.8
+    code = main([command, write_spec(tmp_path, payload)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("error: violated precondition: lambda = 1 "
+                            "(averagedness requires lambda = 1)\n")
+
+
 def test_verify_thm41_small_alpha_passes(tmp_path, capsys):
     # z_B near 0 makes ||A|| ~ 7e4; the membership tolerance scales with it
     spec = write_spec(tmp_path, THM41_SMALL_ALPHA)
@@ -250,9 +291,19 @@ FOUR_ATOM_C = [{"kind": "cocoercive", "beta": 1.0},
     ("plot", {"eps": 0}, ["plot", "--out", "fig.svg"], 2),
     ("C", FOUR_ATOM_C, ["maxmod", "--eps", "0.1"], 3),
     ("C", FOUR_ATOM_C, ["verify", "--trials", "10"], 3),
+    (None, None, ["verify", "--rho", "nan"], 2),
+    (None, None, ["verify", "--rho", "inf"], 2),
+    (None, None, ["verify", "--trials", "-5"], 2),
+    (None, None, ["verify", "--seed", "-1"], 2),
+    (None, None, ["maxmod", "--eps", "nan"], 2),
+    (None, None, ["maxmod", "--eps", "inf"], 2),
+    (None, None, ["maxmod", "--shift", "nan"], 2),
+    (None, None, ["maxmod", "--eps", "0.1", "--shift", "inf"], 2),
 ], ids=["top_k_fraction", "max_iters_fraction", "ascent_step_removed",
         "parallel_removed", "eps_grid_zero", "eps_negative", "plot_eps_zero",
-        "four_atoms_maxmod", "four_atoms_verify"])
+        "four_atoms_maxmod", "four_atoms_verify", "rho_nan", "rho_inf",
+        "trials_negative", "seed_negative", "eps_nan", "eps_inf",
+        "shift_nan", "shift_inf"])
 def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
                                              value, argv, expected):
     payload = json.loads(json.dumps(PUBLISHED))
