@@ -519,10 +519,11 @@ def dominance_check(sample_count: int = 1000,
         for pairing, row, form, args in pairings:
             new = _call(row.form, row.args, values, role=row.role).rho
             prior = _call(form, args, values).rho
+            margin = prior - new
             pairing.samples += 1
-            pairing.min_margin = min(pairing.min_margin, prior - new)
-            if prior - new <= 0.0:
-                pairing.violations.append({"margin": prior - new, "new": new,
+            pairing.min_margin = min(pairing.min_margin, margin)
+            if margin <= 0.0:
+                pairing.violations.append({"margin": margin, "new": new,
                                            "prior": prior, **tup})
         produced += 1
 
