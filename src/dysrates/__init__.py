@@ -16,9 +16,8 @@ from .classes import (Averaged, Cocoercive, Lipschitz, Monotone,
                       shifted_lipschitz_ball, srg, strongly_monotone)
 from .errors import (AmbiguousArgmaxError, DysRatesError, EmptyRegionError,
                      InvalidClassError, PreconditionError,
-                     SingularResolventError, TooManyAtomsError,
-                     UnboundedRegionError, UnsupportedInversionError,
-                     UnsupportedOrientationError)
+                     SingularResolventError, UnboundedRegionError,
+                     UnsupportedInversionError, UnsupportedOrientationError)
 from .geometry import (Arc, BoundaryGrid, Disk, DiskExterior, HalfPlane,
                        Region, Segment, boundary_grid, boundary_pieces,
                        farthest_point_on_circle, has_left_arc_property,
@@ -26,7 +25,7 @@ from .geometry import (Arc, BoundaryGrid, Disk, DiskExterior, HalfPlane,
 from .rates import (AveragednessReport, DominanceReport, ParameterRanges,
                     RateReport, averagedness_thm41, contraction_thm31,
                     contraction_thm32, contraction_thm33, default_eps,
-                    default_eta, dominance_check, updated_prior_factors)
+                    default_eta, dominance_check)
 from .search import (SearchConfig, SearchResult, coordinate_polish,
                      grid_evaluate, search, search_regions)
 from .symbol import (DysParams, grad_shifted_modulus_sq, lipschitz_bound,

@@ -64,6 +64,15 @@ class SpecFileError(DysRatesError):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as one SpecFileError (exit 2, one stderr
+    line) instead of argparse's usage line plus error line; subparsers
+    inherit the class."""
+
+    def error(self, message):
+        raise SpecFileError(message)
+
+
 def _finite_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecFileError(f"{where}: expected a number, got {value!r}")
@@ -368,7 +377,7 @@ def cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dysrates",
         description="Contraction and averagedness factors for three-operator "
                     "splitting via complex-plane region analysis")
@@ -411,9 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

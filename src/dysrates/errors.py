@@ -33,13 +33,6 @@ class InvalidClassError(DysRatesError):
     """Operator-class description violates a consistency requirement."""
 
 
-class TooManyAtomsError(DysRatesError, ValueError):
-    """A region has more atoms than the boundary decomposition supports.
-
-    It is also a ValueError: such a region is an invalid argument to
-    boundary_pieces."""
-
-
 class SingularResolventError(DysRatesError):
     """A resolvent value of 0 cannot be realized as an invertible map."""
 

@@ -11,7 +11,8 @@ This family is closed under translation by reals, scaling by nonzero reals
 (except that a negative scale of a half-plane is rejected), and the
 inversion ``z -> 1/z`` of generalized circles.  Regions carry an exact
 boundary decomposition into circular arcs and vertical segments, which is
-what the max-modulus search and the arc-property checks consume.
+what the max-modulus search consumes; the arc-property checks are exact
+1-D tests on the circles about 0.
 
 The point at infinity of the extended plane is never materialized: all
 certificates downstream operate on bounded regions, and operations that
@@ -30,7 +31,6 @@ import numpy as np
 from .errors import (
     AmbiguousArgmaxError,
     EmptyRegionError,
-    TooManyAtomsError,
     UnboundedRegionError,
     UnsupportedInversionError,
     UnsupportedOrientationError,
@@ -314,7 +314,8 @@ def _cos_bounds_on_circle(c: float, r: float,
                 hi = min(hi, u)
     if lo > hi + DEGENERACY_TOL:
         return None
-    return max(lo, -1.0), min(hi, 1.0)
+    # a tangency can leave lo up to DEGENERACY_TOL above 1 (or hi below -1)
+    return min(max(lo, -1.0), 1.0), max(min(hi, 1.0), -1.0)
 
 
 def _circle_pieces(c: float, r: float, others: Sequence[RegionAtom]):
@@ -368,8 +369,9 @@ def _line_pieces(a: float, others: Sequence[RegionAtom]):
 
 
 def _feasible_probe_points(region: Region) -> list:
-    """Candidate points for emptiness testing: pairwise boundary
-    intersections and per-atom extreme real points."""
+    """Pairwise boundary intersections and per-atom extreme real points:
+    the candidates for a one-point region, and the points whose moduli
+    bound the radius intervals of the arc-property test."""
     pts = []
     for atom in region.atoms:
         if isinstance(atom, (Disk, DiskExterior)):
@@ -414,19 +416,11 @@ def boundary_pieces(region: Region) -> list:
     """Decompose the region boundary into arcs and segments.
 
     The pieces pairwise intersect only at endpoints; circle-circle corners
-    come out of the closed-form radical-line construction.  Raises
-    EmptyRegionError when the atoms have empty intersection,
-    UnboundedRegionError when the boundary contains an infinite line and
-    TooManyAtomsError when the region has more than 3 atoms.
+    come out of the closed-form radical-line construction.  Any number of
+    atoms is supported.  Raises EmptyRegionError when the atoms have empty
+    intersection and UnboundedRegionError when the boundary contains an
+    infinite line.
     """
-    if len(region.atoms) > 3:
-        raise TooManyAtomsError(
-            f"a class region has {len(region.atoms)} atoms; boundary "
-            "decomposition supports at most 3")
-    return _pieces_unchecked(region)
-
-
-def _pieces_unchecked(region: Region) -> list:
     atoms = region.atoms
     pieces: list = []
     for i, atom in enumerate(atoms):
@@ -485,95 +479,42 @@ def boundary_grid(region: Region, eps: float) -> BoundaryGrid:
 # Arc properties
 # ---------------------------------------------------------------------------
 
-def _atom_right_arc_exact(atom: RegionAtom) -> bool:
-    # moving a point along its right-hand arc toward the positive real axis
-    # can only increase Re and cos(angle); these atoms are closed under that
-    if isinstance(atom, Disk):
-        return atom.center >= 0.0
-    if isinstance(atom, DiskExterior):
-        return atom.center <= 0.0
-    return True  # {Re z >= a} for any a
+def _arc_property(region: Region, left: bool) -> bool:
+    """Exact arc-property test.
 
-
-def _atom_left_arc_exact(atom: RegionAtom) -> bool:
-    if isinstance(atom, Disk):
-        return atom.center <= 0.0
-    if isinstance(atom, DiskExterior):
-        return atom.center >= 0.0
-    return False
-
-
-def _arc_probe_points(region: Region, n_samples: int) -> list:
-    """Boundary samples for the refuting check; unbounded regions are
-    clipped by a generous probe disk first (membership is still tested
-    against the original region, so refutations remain sound)."""
-    probe = region
-    if not region.bounded:
-        reach = 1.0
-        for a in region.atoms:
-            if isinstance(a, HalfPlane):
-                reach = max(reach, abs(a.threshold))
-            else:
-                reach = max(reach, abs(a.center) + a.radius)
-        probe = Region(region.atoms + (Disk(0.0, 10.0 * reach),))
-    pieces = _pieces_unchecked(probe)
-    total = sum(p.length for p in pieces) or 1.0
-    pts: list = []
-    for p in pieces:
-        n = max(2, int(round(n_samples * p.length / total)))
-        pts.extend(p.sample(n - 1))
-    return pts
-
-
-def _arc_sampling_refuter(region: Region, n_samples: int, n_theta: int,
-                          tol: float, left: bool) -> bool:
-    """False when some sampled boundary point's arc leaves the region
-    (sound); True otherwise (heuristic certificate only).
-
-    The right-hand arc of z = r e^{i phi} sweeps r e^{i (1 - 2 theta) phi};
-    the left-hand arc sweeps the angles from phi to sign(phi)*pi, and the
-    mirror half follows from real-axis symmetry of the regions.
+    All centers are real, so the region meets the circle |z| = r in the
+    angles with lo <= cos <= hi (_cos_bounds_on_circle).  The right-hand
+    arc of every such point stays in the region iff hi = 1, the left-hand
+    arc iff lo = -1.  Both answers can change only at the moduli of the
+    pairwise boundary corners and the real boundary points, so probing
+    those radii, one radius inside each gap between them and one beyond
+    each end decides the property, for bounded and unbounded regions.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    thetas = np.linspace(0.0, 1.0, n_theta)
-    for z in _arc_probe_points(region, n_samples):
-        r, phi = abs(z), cmath.phase(z)
-        if r == 0.0 or not region.contains(z, tol):
+    radii = sorted({abs(p) for p in _feasible_probe_points(region)} - {0.0})
+    probes = [1.0]
+    if radii:
+        probes = (radii + [0.5 * (a + b) for a, b in zip(radii, radii[1:])]
+                  + [0.5 * radii[0], 2.0 * radii[-1]])
+    for r in probes:
+        bounds = _cos_bounds_on_circle(0.0, r, region.atoms)
+        if bounds is None:
             continue
-        if left:
-            target = math.pi if phi >= 0 else -math.pi
-            angles = phi + thetas * (target - phi)
-        else:
-            angles = (1.0 - 2.0 * thetas) * phi
-        for ang in angles:
-            if not region.contains(r * cmath.exp(1j * ang), tol):
-                return False
+        lo, hi = bounds
+        if (1.0 + lo if left else 1.0 - hi) > DEGENERACY_TOL:
+            return False
     return True
 
 
-def has_right_arc_property(region: Region, n_samples: int = 720,
-                           n_theta: int = 65, tol: float = 1e-9) -> bool:
+def has_right_arc_property(region: Region) -> bool:
     """True when every point's right-hand arc (through the positive real
-    axis) stays in the region.
-
-    Exact for intersections of right-arc-closed atoms (real-centered disks
-    with nonnegative center, disk exteriors with nonpositive center, and
-    half-planes); otherwise falls back to a sampled refutation, so a True
-    answer from the fallback is heuristic while False is certain.
-    """
-    if all(_atom_right_arc_exact(a) for a in region.atoms):
-        return True
-    return _arc_sampling_refuter(region, n_samples, n_theta, tol, left=False)
+    axis, on the circle about 0 through the point) stays in the region."""
+    return _arc_property(region, left=False)
 
 
-def has_left_arc_property(region: Region, n_samples: int = 720,
-                          n_theta: int = 65, tol: float = 1e-9) -> bool:
+def has_left_arc_property(region: Region) -> bool:
     """Mirror of has_right_arc_property, with arcs through the negative
     real axis."""
-    if all(_atom_left_arc_exact(a) for a in region.atoms):
-        return True
-    return _arc_sampling_refuter(region, n_samples, n_theta, tol, left=True)
+    return _arc_property(region, left=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -281,29 +280,6 @@ def prior_d66(alpha, lam, beta_c, mu_c, l_b, eta) -> RateReport:
     return _finish("D.6.6", radicand,
                    {"alpha": alpha, "lambda": lam, "beta_C": beta_c,
                     "mu_C": mu_c, "L_B": l_b, "eta": eta}, checked)
-
-
-def updated_prior_factors(alpha: float, lam: float, beta_c: float, *,
-                          mu_a: float, l_a: float, mu_b: float, l_b: float,
-                          mu_c: float, eps: Optional[float] = None,
-                          eta: Optional[float] = None) -> list:
-    """All six corrected prior factors, labeled D.6.1 ... D.6.6.
-
-    eps and eta default to the midpoints of their admissible open windows,
-    which keeps reports deterministic while any admissible pair works.
-    """
-    if eps is None:
-        eps = default_eps(alpha, beta_c)
-    if eta is None:
-        eta = default_eta(alpha, beta_c, eps)
-    return [
-        prior_d61(alpha, lam, beta_c, mu_b, l_b),
-        prior_d62(alpha, lam, beta_c, mu_a, l_a, eps),
-        prior_d63(alpha, lam, beta_c, mu_a, l_b, eps),
-        prior_d64(alpha, lam, beta_c, mu_b, l_a, eps),
-        prior_d65(alpha, lam, beta_c, mu_c, l_a, eps, eta),
-        prior_d66(alpha, lam, beta_c, mu_c, l_b, eta),
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -224,19 +224,18 @@ def _iteration_check(t: np.ndarray, limit: float,
 def verify_contraction(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
                        c_spec: OperatorClassSpec, params: DysParams,
                        rho: float, n_trials: int = 1000, rng_seed: int = 0,
-                       tol: float = 1e-9,
-                       include_extremal: bool = True) -> VerificationReport:
+                       tol: float = 1e-9) -> VerificationReport:
     """Realize random boundary triples and test ||T|| <= rho + tol, class
     membership of the induced operators, and iterate decay on the worst
     realized T.
 
-    include_extremal additionally probes the triple found by a coarse
-    max-modulus search, which makes undersized rho values fail
-    deterministically rather than only when random sampling gets lucky.
+    The triple found by a coarse max-modulus search is probed too, which
+    makes undersized rho values fail deterministically rather than only
+    when random sampling gets lucky.
     """
     rng = np.random.default_rng(rng_seed)
     report, worst_t = _check_trials((a_spec, b_spec, c_spec), params, rho,
-                                    0.0, n_trials, rng, tol, include_extremal)
+                                    0.0, n_trials, rng, tol, True)
     if worst_t is not None:
         _iteration_check(worst_t, rho + tol, rng, report)
     return report

@@ -7,9 +7,10 @@ vectorized kernels.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
-from dysrates import Arc, Segment
+from dysrates import Arc, Disk, HalfPlane, Region, Segment, boundary_pieces
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,6 +36,55 @@ def project(piece, w: complex) -> complex:
              + (w - piece.p0).imag * d.imag) / denom
         return piece.point_at(min(1.0, max(0.0, t)))
     raise TypeError(f"unknown piece {piece!r}")
+
+
+def _arc_probe_points(region: Region, n_samples: int) -> list:
+    """Boundary samples for the refuting check; unbounded regions are
+    clipped by a generous probe disk first (membership is still tested
+    against the original region, so refutations remain sound)."""
+    probe = region
+    if not region.bounded:
+        reach = 1.0
+        for a in region.atoms:
+            if isinstance(a, HalfPlane):
+                reach = max(reach, abs(a.threshold))
+            else:
+                reach = max(reach, abs(a.center) + a.radius)
+        probe = Region(region.atoms + (Disk(0.0, 10.0 * reach),))
+    pieces = boundary_pieces(probe)
+    total = sum(p.length for p in pieces) or 1.0
+    pts: list = []
+    for p in pieces:
+        n = max(2, int(round(n_samples * p.length / total)))
+        pts.extend(p.sample(n - 1))
+    return pts
+
+
+def arc_sampling_refuter(region: Region, n_samples: int, n_theta: int,
+                         tol: float, left: bool) -> bool:
+    """False when some sampled boundary point's arc leaves the region
+    (sound); True otherwise (heuristic certificate only).
+
+    The right-hand arc of z = r e^{i phi} sweeps r e^{i (1 - 2 theta) phi};
+    the left-hand arc sweeps the angles from phi to sign(phi)*pi, and the
+    mirror half follows from real-axis symmetry of the regions.
+    """
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    thetas = np.linspace(0.0, 1.0, n_theta)
+    for z in _arc_probe_points(region, n_samples):
+        r, phi = abs(z), cmath.phase(z)
+        if r == 0.0 or not region.contains(z, tol):
+            continue
+        if left:
+            target = math.pi if phi >= 0 else -math.pi
+            angles = phi + thetas * (target - phi)
+        else:
+            angles = (1.0 - 2.0 * thetas) * phi
+        for ang in angles:
+            if not region.contains(r * cmath.exp(1j * ang), tol):
+                return False
+    return True
 
 
 def lipschitz_bound_coarse(enclosure_a, enclosure_b, enclosure_c,

@@ -272,13 +272,38 @@ def test_verify_zero_trials_warns(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# bad settings: one stderr line and the documented exit code
+# a class of four atoms
 # ---------------------------------------------------------------------------
 
+# the published C with two atoms that contain its region, so the region and
+# the published maximum (5 + sqrt 5)/10 stay the same
 FOUR_ATOM_C = [{"kind": "cocoercive", "beta": 1.0},
                {"kind": "strongly_monotone", "mu": 0.5},
                {"kind": "lipschitz", "L": 1.0},
                {"kind": "averaged", "theta": 0.9}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["maxmod", "--eps", "0.01"],
+    ["verify", "--rho", "0.9", "--trials", "200"],
+], ids=["maxmod", "verify"])
+def test_four_atom_c_exits_ok(tmp_path, capsys, argv):
+    payload = json.loads(json.dumps(PUBLISHED))
+    payload["classes"]["C"] = FOUR_ATOM_C
+    spec = write_spec(tmp_path, payload)
+    code, report = run(capsys, [argv[0], spec] + argv[1:])
+    assert code == 0
+    if argv[0] == "maxmod":
+        assert abs(report["best_value"] - (5.0 + math.sqrt(5.0)) / 10.0) \
+            <= 1e-9
+        assert report["certified_upper"] >= report["best_value"]
+    else:
+        assert report["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# bad settings: one stderr line and the documented exit code
+# ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("section, value, argv, expected", [
@@ -289,8 +314,6 @@ FOUR_ATOM_C = [{"kind": "cocoercive", "beta": 1.0},
     ("search", {"eps_grid": 0}, ["maxmod"], 2),
     (None, None, ["maxmod", "--eps", "-1"], 2),
     ("plot", {"eps": 0}, ["plot", "--out", "fig.svg"], 2),
-    ("C", FOUR_ATOM_C, ["maxmod", "--eps", "0.1"], 3),
-    ("C", FOUR_ATOM_C, ["verify", "--trials", "10"], 3),
     (None, None, ["verify", "--rho", "nan"], 2),
     (None, None, ["verify", "--rho", "inf"], 2),
     (None, None, ["verify", "--trials", "-5"], 2),
@@ -299,17 +322,17 @@ FOUR_ATOM_C = [{"kind": "cocoercive", "beta": 1.0},
     (None, None, ["maxmod", "--eps", "inf"], 2),
     (None, None, ["maxmod", "--shift", "nan"], 2),
     (None, None, ["maxmod", "--eps", "0.1", "--shift", "inf"], 2),
+    (None, None, ["verify", "--trials", "abc"], 2),
+    (None, None, ["verify", "--rho", "-inf"], 2),
 ], ids=["top_k_fraction", "max_iters_fraction", "ascent_step_removed",
         "parallel_removed", "eps_grid_zero", "eps_negative", "plot_eps_zero",
-        "four_atoms_maxmod", "four_atoms_verify", "rho_nan", "rho_inf",
-        "trials_negative", "seed_negative", "eps_nan", "eps_inf",
-        "shift_nan", "shift_inf"])
+        "rho_nan", "rho_inf", "trials_negative", "seed_negative", "eps_nan",
+        "eps_inf", "shift_nan", "shift_inf", "trials_not_integer",
+        "rho_minus_inf"])
 def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
                                              value, argv, expected):
     payload = json.loads(json.dumps(PUBLISHED))
-    if section == "C":
-        payload["classes"]["C"] = value
-    elif section is not None:
+    if section is not None:
         payload[section] = value
     spec = write_spec(tmp_path, payload)
     args = [argv[0], spec] + argv[1:]

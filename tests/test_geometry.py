@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dysrates import (AmbiguousArgmaxError, Arc, Disk, DiskExterior,
                       EmptyRegionError, HalfPlane, Region, Segment,
@@ -13,11 +15,29 @@ from dysrates import (AmbiguousArgmaxError, Arc, Disk, DiskExterior,
                       boundary_pieces, farthest_point_on_circle,
                       has_left_arc_property, has_right_arc_property)
 from dysrates.geometry import boundary_grid
-from oracles import project
+from oracles import arc_sampling_refuter, project
 
 
 def lens(c1, r1, c2, r2):
     return Region((Disk(c1, r1), Disk(c2, r2)))
+
+
+CENTER = st.floats(-2.0, 2.0)
+RADIUS = st.floats(0.05, 2.0)
+ATOM = st.one_of(st.builds(Disk, CENTER, RADIUS),
+                 st.builds(DiskExterior, CENTER, RADIUS),
+                 st.builds(HalfPlane, CENTER))
+
+
+def on_some_atom(region, z, tol):
+    for atom in region.atoms:
+        if isinstance(atom, HalfPlane):
+            gap = abs(z.real - atom.threshold)
+        else:
+            gap = abs(abs(z - atom.center) - atom.radius)
+        if gap <= tol:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +263,40 @@ def test_empty_region_raises():
         boundary_pieces(Region((Disk(0.0, 1.0), Disk(5.0, 1.0))))
 
 
-def test_too_many_atoms_rejected():
+def test_four_atom_region_pieces_on_boundary():
     region = Region((Disk(0.0, 1.0), Disk(0.1, 1.0), Disk(0.2, 1.0),
                      HalfPlane(-0.5)))
-    with pytest.raises(ValueError):
-        boundary_pieces(region)
+    pieces = boundary_pieces(region)
+    assert len(pieces) == 4
+    for piece in pieces:
+        for z in piece.sample(50):
+            assert region.contains(z, 1e-12)
+            assert on_some_atom(region, z, 1e-12)
+
+
+@settings(deadline=None)
+@given(st.lists(ATOM, min_size=1, max_size=5),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_pieces_lie_on_the_boundary(atoms, ts):
+    region = Region(tuple(atoms))
+    try:
+        pieces = boundary_pieces(region)
+    except (EmptyRegionError, UnboundedRegionError):
+        assume(False)
+    for piece in pieces:
+        for t in [0.0, 1.0] + ts:
+            z = piece.point_at(t)
+            assert region.contains(z, 1e-9)
+            assert on_some_atom(region, z, 1e-9)
+
+
+def test_internally_tangent_disks_keep_the_inner_circle():
+    # the circles touch at 2.231..., where the cosine bound on the outer
+    # circle rounds to just above 1
+    inner = Disk(1.981038101268527, 0.25)
+    (piece,) = boundary_pieces(Region((inner, Disk(0.25, 1.981038101268527))))
+    assert (piece.center, piece.radius) == (inner.center, inner.radius)
+    assert (piece.angle_start, piece.angle_end) == (-math.pi, math.pi)
 
 
 def test_degenerate_point_region_has_point_boundary():
@@ -329,6 +378,55 @@ def test_negative_centered_disk_left_arc():
     region = Region((Disk(-0.5, 0.5),))
     assert has_left_arc_property(region)
     assert not has_right_arc_property(region)
+
+
+def test_small_hole_breaks_right_arc_property():
+    # the circle |z| = 2 enters the hole around 2, so the right-hand arcs
+    # of its points near the hole leave the region; 720 boundary samples
+    # of the clipped region miss this
+    region = Region((DiskExterior(2.0, 0.1),))
+    assert not has_right_arc_property(region)
+    assert has_left_arc_property(region)
+
+
+@settings(deadline=None)
+@given(st.lists(ATOM, min_size=1, max_size=4), st.booleans())
+def test_refuted_arc_property_is_false(atoms, left):
+    region = Region(tuple(atoms))
+    try:
+        refuted = not arc_sampling_refuter(region, 180, 33, 1e-9, left)
+    except EmptyRegionError:
+        assume(False)
+    check = has_left_arc_property if left else has_right_arc_property
+    if refuted:
+        assert not check(region)
+
+
+def test_arc_property_matches_sampled_oracle():
+    # 720 samples, 65 angles per arc and tol 1e-9 are the settings the
+    # package used when the refuter decided arc properties
+    rng = np.random.default_rng(0)
+
+    def atom():
+        kind = rng.integers(3)
+        c = float(rng.uniform(-2.0, 2.0))
+        if kind == 2:
+            return HalfPlane(c)
+        return (Disk, DiskExterior)[kind](c, float(rng.uniform(0.1, 2.0)))
+
+    pairs = bounded = 0
+    while pairs < 300:
+        region = Region(tuple(atom() for _ in range(rng.integers(1, 4))))
+        for left in (False, True):
+            try:
+                expected = arc_sampling_refuter(region, 720, 65, 1e-9, left)
+            except EmptyRegionError:
+                break
+            check = has_left_arc_property if left else has_right_arc_property
+            assert check(region) == expected, (region, left)
+            pairs += 1
+            bounded += region.bounded
+    assert 0 < bounded < pairs
 
 
 def test_regions_symmetric_about_real_axis():

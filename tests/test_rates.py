@@ -7,10 +7,9 @@ import pytest
 
 from dysrates import (ParameterRanges, PreconditionError, averagedness_thm41,
                       contraction_thm31, contraction_thm32, contraction_thm33,
-                      default_eps, default_eta, dominance_check,
-                      updated_prior_factors)
-from dysrates.rates import (prior_d61, prior_d62, prior_d63, prior_d64,
-                            prior_d65, prior_d66)
+                      default_eps, default_eta, dominance_check, rates)
+from dysrates.rates import (PLACEMENTS, prior_d61, prior_d62, prior_d63,
+                            prior_d64, prior_d65, prior_d66)
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +173,21 @@ def test_default_constants_are_window_midpoints():
     assert eta == pytest.approx((alpha / (2 * beta_c * eps) + 1.0) / 2.0)
 
 
-def test_updated_prior_factors_returns_six_labeled_reports():
-    reports = updated_prior_factors(1.0, 1.0, 1.0, mu_a=1.0, l_a=1.0,
-                                    mu_b=1.0, l_b=1.0, mu_c=1.0)
-    assert [r.theorem for r in reports] == \
+def test_placement_priors_give_six_labeled_reports():
+    eps = default_eps(1.0, 1.0)
+    values = {"alpha": 1.0, "lambda": 1.0, "epsilon": eps,
+              "eta": default_eta(1.0, 1.0, eps)}
+    values.update({f"{op}.{p}": 1.0 for op in "ABC"
+                   for p in ("mu", "L", "beta")})
+    reports = {}
+    for row in PLACEMENTS:
+        for label, form, args in row.priors:
+            report = getattr(rates, form)(*(values[s] for s in args))
+            assert report.theorem == label
+            reports.setdefault(label, report)
+    assert sorted(reports) == \
         ["D.6.1", "D.6.2", "D.6.3", "D.6.4", "D.6.5", "D.6.6"]
-    assert all(0 < r.rho < 1 for r in reports)
+    assert all(0 < r.rho < 1 for r in reports.values())
 
 
 def test_thm32_numerator_renderings_agree():
