@@ -118,3 +118,15 @@ def assert_matches(got, expected, where):
             assert_matches(g, e, f"{where}[{i}]")
     else:
         assert type(got) is type(expected) and got == expected, where
+
+
+def svg_points_reference(fig, zs, color: str, radius: float = 0.8) -> str:
+    """The element string `SvgFigure.add_points` appends for a cloud: one
+    `%`-formatted <circle> row per point, each coordinate mapped alone
+    through `fig._map`, rows joined by newlines ("" for no points)."""
+    rows = []
+    for z in np.asarray(zs).ravel().tolist():
+        x, y = fig._map(z.real, z.imag)
+        rows.append('<circle cx="%.6f" cy="%.6f" r="%.6f" fill="%s"/>'
+                    % (x, y, radius, color))
+    return "\n".join(rows)

@@ -391,6 +391,14 @@ PLOT_GOLDEN = {
     "auto_circle": ("52019da5d0d0b054aa8bbc01aa037e5f"
                     "c72a4ea1de4a4ca1e19d945df36ed856", 29131, 20368,
                     "0.7741460515242731"),
+    # the benchmark's two figure specs (C plain, Cprime enlarged, or the
+    # thm33 enlargement; circle from the clouds) at plot.eps 1/120
+    "figure_cprime_120": ("1fb7ff2d31f47da97e37163870a8f98a"
+                          "4629ef98c8431ffb3b351e979f922001", 29977, 29988,
+                          "0.7711062145798209"),
+    "figure_thm33_120": ("29dbd4660336d5f88e70494e9174faed"
+                         "1e72ca114699879beaa35bceeee9c60b", 29977, 29996,
+                         "0.7732607663166762"),
 }
 DUMP_GRID_SHA256 = ("eb979f07b060e036a54e6ed2da3afdf2"
                     "9c0aa9a7fe51df3504b7e57b8436e366")
@@ -402,8 +410,11 @@ def sha256_of(path):
 
 @pytest.mark.parametrize("variant", sorted(PLOT_GOLDEN))
 def test_plot_golden_bytes(tmp_path, capsys, variant):
-    payload = json.loads(open(plot_spec(tmp_path)).read())
-    if variant == "thm33":
+    payload = plot_payload()
+    if variant.startswith("figure_"):
+        del payload["plot"]["circle_radius"]
+        payload["plot"]["eps"] = 1.0 / 120.0
+    if "thm33" in variant:
         del payload["classes"]["Cprime"]
         payload["enlargement"] = {"mode": "thm33"}
     elif variant == "auto_circle":

@@ -1,0 +1,77 @@
+"""SVG emission: the point-cloud rows against the per-point reference."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dysrates.svgplot import SvgFigure, bounds_for
+from oracles import svg_points_reference
+
+INF = math.inf
+TINY = 2.2250738585072014e-308  # smallest normal double
+
+
+class _Unmapped(SvgFigure):
+    """A figure whose map is the identity, so the tests pick the mapped
+    coordinates themselves."""
+
+    def _map(self, x, y):
+        return x, y
+
+
+def _cloud(pairs):
+    zs = np.empty(len(pairs), dtype=complex)
+    zs.real = [x for x, _ in pairs]
+    zs.imag = [y for _, y in pairs]
+    return zs
+
+
+def _emitted(fig, zs, color, radius=0.8):
+    before = len(fig.elements)
+    fig.add_points(zs, color, radius)
+    return "\n".join(fig.elements[before:])
+
+
+# '%.6f' ties are exactly the odd multiples of 1/128; their neighbours are
+# the closest non-ties
+_TIE = st.integers(0, 640 * 128).map(lambda k: k / 128.0)
+COORDS = st.one_of(
+    st.floats(0.0, 640.0, exclude_max=True),
+    _TIE,
+    _TIE.map(lambda v: math.nextafter(v, INF)),
+    _TIE.map(lambda v: math.nextafter(v, -INF)),
+    st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1000.0, allow_infinity=False),
+    st.floats(-TINY, TINY),
+    st.sampled_from([-0.0, 0.0, math.nan, INF, -INF, 999.9999995,
+                     math.nextafter(1000.0, 0.0), 0.0000005, 9.9999995,
+                     99.9999995]),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(COORDS, COORDS), max_size=40),
+       st.sampled_from(["#555555", "#bbbbbb"]),
+       st.sampled_from([0.8, 1.25]))
+def test_add_points_matches_reference(pairs, color, radius):
+    fig = _Unmapped(0.0, 1.0, 0.0, 1.0)
+    zs = _cloud(pairs)
+    assert _emitted(fig, zs, color, radius) == svg_points_reference(
+        fig, zs, color, radius)
+
+
+def test_add_points_matches_reference_through_the_map():
+    rng = np.random.default_rng(0)
+    zs = (rng.standard_normal(20000) + 1j * rng.standard_normal(20000)) * 0.4
+    fig = SvgFigure(*bounds_for(zs, 0.7745966692))
+    got = _emitted(fig, zs, "#555555")
+    assert got == svg_points_reference(fig, zs, "#555555")
+    assert got.count("<circle") == zs.size
+
+
+def test_empty_cloud_adds_no_element():
+    fig = SvgFigure(0.0, 1.0, 0.0, 1.0)
+    fig.add_points(np.array([], dtype=complex), "#555555")
+    assert fig.elements == []
