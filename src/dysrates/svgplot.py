@@ -16,9 +16,38 @@ from .geometry import Arc, Segment
 _W, _H = 640, 640
 _MARGIN = 40.0
 
+# ASCII of 0..999 as three digits packed little-endian into a uint64; in
+# _INT3 the leading zeros are the pad byte 0, which add_points drops.
+_N3 = np.arange(1000)[:, None]
+_D3 = _N3 // np.array([100, 10, 1]) % 10 + ord("0")
+_PACK3 = np.array([1, 1 << 8, 1 << 16])
+_ASCII3 = (_D3 * _PACK3).sum(axis=1).astype(np.uint64)
+_INT3 = (np.where(_N3 < [100, 10, 0], 0, _D3) * _PACK3).sum(axis=1).astype(
+    np.uint64)
+# The first 40 bytes of every cloud row, as five 8-byte words: word 1 ends
+# in the x integer slots and ".", word 2 starts with the x decimals, and
+# words 3 and 4 hold y the same way.
+_ROW_HEAD = b'<circle cx="\0\0\0.\0\0\0\0\0\0" cy="\0\0\0.\0\0\0\0\0\0'
+
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
+
+
+def _micro_units(v):
+    """(ok, q) for an array of coordinates: q = rint(v * 1e6) as int64,
+    and where ok, q is exactly the digit string of '%.6f' % v without its
+    point, with at most 3 integer digits.
+
+    For finite 0 <= v < 1000 the float product v * 1e6 is within 1.2e-7 of
+    the exact one, so away from a .5 tie it rounds as '%.6f' does
+    (correctly, half to even). ok is False for a negative or -0.0, a
+    non-finite, a too large value, and a product within 1e-6 of a tie."""
+    ok = np.isfinite(v) & ~np.signbit(v) & (v < 1000.0)
+    p = np.where(ok, v, 0.0) * 1e6
+    r = np.rint(p)
+    ok &= (np.abs(p - r) < 0.5 - 1e-6) & (r < 1e9)
+    return ok, r.astype(np.int64)
 
 
 @dataclass
@@ -61,13 +90,52 @@ class SvgFigure:
         return tuple(xy.tolist())
 
     def add_points(self, zs, color: str, radius: float = 0.8):
-        xy = self._coords(zs)
-        if not xy:
+        """Append one element string for the cloud: a <circle> row per
+        point, rows joined by newlines, each coordinate exactly
+        '%.6f' % of its mapped float.
+
+        The rows are written into one byte buffer, 8-byte words at a time,
+        with the digits of `_micro_units` from 3-digit tables; the pad
+        bytes of short integer parts are then dropped with one mask. A row
+        with a coordinate `_micro_units` leaves out is %-formatted and
+        spliced in."""
+        zs = np.asarray(zs).ravel()
+        if zs.size == 0:
             return
-        point = ('<circle cx="%.6f" cy="%.6f" r="' + _fmt(radius)
-                 + '" fill="' + color + '"/>')
-        # one element string per cloud; render() joins elements with "\n"
-        self.elements.append("\n".join([point] * (len(xy) // 2)) % xy)
+        px, py = self._map(zs.real, zs.imag)
+        tail = f'" r="{_fmt(radius)}" fill="{color}"/>\n'.encode()
+        (okx, qx), (oky, qy) = _micro_units(px), _micro_units(py)
+        fast = okx & oky & (b"\0" not in tail)
+
+        row = _ROW_HEAD + tail
+        template = np.frombuffer(row + b"\0" * (-len(row) % 8), "<u8")
+        words = np.empty((np.count_nonzero(fast), template.size), "<u8")
+        words[:] = template
+        for col, q in ((1, qx[fast]), (3, qy[fast])):
+            ip = q // 1_000_000
+            fp = q - ip * 1_000_000
+            words[:, col] |= _INT3[ip] << np.uint64(32)
+            words[:, col + 1] |= (_ASCII3[fp // 1000]
+                                  | _ASCII3[fp % 1000] << np.uint64(24))
+        flat = words.view(np.uint8).reshape(-1)
+        slow = np.flatnonzero(~fast)
+        if slow.size == 0:
+            flat[len(row) - 1 - 8 * template.size] = 0   # the last newline
+            self.elements.append(flat[flat != 0].tobytes().decode())
+            return
+
+        keep = flat != 0
+        body = flat[keep].tobytes()
+        width = keep.reshape(len(words), 8 * template.size).sum(axis=1)
+        ends = np.concatenate(([0], np.cumsum(width)))
+        cuts = ends[slow - np.arange(slow.size)].tolist()
+        point = b'<circle cx="%.6f" cy="%.6f' + tail
+        parts, start = [], 0
+        for cut, x, y in zip(cuts, px[slow].tolist(), py[slow].tolist()):
+            parts += [body[start:cut], point % (x, y)]
+            start = cut
+        parts.append(body[start:])
+        self.elements.append(b"".join(parts)[:-1].decode())
 
     def add_circle(self, center: complex, radius: float, color: str,
                    width: float = 1.5):
@@ -105,10 +173,12 @@ class SvgFigure:
             x += 16.0 + 8.0 * len(label) + 24.0
 
     def render(self) -> str:
-        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
-                f'height="{_H}" viewBox="0 0 {_W} {_H}">\n'
-                f'<rect width="{_W}" height="{_H}" fill="white"/>\n')
-        return head + "\n".join(self.elements) + "\n</svg>\n"
+        # one join, so the document is copied once
+        return "\n".join([
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
+            f'height="{_H}" viewBox="0 0 {_W} {_H}">',
+            f'<rect width="{_W}" height="{_H}" fill="white"/>',
+            *self.elements, "</svg>", ""])
 
 
 def bounds_for(points, radius: float) -> tuple:
