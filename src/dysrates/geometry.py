@@ -416,14 +416,23 @@ def boundary_pieces(region: Region) -> list:
     """Decompose the region boundary into arcs and segments.
 
     The pieces pairwise intersect only at endpoints; circle-circle corners
-    come out of the closed-form radical-line construction.  Any number of
-    atoms is supported.  Raises EmptyRegionError when the atoms have empty
+    come out of the closed-form radical-line construction, and a circle or
+    line that several atoms share is emitted once.  Any number of atoms is
+    supported.  Raises EmptyRegionError when the atoms have empty
     intersection and UnboundedRegionError when the boundary contains an
     infinite line.
     """
     atoms = region.atoms
     pieces: list = []
+    curves: list = []
     for i, atom in enumerate(atoms):
+        # a circle or line that several atoms share is one boundary curve
+        curve = ((atom.threshold,) if isinstance(atom, HalfPlane)
+                 else (atom.center, atom.radius))
+        if any(len(c) == len(curve) and math.dist(c, curve) <= DEGENERACY_TOL
+               for c in curves):
+            continue
+        curves.append(curve)
         others = atoms[:i] + atoms[i + 1:]
         if isinstance(atom, (Disk, DiskExterior)):
             pieces += _circle_pieces(atom.center, atom.radius, others)

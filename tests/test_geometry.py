@@ -299,6 +299,26 @@ def test_internally_tangent_disks_keep_the_inner_circle():
     assert (piece.angle_start, piece.angle_end) == (-math.pi, math.pi)
 
 
+def test_shared_circle_is_one_piece():
+    # the unit circle bounds both atoms; the region is the circle itself
+    region = Region((Disk(0.0, 1.0), DiskExterior(0.0, 1.0)))
+    (piece,) = boundary_pieces(region)
+    assert (piece.center, piece.radius) == (0.0, 1.0)
+    assert (piece.angle_start, piece.angle_end) == (-math.pi, math.pi)
+    points = boundary_grid(region, 1.0 / 30.0).points
+    assert np.unique(points).size == points.size
+    assert np.array_equal(
+        points, boundary_grid(Region((Disk(0.0, 1.0),)), 1.0 / 30.0).points)
+
+
+def test_shared_line_is_one_piece():
+    # Region drops equal atoms; these two lines agree to within 1e-12
+    region = Region((HalfPlane(0.5), Disk(0.0, 1.0), HalfPlane(0.5 + 1e-13)))
+    arc, segment = boundary_pieces(region)
+    assert isinstance(arc, Arc) and isinstance(segment, Segment)
+    assert segment.p0.real == 0.5
+
+
 def test_degenerate_point_region_has_point_boundary():
     # tangency of Disk(1/4, 1/4) and {Re z >= 1/2} at the single point 1/2
     region = Region((Disk(0.25, 0.25), HalfPlane(0.5)))
