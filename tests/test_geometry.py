@@ -171,6 +171,59 @@ def test_invert_mobius_consistency():
     assert region.contains_many(1.0 / inside_w, 1e-10).all()
 
 
+def _clear_of_zero(atom):
+    return isinstance(atom, HalfPlane) or abs(abs(atom.center)
+                                              - atom.radius) >= 1e-3
+
+
+INVERTIBLE_ATOM = st.one_of(
+    st.builds(Disk, CENTER, RADIUS),
+    st.builds(DiskExterior, CENTER, RADIUS),
+    st.builds(HalfPlane, st.floats(1e-3, 2.0))).filter(_clear_of_zero)
+
+
+def _curve_params(atom):
+    if isinstance(atom, HalfPlane):
+        return (atom.threshold,)
+    return (atom.center, atom.radius)
+
+
+def _clear_of_boundaries(region, z):
+    """z lies at least 1e-6 (relative to each atom's size) off every atom's
+    circle or line."""
+    for atom in region.atoms:
+        if isinstance(atom, HalfPlane):
+            gap, size = abs(z.real - atom.threshold), abs(atom.threshold)
+        else:
+            gap = abs(abs(z - atom.center) - atom.radius)
+            size = abs(atom.center) + atom.radius
+        if gap < 1e-6 * (1.0 + size):
+            return False
+    return True
+
+
+@settings(deadline=None)
+@given(st.lists(INVERTIBLE_ATOM, min_size=1, max_size=3),
+       st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                min_size=1, max_size=16))
+def test_invert_round_trips(atoms, points):
+    region = Region(tuple(atoms))
+    image = region.invert()
+    back = image.invert()
+    assert len(back.atoms) == len(region.atoms)
+    for atom in region.atoms:
+        assert any(type(got) is type(atom)
+                   and _curve_params(got) == pytest.approx(
+                       _curve_params(atom), rel=1e-12)
+                   for got in back.atoms), atom
+    for x, y in points:
+        z = complex(x, y)
+        if abs(z) < 1e-3 or not (_clear_of_boundaries(region, z)
+                                 and _clear_of_boundaries(image, 1.0 / z)):
+            continue
+        assert region.contains(z) == image.contains(1.0 / z)
+
+
 def test_invert_rejects_zero_interior_half_plane():
     from dysrates import UnsupportedInversionError
     with pytest.raises(UnsupportedInversionError):
