@@ -188,31 +188,33 @@ def _finish(label, radicand, params, checked) -> RateReport:
     return RateReport(math.sqrt(radicand), label, params, tuple(checked))
 
 
-def prior_d61(alpha, lam, beta_c, mu_b, l_b) -> RateReport:
+def prior_d61(alpha, lam, beta_c, mu, l, op: str = "B") -> RateReport:
+    """D.6.1, with mu and L of the operator op ("A" or "B")."""
     checked = _check_core_window(alpha, lam, beta_c)
-    checked.append(_require(0.0 < mu_b <= l_b, "0 < mu <= L",
-                            f"mu_B={mu_b}, L_B={l_b}"))
-    radicand = 1.0 - 2.0 * mu_b * alpha * lam / (1.0 + alpha * l_b) ** 2
+    checked.append(_require(0.0 < mu <= l, "0 < mu <= L",
+                            f"mu_{op}={mu}, L_{op}={l}"))
+    radicand = 1.0 - 2.0 * mu * alpha * lam / (1.0 + alpha * l) ** 2
     return _finish("D.6.1", radicand,
                    {"alpha": alpha, "lambda": lam, "beta_C": beta_c,
-                    "mu_B": mu_b, "L_B": l_b}, checked)
+                    f"mu_{op}": mu, f"L_{op}": l}, checked)
 
 
-def prior_d62(alpha, lam, beta_c, mu_a, l_a, eps) -> RateReport:
+def prior_d62(alpha, lam, beta_c, mu, l, eps, op: str = "A") -> RateReport:
+    """D.6.2, with mu and L of the operator op ("A" or "B")."""
     checked = _check_core_window(alpha, lam, beta_c)
-    checked.append(_require(0.0 < mu_a <= l_a, "0 < mu <= L",
-                            f"mu_A={mu_a}, L_A={l_a}"))
+    checked.append(_require(0.0 < mu <= l, "0 < mu <= L",
+                            f"mu_{op}={mu}, L_{op}={l}"))
     checked.append(_check_eps(alpha, beta_c, eps))
     checked.append(_require(lam < 2.0 - eps, "lambda < 2 - epsilon",
                             f"lambda={lam}, epsilon={eps}"))
     drop = (lam / 3.0) * min(
-        2.0 * alpha * mu_a / (1.0 + alpha * l_a) ** 2,
+        2.0 * alpha * mu / (1.0 + alpha * l) ** 2,
         (2.0 * beta_c - alpha / eps) / alpha,
         (lam / 4.0) * ((2.0 - eps) / lam - 1.0),
     )
     return _finish("D.6.2", 1.0 - drop,
                    {"alpha": alpha, "lambda": lam, "beta_C": beta_c,
-                    "mu_A": mu_a, "L_A": l_a, "epsilon": eps}, checked)
+                    f"mu_{op}": mu, f"L_{op}": l, "epsilon": eps}, checked)
 
 
 def prior_d63(alpha, lam, beta_c, mu_a, l_b, eps) -> RateReport:
@@ -359,6 +361,14 @@ def _call(form: str, args, values, **kwargs):
     return globals()[form](*(values[s] for s in args), **kwargs)
 
 
+def _prior(form: str, args, values) -> RateReport:
+    """A prior's report with its mu and L named after their sources: D.6.1
+    and D.6.2 read both from one operator, A or B, and take it as op."""
+    ops = {s[0] for s in args if s.endswith((".mu", ".L"))}
+    return _call(form, args, values, **({"op": ops.pop()} if len(ops) == 1
+                                        else {}))
+
+
 def factor(a, b, c, alpha: float, lam: float, theorem: str = "auto"):
     """Closed-form factor of the first placement of `theorem` that the
     classes a, b and c carry; "auto" picks the theorem as THEOREMS says."""
@@ -398,7 +408,7 @@ def compare(a, b, c, alpha: float, lam: float) -> dict:
             continue
         new = _call(row.form, row.args, values, role=row.role)
         for _, form, args in row.priors:
-            prior = _call(form, args, values)
+            prior = _prior(form, args, values)
             pairs.append({"new": new.as_dict(), "prior": prior.as_dict(),
                           "margin": prior.rho - new.rho})
     if not pairs:

@@ -190,6 +190,49 @@ def test_placement_priors_give_six_labeled_reports():
     assert all(0 < r.rho < 1 for r in reports.values())
 
 
+def _named(source):
+    op, param = source.split(".")
+    return f"{param}_{op}"
+
+
+def test_prior_parameters_are_named_after_their_sources():
+    # every prior of the table, called as compare calls it
+    eps = default_eps(1.0, 1.0)
+    good = {"alpha": 1.0, "lambda": 1.0, "epsilon": eps,
+            "eta": default_eta(1.0, 1.0, eps)}
+    good.update({f"{op}.{p}": 1.0 for op in "ABC"
+                 for p in ("mu", "L", "beta")})
+    bad = {**good, **{f"{op}.mu": -1.0 for op in "ABC"}}
+    for row in PLACEMENTS:
+        for label, form, args in row.priors:
+            mu_l = [s for s in args if s.endswith((".mu", ".L"))]
+            params = rates._prior(form, args, good).parameters
+            assert {k for k in params if k.startswith(("mu_", "L_"))} == \
+                {_named(s) for s in mu_l}, (row.role, label)
+            assert all(params[_named(s)] == good[s] for s in mu_l)
+            with pytest.raises(PreconditionError) as err:
+                rates._prior(form, args, bad)
+            for s in mu_l:
+                assert f"{_named(s)}={bad[s]}" in str(err.value), \
+                    (row.role, label)
+
+
+@pytest.mark.parametrize("op", ["A", "B"])
+def test_compare_names_one_operator_priors_after_it(op):
+    from dysrates import classes as cls
+    carrier = cls.strongly_monotone(0.6).intersect(cls.lipschitz(1.3))
+    a, b = (carrier, cls.monotone()) if op == "A" else (cls.monotone(),
+                                                        carrier)
+    report = rates.compare(a, b, cls.cocoercive(1.0), 0.5, 1.0)
+    priors = {p["prior"]["theorem"]: p["prior"]["parameters"]
+              for p in report["pairs"]}
+    for label in ("D.6.1", "D.6.2"):
+        assert priors[label][f"mu_{op}"] == 0.6
+        assert priors[label][f"L_{op}"] == 1.3
+        other = "B" if op == "A" else "A"
+        assert f"mu_{other}" not in priors[label]
+
+
 def test_thm32_numerator_renderings_agree():
     # the two displayed groupings of the second min numerator are equal
     rng = np.random.default_rng(8)
