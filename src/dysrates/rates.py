@@ -365,8 +365,9 @@ def _prior(form: str, args, values) -> RateReport:
     """A prior's report with its mu and L named after their sources: D.6.1
     and D.6.2 read both from one operator, A or B, and take it as op."""
     ops = {s[0] for s in args if s.endswith((".mu", ".L"))}
-    return _call(form, args, values, **({"op": ops.pop()} if len(ops) == 1
-                                        else {}))
+    if len(ops) == 1:
+        return _call(form, args, values, op=ops.pop())
+    return _call(form, args, values)
 
 
 def factor(a, b, c, alpha: float, lam: float, theorem: str = "auto"):
