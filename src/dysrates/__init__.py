@@ -14,25 +14,22 @@ from .classes import (Averaged, Cocoercive, Lipschitz, Monotone,
                       cocoercive, dys_preflight, enlarge_C, is_monotone_class,
                       lipschitz, monotone, resolvent_srg,
                       shifted_lipschitz_ball, srg, strongly_monotone)
-from .errors import (AmbiguousArgmaxError, DysRatesError, EmptyRegionError,
-                     InvalidClassError, PreconditionError,
-                     SingularResolventError, UnboundedRegionError,
-                     UnsupportedInversionError, UnsupportedOrientationError)
+from .errors import (DysRatesError, EmptyRegionError, InvalidClassError,
+                     PreconditionError, SingularResolventError,
+                     UnboundedRegionError, UnsupportedInversionError,
+                     UnsupportedOrientationError)
 from .geometry import (Arc, BoundaryGrid, Disk, DiskExterior, HalfPlane,
                        Region, Segment, boundary_grid, boundary_pieces,
-                       farthest_point_on_circle, has_left_arc_property,
-                       has_right_arc_property)
+                       has_left_arc_property, has_right_arc_property)
 from .rates import (AveragednessReport, DominanceReport, ParameterRanges,
                     RateReport, averagedness_thm41, contraction_thm31,
                     contraction_thm32, contraction_thm33, default_eps,
                     default_eta, dominance_check)
 from .search import (SearchConfig, SearchResult, coordinate_polish,
                      grid_evaluate, search, search_regions)
-from .symbol import (DysParams, grad_shifted_modulus_sq, lipschitz_bound,
-                     shifted_modulus, shifted_modulus_sq, zeta,
-                     zeta_partials)
+from .symbol import DysParams, lipschitz_bound, shifted_modulus, zeta
 from .verify import (VerificationReport, class_membership, dys_matrix,
-                     operator_from_resolvent_point, realize, rotation_value,
+                     operator_from_resolvent_point, realize,
                      spectral_norm_2x2, verify_averagedness,
                      verify_contraction)
 

@@ -8,9 +8,12 @@ the region of an intersection is the intersection of the atom regions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
+
+import numpy as np
 
 from . import geometry
 from .errors import InvalidClassError, PreconditionError
@@ -279,38 +282,26 @@ def dys_preflight(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
 def _disk_hull(region: Region) -> ShiftedLipschitzBall:
     """Smallest real-centered disk containing a bounded region.
 
-    max-distance-to-m is convex in the real center m, so a ternary search
-    over the span of the smallest disk atom finds the optimum; per-piece
-    maxima are closed-form (farthest point on an arc / segment endpoint).
+    max-distance-to-m is convex in the real center m, so its minimum lies
+    within one step of the smallest value on a grid over any bracket; 16
+    steps per round shrink the span of the smallest disk atom 8-fold, and
+    20 rounds reach float resolution.  The distance from m to the farthest
+    point of a piece is the piece maximum of |z - m|, in closed form.
     """
     pieces = geometry.boundary_pieces(region)
 
-    def radius_for(m: float) -> float:
-        worst = 0.0
-        for p in pieces:
-            if isinstance(p, geometry.Arc):
-                if abs(complex(m, 0.0) - p.center) == 0.0:
-                    worst = max(worst, p.radius)
-                    continue
-                far = geometry.farthest_point_on_circle(
-                    complex(p.center, 0.0), p.radius, complex(m, 0.0),
-                    (p.angle_start, p.angle_end))
-                worst = max(worst, abs(far - m))
-            else:
-                worst = max(worst, abs(p.p0 - m), abs(p.p1 - m))
-        return worst
+    def radius_for(m):
+        return functools.reduce(np.maximum, (
+            geometry._value_on_piece(p, 1.0, -m) for p in pieces))
 
     disk = region.smallest_disk_atom()
     lo, hi = disk.center - disk.radius, disk.center + disk.radius
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if radius_for(m1) <= radius_for(m2):
-            hi = m2
-        else:
-            lo = m1
-    m = 0.5 * (lo + hi)
-    return ShiftedLipschitzBall(m, radius_for(m))
+    for _ in range(20):
+        ms = np.linspace(lo, hi, 17)
+        k = int(np.argmin(radius_for(ms)))
+        lo, hi = ms[max(k - 1, 0)], ms[min(k + 1, 16)]
+    m = float(0.5 * (lo + hi))
+    return ShiftedLipschitzBall(m, float(radius_for(m)))
 
 
 def enlarge_C(c_spec: OperatorClassSpec, params: DysParams, mode: str,

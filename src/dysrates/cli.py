@@ -23,6 +23,7 @@ precondition, 4 unbounded search domain, 5 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -161,10 +162,8 @@ class ProblemSpec:
                                                          f"search.{key}")
 
         enlargement = raw.get("enlargement", {"mode": "none"})
-        if isinstance(enlargement, str):
-            enlargement = {"mode": enlargement}
         if not isinstance(enlargement, dict):
-            raise SpecFileError("'enlargement' must be an object or string")
+            raise SpecFileError("'enlargement' must be an object")
         _reject_unknown(enlargement, {"mode", "mu"}, "enlargement")
         mode = enlargement.get("mode", "none")
         if mode not in ("none", "disk_hull", "thm33", "thm41"):
@@ -215,16 +214,17 @@ def load_spec(path: str) -> ProblemSpec:
 
 def _write_text(path: str, text: str) -> None:
     """Write text to path as UTF-8, with no newline translation."""
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(payload: dict, indent) -> None:
+def _emit(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    sys.stdout.write(json.dumps(payload, indent=indent, sort_keys=True))
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True))
     sys.stdout.write("\n")
 
 
@@ -236,7 +236,7 @@ def cmd_factor(args) -> int:
     spec = load_spec(args.spec)
     report = rates.factor(spec.a, spec.b, spec.c, spec.alpha, spec.lam,
                           args.theorem)
-    _emit(report.as_dict(), args.json_indent)
+    _emit(report.as_dict())
     return EXIT_OK
 
 
@@ -265,7 +265,7 @@ def cmd_maxmod(args) -> int:
     payload["params"] = {"alpha": params.alpha, "lambda": params.lam,
                          "s": params.shift}
     payload["eps_grid"] = config.eps_grid
-    _emit(payload, args.json_indent)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -302,14 +302,13 @@ def cmd_verify(args) -> int:
                 rng_seed=args.seed)
     for warning in ver.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    _emit(ver.as_dict(), args.json_indent)
+    _emit(ver.as_dict())
     return EXIT_OK if ver.passed else EXIT_COUNTEREXAMPLE
 
 
 def cmd_compare(args) -> int:
     spec = load_spec(args.spec)
-    _emit(rates.compare(spec.a, spec.b, spec.c, spec.alpha, spec.lam),
-          args.json_indent)
+    _emit(rates.compare(spec.a, spec.b, spec.c, spec.alpha, spec.lam))
     return EXIT_OK
 
 
@@ -368,7 +367,7 @@ def cmd_plot(args) -> int:
     _write_text(args.out, fig.render())
     _emit({"out": args.out, "dark_points": int(len(dark)),
            "light_points": int(len(light)) if light is not None else 0,
-           "circle_radius": circle}, args.json_indent)
+           "circle_radius": circle})
     return EXIT_OK
 
 
@@ -376,13 +375,12 @@ def cmd_plot(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on the first call to main, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="dysrates",
         description="Contraction and averagedness factors for three-operator "
                     "splitting via complex-plane region analysis")
-    parser.add_argument("--json-indent", type=int, default=2,
-                        help="indentation for JSON output (default 2)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factor", help="closed-form factor for a spec file")

@@ -24,11 +24,6 @@ class UnboundedRegionError(DysRatesError):
     applied to an unbounded one."""
 
 
-class AmbiguousArgmaxError(DysRatesError):
-    """Farthest-point query with the anchor at the circle center: every
-    point of the circle is equidistant."""
-
-
 class InvalidClassError(DysRatesError):
     """Operator-class description violates a consistency requirement."""
 

@@ -24,12 +24,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import (
-    AmbiguousArgmaxError,
     EmptyRegionError,
     UnboundedRegionError,
     UnsupportedInversionError,
@@ -58,11 +57,8 @@ class Disk:
     def __post_init__(self):
         _check_atom(self.center, self.radius)
 
-    def contains(self, z: complex, tol: float = 0.0) -> bool:
+    def contains(self, z, tol: float = 0.0):
         return abs(z - self.center) <= self.radius + tol
-
-    def contains_many(self, zs: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return np.abs(zs - self.center) <= self.radius + tol
 
 
 @dataclass(frozen=True)
@@ -73,11 +69,8 @@ class DiskExterior:
     def __post_init__(self):
         _check_atom(self.center, self.radius)
 
-    def contains(self, z: complex, tol: float = 0.0) -> bool:
+    def contains(self, z, tol: float = 0.0):
         return abs(z - self.center) >= self.radius - tol
-
-    def contains_many(self, zs: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return np.abs(zs - self.center) >= self.radius - tol
 
 
 @dataclass(frozen=True)
@@ -88,11 +81,8 @@ class HalfPlane:
         if not math.isfinite(self.threshold):
             raise ValueError("half-plane threshold must be finite")
 
-    def contains(self, z: complex, tol: float = 0.0) -> bool:
+    def contains(self, z, tol: float = 0.0):
         return z.real >= self.threshold - tol
-
-    def contains_many(self, zs: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return np.real(zs) >= self.threshold - tol
 
 
 RegionAtom = Union[Disk, DiskExterior, HalfPlane]
@@ -134,16 +124,14 @@ class Region:
     def bounded(self) -> bool:
         return any(isinstance(a, Disk) for a in self.atoms)
 
-    def contains(self, z: complex, tol: float = 0.0) -> bool:
+    def contains(self, z, tol: float = 0.0):
+        """Membership of a point, or a mask over an array of points."""
         if tol < 0:
             raise ValueError("tol must be nonnegative")
-        return all(a.contains(z, tol) for a in self.atoms)
-
-    def contains_many(self, zs: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        mask = np.ones(np.shape(zs), dtype=bool)
+        inside = True
         for a in self.atoms:
-            mask &= a.contains_many(zs, tol)
-        return mask
+            inside = inside & a.contains(z, tol)
+        return inside
 
     def smallest_disk_atom(self) -> Disk:
         disks = [a for a in self.atoms if isinstance(a, Disk)]
@@ -527,37 +515,52 @@ def has_left_arc_property(region: Region) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Farthest point on a circle
+# Largest |P z + Q| over one piece
 # ---------------------------------------------------------------------------
 
-def farthest_point_on_circle(circle_center: complex, radius: float,
-                             anchor: complex,
-                             feasible_arc: Optional[tuple] = None) -> complex:
-    """Point of the circle (restricted to feasible_arc when given)
-    maximizing the distance to the anchor.
+def _max_on_piece(piece, p_coef, q_coef):
+    """Point of one boundary piece maximizing |P z + Q|, elementwise over
+    arrays P and Q of one shape.
 
-    Distance to a fixed point is monotone in the angle measured from the
-    anchor direction (law of cosines), so the restricted maximum is either
-    the anchor's antipodal point or one of the arc endpoints.
+    On a segment |P z + Q| is convex in the parameter, so an endpoint wins.
+    On an arc z = c + r e^{it}, P z + Q = W + P r e^{it} with W = P c + Q,
+    which reaches |W| + |P| r at t = arg W - arg P; off that angle the value
+    falls monotonically, so outside the arc an endpoint wins.  Where P = 0
+    or W = 0 the value is constant on the piece and its first endpoint is
+    taken.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    v = complex(circle_center) - complex(anchor)
-    if v == 0:
-        raise AmbiguousArgmaxError(
-            "anchor coincides with the circle center; every circle point is "
-            "equidistant")
-    psi_star = cmath.phase(v)  # direction of the far point from the center
-    far = circle_center + radius * cmath.exp(1j * psi_star)
-    if feasible_arc is None:
-        return far
-    a0, a1 = feasible_arc
-    if a1 < a0:
-        raise ValueError("feasible_arc must satisfy angle_start <= angle_end")
-    # normalize the far direction into [a0, a0 + 2*pi)
-    ang = a0 + (psi_star - a0) % TWO_PI
-    if ang <= a1:
-        return circle_center + radius * cmath.exp(1j * ang)
-    e0 = circle_center + radius * cmath.exp(1j * a0)
-    e1 = circle_center + radius * cmath.exp(1j * a1)
-    return e0 if abs(e0 - anchor) >= abs(e1 - anchor) else e1
+    e0, e1 = piece.point_at(0.0), piece.point_at(1.0)
+    far = np.where(np.abs(p_coef * e1 + q_coef) > np.abs(p_coef * e0 + q_coef),
+                   e1, e0)
+    if isinstance(piece, Arc):
+        w = p_coef * piece.center + q_coef
+        ang = piece.angle_start + (np.angle(w) - np.angle(p_coef)
+                                   - piece.angle_start) % TWO_PI
+        on_arc = (ang <= piece.angle_end) & (p_coef != 0) & (w != 0)
+        far = np.where(on_arc, piece.center + piece.radius * np.exp(1j * ang),
+                       np.where((p_coef == 0) | (w == 0), e0, far))
+    return far
+
+
+def _value_on_piece(piece, p_coef, q_coef):
+    """Largest |P z + Q| over one boundary piece, elementwise over arrays P
+    and Q, without locating the maximizer.
+
+    The value |W| + |P| r of an arc (W = P c + Q) is reached when the angle
+    arg(W conj P) lies on the arc, and always on a full circle; otherwise,
+    and on a segment, the larger endpoint modulus.  Where P = 0 or W = 0
+    the value is constant on the piece, and |W| + |P| r is that constant.
+    With P = 1 and Q = -m it is the distance from m to the farthest point
+    of the piece.
+    """
+    if isinstance(piece, Arc):
+        w = p_coef * piece.center + q_coef
+        crest = np.abs(w) + np.abs(p_coef) * piece.radius
+        span = piece.angle_end - piece.angle_start
+        if span >= TWO_PI:
+            return crest
+        on_arc = ((np.angle(w * np.conj(p_coef)) - piece.angle_start)
+                  % TWO_PI <= span)
+    ends = np.maximum(np.abs(p_coef * piece.point_at(0.0) + q_coef),
+                      np.abs(p_coef * piece.point_at(1.0) + q_coef))
+    return np.where(on_arc, crest, ends) if isinstance(piece, Arc) else ends

@@ -25,7 +25,8 @@ import numpy as np
 
 from .classes import OperatorClassSpec, resolvent_srg, srg
 from .errors import PreconditionError, UnboundedRegionError
-from .geometry import TWO_PI, Arc, Region, boundary_grid
+from .geometry import (Region, _max_on_piece, _value_on_piece,
+                       boundary_grid)
 from .symbol import DysParams, lipschitz_bound, shifted_modulus
 
 
@@ -68,7 +69,7 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form maximum over one piece
+# The symbol as an affine function of one coordinate
 # ---------------------------------------------------------------------------
 
 def _affine_in(idx: int, z_a, z_b, z_c, params: DysParams):
@@ -80,52 +81,6 @@ def _affine_in(idx: int, z_a, z_b, z_c, params: DysParams):
                 1.0 - lam * z_a - lam * z_b + 2.0 * lam * z_a * z_b - s)
     other = z_b if idx == 0 else z_a  # zeta is symmetric in z_A and z_B
     return -lam + lam * (2.0 - alpha * z_c) * other, 1.0 - lam * other - s
-
-
-def _max_on_piece(piece, p_coef, q_coef):
-    """Point of one boundary piece maximizing |P z + Q|, elementwise over
-    arrays P and Q of one shape.
-
-    On a segment |P z + Q| is convex in the parameter, so an endpoint wins.
-    On an arc z = c + r e^{it}, P z + Q = W + P r e^{it} with W = P c + Q,
-    which reaches |W| + |P| r at t = arg W - arg P; off that angle the value
-    falls monotonically, so outside the arc an endpoint wins.  Where P = 0
-    or W = 0 the value is constant on the piece and its first endpoint is
-    taken.
-    """
-    e0, e1 = piece.point_at(0.0), piece.point_at(1.0)
-    far = np.where(np.abs(p_coef * e1 + q_coef) > np.abs(p_coef * e0 + q_coef),
-                   e1, e0)
-    if isinstance(piece, Arc):
-        w = p_coef * piece.center + q_coef
-        ang = piece.angle_start + (np.angle(w) - np.angle(p_coef)
-                                   - piece.angle_start) % TWO_PI
-        on_arc = (ang <= piece.angle_end) & (p_coef != 0) & (w != 0)
-        far = np.where(on_arc, piece.center + piece.radius * np.exp(1j * ang),
-                       np.where((p_coef == 0) | (w == 0), e0, far))
-    return far
-
-
-def _value_on_piece(piece, p_coef, q_coef):
-    """Largest |P z + Q| over one boundary piece, elementwise over arrays P
-    and Q, without locating the maximizer.
-
-    The value |W| + |P| r of an arc (W = P c + Q) is reached when the angle
-    arg(W conj P) lies on the arc, and always on a full circle; otherwise,
-    and on a segment, the larger endpoint modulus.  Where P = 0 or W = 0
-    the value is constant on the piece, and |W| + |P| r is that constant.
-    """
-    if isinstance(piece, Arc):
-        w = p_coef * piece.center + q_coef
-        crest = np.abs(w) + np.abs(p_coef) * piece.radius
-        span = piece.angle_end - piece.angle_start
-        if span >= TWO_PI:
-            return crest
-        on_arc = ((np.angle(w * np.conj(p_coef)) - piece.angle_start)
-                  % TWO_PI <= span)
-    ends = np.maximum(np.abs(p_coef * piece.point_at(0.0) + q_coef),
-                      np.abs(p_coef * piece.point_at(1.0) + q_coef))
-    return np.where(on_arc, crest, ends) if isinstance(piece, Arc) else ends
 
 
 # ---------------------------------------------------------------------------

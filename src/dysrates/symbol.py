@@ -1,4 +1,5 @@
-"""The three-operator splitting symbol, its derivatives and gradient bounds.
+"""The three-operator splitting symbol and the Lipschitz bound of its
+shifted modulus.
 
 zeta(z_A, z_B, z_C) = 1 - lam*z_A - lam*z_B + lam*(2 - alpha*z_C)*z_A*z_B
 
@@ -46,37 +47,8 @@ def zeta(z_a, z_b, z_c, params: DysParams):
     return 1.0 - lam * z_a - lam * z_b + lam * (2.0 - alpha * z_c) * z_a * z_b
 
 
-def zeta_partials(z_a, z_b, z_c, params: DysParams):
-    """Complex partial derivatives (d/dz_A, d/dz_B, d/dz_C) of zeta."""
-    lam, alpha = params.lam, params.alpha
-    w = 2.0 - alpha * z_c
-    return (-lam + lam * w * z_b,
-            -lam + lam * w * z_a,
-            -lam * alpha * z_a * z_b)
-
-
 def shifted_modulus(z_a, z_b, z_c, params: DysParams):
     return np.abs(zeta(z_a, z_b, z_c, params) - params.shift)
-
-
-def shifted_modulus_sq(z_a, z_b, z_c, params: DysParams):
-    g = zeta(z_a, z_b, z_c, params) - params.shift
-    return (g * np.conj(g)).real
-
-
-def grad_shifted_modulus_sq(z_a, z_b, z_c, params: DysParams):
-    """Euclidean gradients of |zeta - s|^2 in each argument, as complex
-    numbers G with d|zeta - s|^2 = Re(conj(G) dz).
-
-    For g holomorphic in z, the plane gradient of |g|^2 is 2*g*conj(g').
-    No search uses it: it is the gradient that acceptance criterion 10
-    checks against central differences of the squared modulus.
-    """
-    g = zeta(z_a, z_b, z_c, params) - params.shift
-    da, db, dc = zeta_partials(z_a, z_b, z_c, params)
-    return (2.0 * g * np.conj(da),
-            2.0 * g * np.conj(db),
-            2.0 * g * np.conj(dc))
 
 
 def _sup_abs(disk: Disk) -> float:

@@ -13,7 +13,6 @@ a verification run checks all of its trials in one batched pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +34,6 @@ def realize(z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     return np.stack([np.stack([z.real, -z.imag], -1),
                      np.stack([z.imag, z.real], -1)], -2)
-
-
-def rotation_value(m: np.ndarray) -> complex:
-    return complex(m[0, 0], m[1, 0])
 
 
 def spectral_norm_2x2(m: np.ndarray):
@@ -162,11 +157,11 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
     """Realize n_trials random boundary triples as (n, 2, 2) stacks, check
     the classes of the induced operators and ||T - center*I|| <= bound + tol,
     and report in trial order.  The extremal probe is checked last, without
-    class checks.  Returns the report and the worst realized T."""
+    class checks."""
     report = VerificationReport(trials=n_trials, rho=bound)
     if n_trials <= 0:
         report.warnings.append("no trials requested; vacuous pass")
-        return report, None
+        return report
     regions = (resolvent_srg(specs[0], params.alpha),
                resolvent_srg(specs[1], params.alpha), srg(specs[2]))
     zs = [_random_boundary_points(r, n_trials, rng) for r in regions]
@@ -186,10 +181,7 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
     t = dys_matrix(*(realize(z) for z in zs), params.alpha, params.lam)
     norms = spectral_norm_2x2(t - center * I2)
     seen = np.where(member & (norms > 0.0), norms, 0.0)
-    worst = int(np.argmax(seen))  # the first maximum, as a scan keeps it
-    worst_t = None
-    if seen[worst] > 0.0:
-        report.max_norm_seen, worst_t = float(seen[worst]), t[worst]
+    report.max_norm_seen = float(np.max(seen))
     for i in np.flatnonzero(~member | (norms > bound + tol)):
         triple = [str(complex(z[i])) for z in zs]
         if member[i]:
@@ -199,46 +191,24 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
         else:
             report.violations.append({"kind": "class_membership",
                                       "triple": triple})
-    return report, worst_t
-
-
-def _iteration_check(t: np.ndarray, limit: float,
-                     rng: np.random.Generator,
-                     report: VerificationReport) -> None:
-    """Power iterations: ||x_k|| must stay within limit^k of ||x_0||."""
-    for _ in range(10):
-        x = rng.standard_normal(2)
-        base = math.sqrt(x.dot(x))
-        if base == 0.0:
-            continue
-        for k in range(1, 101):
-            x = t @ x
-            norm = math.sqrt(x.dot(x))
-            if norm > (limit ** k) * base * (1 + 1e-12):
-                report.violations.append(
-                    {"kind": "iteration_growth", "step": k,
-                     "ratio": norm / base})
-                return
+    return report
 
 
 def verify_contraction(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
                        c_spec: OperatorClassSpec, params: DysParams,
                        rho: float, n_trials: int = 1000, rng_seed: int = 0,
                        tol: float = 1e-9) -> VerificationReport:
-    """Realize random boundary triples and test ||T|| <= rho + tol, class
-    membership of the induced operators, and iterate decay on the worst
-    realized T.
+    """Realize random boundary triples and test ||T|| <= rho + tol and class
+    membership of the induced operators.  T is a scaled rotation, so
+    ||T^k x|| = ||T||^k ||x||: iterating T can show no growth that the norm
+    bound has not already shown.
 
     The triple found by a coarse max-modulus search is probed too, which
     makes undersized rho values fail deterministically rather than only
     when random sampling gets lucky.
     """
-    rng = np.random.default_rng(rng_seed)
-    report, worst_t = _check_trials((a_spec, b_spec, c_spec), params, rho,
-                                    0.0, n_trials, rng, tol, True)
-    if worst_t is not None:
-        _iteration_check(worst_t, rho + tol, rng, report)
-    return report
+    return _check_trials((a_spec, b_spec, c_spec), params, rho, 0.0,
+                         n_trials, np.random.default_rng(rng_seed), tol, True)
 
 
 def verify_averagedness(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
@@ -250,4 +220,4 @@ def verify_averagedness(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
     scaled-rotation realizations of boundary triples."""
     return _check_trials((a_spec, b_spec, c_spec), params, theta,
                          1.0 - theta, n_trials,
-                         np.random.default_rng(rng_seed), tol, False)[0]
+                         np.random.default_rng(rng_seed), tol, False)

@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from dysrates import Arc, Disk, HalfPlane, Region, Segment, boundary_pieces
+from dysrates import (Arc, Disk, HalfPlane, Region, Segment, boundary_pieces,
+                      zeta)
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,7 +39,7 @@ def project(piece, w: complex) -> complex:
     raise TypeError(f"unknown piece {piece!r}")
 
 
-def _arc_probe_points(region: Region, n_samples: int) -> list:
+def _arc_probe_points(region: Region, n_samples: int) -> np.ndarray:
     """Boundary samples for the refuting check; unbounded regions are
     clipped by a generous probe disk first (membership is still tested
     against the original region, so refutations remain sound)."""
@@ -53,11 +54,9 @@ def _arc_probe_points(region: Region, n_samples: int) -> list:
         probe = Region(region.atoms + (Disk(0.0, 10.0 * reach),))
     pieces = boundary_pieces(probe)
     total = sum(p.length for p in pieces) or 1.0
-    pts: list = []
-    for p in pieces:
-        n = max(2, int(round(n_samples * p.length / total)))
-        pts.extend(p.sample(n - 1))
-    return pts
+    return np.concatenate(
+        [p.sample(max(2, int(round(n_samples * p.length / total))) - 1)
+         for p in pieces])
 
 
 def arc_sampling_refuter(region: Region, n_samples: int, n_theta: int,
@@ -67,24 +66,90 @@ def arc_sampling_refuter(region: Region, n_samples: int, n_theta: int,
 
     The right-hand arc of z = r e^{i phi} sweeps r e^{i (1 - 2 theta) phi};
     the left-hand arc sweeps the angles from phi to sign(phi)*pi, and the
-    mirror half follows from real-axis symmetry of the regions.
+    mirror half follows from real-axis symmetry of the regions.  All
+    sampled points and their arcs are tested as one array.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     thetas = np.linspace(0.0, 1.0, n_theta)
-    for z in _arc_probe_points(region, n_samples):
-        r, phi = abs(z), cmath.phase(z)
-        if r == 0.0 or not region.contains(z, tol):
-            continue
-        if left:
-            target = math.pi if phi >= 0 else -math.pi
-            angles = phi + thetas * (target - phi)
+    zs = _arc_probe_points(region, n_samples)
+    zs = zs[(zs != 0) & region.contains(zs, tol)]
+    r, phi = np.abs(zs)[:, None], np.angle(zs)[:, None]
+    if left:
+        target = np.where(phi >= 0, math.pi, -math.pi)
+        angles = phi + thetas * (target - phi)
+    else:
+        angles = (1.0 - 2.0 * thetas) * phi
+    return bool(region.contains(r * np.exp(1j * angles), tol).all())
+
+
+def farthest(piece, w: complex) -> complex:
+    """Farthest point of an Arc or a Segment from w (the first endpoint
+    when every point of an arc is equally far)."""
+    p0, p1 = piece.point_at(0.0), piece.point_at(1.0)
+    if isinstance(piece, Arc):
+        v = piece.center - w
+        if v == 0:
+            return p0
+        # normalize the angle of v into [angle_start, angle_start + 2*pi)
+        ang = piece.angle_start + (cmath.phase(v) - piece.angle_start) % TWO_PI
+        if ang <= piece.angle_end:
+            return piece.center + piece.radius * v / abs(v)
+    return p0 if abs(w - p0) >= abs(w - p1) else p1
+
+
+def disk_hull_radius(region: Region) -> float:
+    """Radius of the smallest real-centered disk containing a bounded
+    region, by a ternary search over the center m of the distance from m to
+    the farthest point of the boundary (a convex function of m)."""
+    pieces = boundary_pieces(region)
+
+    def radius_for(m):
+        return max(abs(farthest(p, m) - m) for p in pieces)
+
+    disk = region.smallest_disk_atom()
+    lo, hi = disk.center - disk.radius, disk.center + disk.radius
+    for _ in range(200):
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if radius_for(m1) <= radius_for(m2):
+            hi = m2
         else:
-            angles = (1.0 - 2.0 * thetas) * phi
-        for ang in angles:
-            if not region.contains(r * cmath.exp(1j * ang), tol):
-                return False
-    return True
+            lo = m1
+    return radius_for(0.5 * (lo + hi))
+
+
+def zeta_partials(z_a, z_b, z_c, params):
+    """Complex partial derivatives (d/dz_A, d/dz_B, d/dz_C) of zeta."""
+    lam, alpha = params.lam, params.alpha
+    w = 2.0 - alpha * z_c
+    return (-lam + lam * w * z_b,
+            -lam + lam * w * z_a,
+            -lam * alpha * z_a * z_b)
+
+
+def shifted_modulus_sq(z_a, z_b, z_c, params):
+    g = zeta(z_a, z_b, z_c, params) - params.shift
+    return (g * np.conj(g)).real
+
+
+def grad_shifted_modulus_sq(z_a, z_b, z_c, params):
+    """Euclidean gradients of |zeta - s|^2 in each argument, as complex
+    numbers G with d|zeta - s|^2 = Re(conj(G) dz).
+
+    For g holomorphic in z, the plane gradient of |g|^2 is 2*g*conj(g').
+    Acceptance criterion 10 checks it against central differences of the
+    squared modulus.
+    """
+    g = zeta(z_a, z_b, z_c, params) - params.shift
+    da, db, dc = zeta_partials(z_a, z_b, z_c, params)
+    return (2.0 * g * np.conj(da),
+            2.0 * g * np.conj(db),
+            2.0 * g * np.conj(dc))
+
+
+def rotation_value(m: np.ndarray) -> complex:
+    """The complex number a scaled-rotation matrix multiplies by."""
+    return complex(m[0, 0], m[1, 0])
 
 
 def lipschitz_bound_coarse(enclosure_a, enclosure_b, enclosure_c,

@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from dysrates import (Disk, DiskExterior, HalfPlane, InvalidClassError,
-                      PreconditionError, Region, ShiftedLipschitzBall,
-                      averaged, cocoercive, dys_preflight, enlarge_C,
-                      lipschitz, monotone, resolvent_srg,
-                      shifted_lipschitz_ball, srg, strongly_monotone)
+from dysrates import (Disk, DiskExterior, EmptyRegionError, HalfPlane,
+                      InvalidClassError, PreconditionError, Region,
+                      ShiftedLipschitzBall, averaged, boundary_grid,
+                      cocoercive, dys_preflight, enlarge_C, lipschitz,
+                      monotone, resolvent_srg, shifted_lipschitz_ball, srg,
+                      strongly_monotone)
+from dysrates.classes import _disk_hull
 from dysrates.symbol import DysParams
+from oracles import disk_hull_radius
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +121,9 @@ def test_resolvent_matches_closed_forms_randomized():
         alpha = float(rng.uniform(0.1, 3.0))
         computed = resolvent_srg(_MAKERS[kind](param), alpha)
         oracle = closed_form_resolvent(kind, param, alpha)
-        assert np.array_equal(computed.contains_many(zs, 1e-10),
-                              oracle.contains_many(zs, 1e-10)), (kind, param,
-                                                                 alpha)
+        assert np.array_equal(computed.contains(zs, 1e-10),
+                              oracle.contains(zs, 1e-10)), (kind, param,
+                                                            alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +223,33 @@ def test_disk_hull_of_half_lens():
     assert math.isclose(ball.radius, 0.5, abs_tol=1e-9)
 
 
+def test_disk_hull_radius_matches_ternary_reference():
+    # random bounded regions of one to three atoms; the hull must also
+    # contain every boundary sample
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 900:
+        atoms = [Disk(float(rng.uniform(-2.0, 2.0)),
+                      float(rng.uniform(0.1, 2.0)))]
+        for _ in range(rng.integers(0, 3)):
+            kind = rng.integers(3)
+            c = float(rng.uniform(-2.0, 2.0))
+            atoms.append(HalfPlane(c) if kind == 2 else
+                         (Disk, DiskExterior)[kind](c, float(
+                             rng.uniform(0.1, 2.0))))
+        region = Region(tuple(atoms))
+        try:
+            points = boundary_grid(region, 0.05).points
+        except EmptyRegionError:
+            continue
+        ball = _disk_hull(region)
+        assert ball.radius == pytest.approx(disk_hull_radius(region),
+                                            rel=1e-12), region
+        assert (np.abs(points - ball.center)
+                <= ball.radius * (1.0 + 1e-12)).all(), region
+        checked += 1
+
+
 @pytest.mark.parametrize("mode,c_builder,kwargs", [
     ("disk_hull",
      lambda: cocoercive(1.0).intersect(strongly_monotone(0.5)), {}),
@@ -234,9 +264,9 @@ def test_enlargement_contains_original(mode, c_builder, kwargs):
     bigger = srg(enlarge_C(c_spec, params, mode, **kwargs))
     region = srg(c_spec)
     zs = rng.uniform(-2, 2, 100_000) + 1j * rng.uniform(-2, 2, 100_000)
-    inside = zs[region.contains_many(zs)]
+    inside = zs[region.contains(zs)]
     assert inside.size >= 1000
-    assert bigger.contains_many(inside, 1e-12).all()
+    assert bigger.contains(inside, 1e-12).all()
 
 
 def test_enlarged_c_side_region_is_real_centered_disk():
@@ -283,9 +313,8 @@ def test_thm33_enlargement_containment_randomized():
         region = srg(c_spec)
         zs = rng.uniform(0, 1.2 / beta, 400) + \
             1j * rng.uniform(-0.6 / beta, 0.6 / beta, 400)
-        inside = zs[region.contains_many(zs)]
-        assert big.contains_many(inside, 1e-12).all(), (alpha, lam, beta,
-                                                        mu_c)
+        inside = zs[region.contains(zs)]
+        assert big.contains(inside, 1e-12).all(), (alpha, lam, beta, mu_c)
 
 
 def test_thm41_enlargement_containment_randomized():
@@ -300,5 +329,5 @@ def test_thm41_enlargement_containment_randomized():
         region = srg(c_spec)
         zs = rng.uniform(0, 1.1 * l_c, 400) + \
             1j * rng.uniform(-1.1 * l_c, 1.1 * l_c, 400)
-        inside = zs[region.contains_many(zs)]
-        assert big.contains_many(inside, 1e-12).all(), (alpha, mu, l_c)
+        inside = zs[region.contains(zs)]
+        assert big.contains(inside, 1e-12).all(), (alpha, mu, l_c)

@@ -3,12 +3,17 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dysrates
 from dysrates.classes import resolvent_srg, srg
 from dysrates.cli import ProblemSpec, _cloud, main
 from dysrates.geometry import boundary_grid
@@ -324,11 +329,14 @@ def test_four_atom_c_exits_ok(tmp_path, capsys, argv):
     (None, None, ["maxmod", "--eps", "0.1", "--shift", "inf"], 2),
     (None, None, ["verify", "--trials", "abc"], 2),
     (None, None, ["verify", "--rho", "-inf"], 2),
+    ("enlargement", "thm33", ["maxmod", "--eps", "0.1"], 2),
+    (None, None, ["maxmod", "--eps", "0.1", "--json-indent", "4"], 2),
 ], ids=["top_k_fraction", "max_iters_fraction", "ascent_step_removed",
         "parallel_removed", "eps_grid_zero", "eps_negative", "plot_eps_zero",
         "rho_nan", "rho_inf", "trials_negative", "seed_negative", "eps_nan",
         "eps_inf", "shift_nan", "shift_inf", "trials_not_integer",
-        "rho_minus_inf"])
+        "rho_minus_inf", "enlargement_string_removed",
+        "json_indent_removed"])
 def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
                                              value, argv, expected):
     payload = json.loads(json.dumps(PUBLISHED))
@@ -343,6 +351,23 @@ def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
     assert code == expected
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_parser_is_reused_after_an_argparse_error(tmp_path, capsys):
+    # main builds its parser once per process; a rejected command line
+    # must leave it fit for the next call
+    spec = write_spec(tmp_path, ALL_ONES_31)
+    assert main(["factor", spec, "--theorem", "99"]) == 2
+    capsys.readouterr()
+    assert main(["factor", spec]) == 0
+    out = capsys.readouterr().out
+    src = str(Path(dysrates.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "dysrates.cli", "factor", spec],
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": src})
+    assert fresh.returncode == 0
+    assert fresh.stdout == out
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dysrates import (AmbiguousArgmaxError, Arc, Disk, DiskExterior,
-                      EmptyRegionError, HalfPlane, Region, Segment,
-                      UnboundedRegionError, UnsupportedOrientationError,
-                      boundary_pieces, farthest_point_on_circle,
+from dysrates import (Arc, Disk, DiskExterior, EmptyRegionError, HalfPlane,
+                      Region, Segment, UnboundedRegionError,
+                      UnsupportedOrientationError, boundary_pieces,
                       has_left_arc_property, has_right_arc_property)
-from dysrates.geometry import boundary_grid
+from dysrates.geometry import _max_on_piece, _value_on_piece, boundary_grid
 from oracles import arc_sampling_refuter, project
 
 
@@ -153,8 +152,8 @@ def test_invert_is_involution_on_membership():
     zs = rng.uniform(-3, 3, 10_000) + 1j * rng.uniform(-3, 3, 10_000)
     for region in regions:
         double = region.invert().invert()
-        direct = region.contains_many(zs, 1e-10)
-        assert np.array_equal(direct, double.contains_many(zs, 1e-10))
+        direct = region.contains(zs, 1e-10)
+        assert np.array_equal(direct, double.contains(zs, 1e-10))
 
 
 def test_invert_mobius_consistency():
@@ -162,13 +161,13 @@ def test_invert_mobius_consistency():
     region = Region((HalfPlane(1.0), Disk(1.0, 0.5)))
     image = region.invert()
     zs = rng.uniform(0.4, 2.0, 40_000) + 1j * rng.uniform(-1, 1, 40_000)
-    inside = zs[region.contains_many(zs)]
+    inside = zs[region.contains(zs)]
     assert inside.size > 100
-    assert image.contains_many(1.0 / inside, 1e-10).all()
+    assert image.contains(1.0 / inside, 1e-10).all()
     ws = rng.uniform(0.05, 1.2, 40_000) + 1j * rng.uniform(-0.8, 0.8, 40_000)
-    inside_w = ws[image.contains_many(ws)]
+    inside_w = ws[image.contains(ws)]
     assert inside_w.size > 100
-    assert region.contains_many(1.0 / inside_w, 1e-10).all()
+    assert region.contains(1.0 / inside_w, 1e-10).all()
 
 
 def _clear_of_zero(atom):
@@ -300,7 +299,7 @@ def test_pieces_lie_on_their_atom_and_inside_others():
                 assert dist.max() <= 1e-12
             else:
                 assert np.abs(np.real(pts) - piece.p0.real).max() <= 1e-12
-            assert region.contains_many(pts, 1e-12).all()
+            assert region.contains(pts, 1e-12).all()
 
 
 def test_pieces_meet_only_at_endpoints():
@@ -511,17 +510,27 @@ def test_regions_symmetric_about_real_axis():
     ]
     zs = rng.uniform(-2, 2, 20_000) + 1j * rng.uniform(-2, 2, 20_000)
     for region in regions:
-        assert np.array_equal(region.contains_many(zs),
-                              region.contains_many(np.conj(zs)))
+        assert np.array_equal(region.contains(zs),
+                              region.contains(np.conj(zs)))
 
 
 # ---------------------------------------------------------------------------
-# farthest point on a circle
+# farthest point of a piece: the piece maximum of |z - anchor|
 # ---------------------------------------------------------------------------
+
+def farthest_on_piece(piece, anchor):
+    """The maximizer and the value of |z - anchor| over the piece, checked
+    to agree with each other."""
+    p = complex(_max_on_piece(piece, 1.0, -anchor))
+    value = float(_value_on_piece(piece, 1.0, -anchor))
+    assert abs(abs(p - anchor) - value) <= 1e-14 * (1.0 + value)
+    return p, value
+
 
 def test_farthest_point_antipode():
-    p = farthest_point_on_circle(0j, 1.0, 2.0 + 0j)
+    p, value = farthest_on_piece(Arc(0.0, 1.0, -math.pi, math.pi), 2.0 + 0j)
     assert abs(p - (-1.0)) < 1e-15
+    assert value == 3.0
 
 
 def test_farthest_point_clipped_arc():
@@ -531,7 +540,7 @@ def test_farthest_point_clipped_arc():
     angles = np.linspace(arc[0], arc[1], 102)
     cand = center + radius * np.exp(1j * angles)
     brute = cand[np.argmax(np.abs(cand - anchor))]
-    p = farthest_point_on_circle(center, radius, anchor, arc)
+    p, _ = farthest_on_piece(Arc(center.real, radius, *arc), anchor)
     assert abs(p - 0.0) < 1e-12
     assert abs(abs(p - anchor) - abs(brute - anchor)) < 1e-9
 
@@ -547,13 +556,17 @@ def test_farthest_point_brute_force_full_circle():
             continue
         pts = center + radius * np.exp(1j * angles)
         brute = np.abs(pts - anchor).max()
-        p = farthest_point_on_circle(center, radius, anchor)
-        assert abs(p - anchor) >= brute - 1e-9
+        _, value = farthest_on_piece(
+            Arc(center.real, radius, -math.pi, math.pi), anchor)
+        assert value >= brute - 1e-9
 
 
 def test_farthest_point_anchor_at_center():
-    with pytest.raises(AmbiguousArgmaxError):
-        farthest_point_on_circle(0.5 + 0j, 0.5, 0.5 + 0j)
+    # every point of the circle is equally far: the first endpoint is taken
+    piece = Arc(0.5, 0.5, -math.pi, math.pi)
+    p, value = farthest_on_piece(piece, 0.5 + 0j)
+    assert value == 0.5
+    assert p == piece.point_at(0.0)
 
 
 def test_farthest_point_on_resolvent_lens_hits_corner():
@@ -566,9 +579,7 @@ def test_farthest_point_on_resolvent_lens_hits_corner():
     best = None
     for piece in boundary_pieces(region):
         assert isinstance(piece, Arc)
-        p = farthest_point_on_circle(complex(piece.center), piece.radius,
-                                     anchor,
-                                     (piece.angle_start, piece.angle_end))
+        p, _ = farthest_on_piece(piece, anchor)
         if best is None or abs(p - anchor) > abs(best - anchor):
             best = p
     assert min(abs(best - corner), abs(best - corner.conjugate())) < 1e-9

@@ -14,8 +14,9 @@ from dysrates import (DysParams, PreconditionError, SearchConfig,
                       shifted_lipschitz_ball, shifted_modulus,
                       strongly_monotone)
 from dysrates.classes import resolvent_srg, srg
-from dysrates.geometry import Arc, Segment, boundary_grid
-from dysrates.search import _max_on_piece, _value_on_piece, search_regions
+from dysrates.geometry import (Arc, Segment, _max_on_piece, _value_on_piece,
+                               boundary_grid)
+from dysrates.search import search_regions
 from dysrates.verify import _random_boundary_points
 from oracles import project
 

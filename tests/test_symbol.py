@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from dysrates import (Disk, DysParams, PreconditionError,
-                      grad_shifted_modulus_sq, lipschitz_bound,
-                      shifted_modulus, shifted_modulus_sq, zeta,
-                      zeta_partials)
-from oracles import lipschitz_bound_coarse
+from dysrates import (Disk, DysParams, PreconditionError, lipschitz_bound,
+                      shifted_modulus, zeta)
+from oracles import (grad_shifted_modulus_sq, lipschitz_bound_coarse,
+                     shifted_modulus_sq, zeta_partials)
 
 P11 = DysParams(1.0, 1.0)
 

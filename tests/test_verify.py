@@ -15,13 +15,13 @@ from dysrates import (Averaged, Cocoercive, DysParams, InvalidClassError,
                       ShiftedLipschitzBall, SingularResolventError,
                       StronglyMonotone, class_membership, cocoercive,
                       contraction_thm33, dys_matrix, lipschitz, monotone,
-                      operator_from_resolvent_point, realize, rotation_value,
-                      search, spectral_norm_2x2, strongly_monotone,
+                      operator_from_resolvent_point, realize, search,
+                      spectral_norm_2x2, strongly_monotone,
                       verify_averagedness, verify_contraction, zeta)
 from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import boundary_grid
 from dysrates.verify import _members, _sym_min_eig
-from oracles import assert_matches
+from oracles import assert_matches, rotation_value
 
 P11 = DysParams(1.0, 1.0)
 
@@ -199,6 +199,20 @@ def test_verify_negative_control_finds_counterexample():
     assert any(v["kind"] == "norm_bound" for v in report.violations)
 
 
+def test_verify_tiny_norm_at_its_own_rho_passes():
+    # zeta = 1 - 1.46625 * (2/3) = 0.0225 on one-point regions; iterating
+    # this T from a unit vector drives x.x subnormal near step 95, where a
+    # growth test against ||T||^k reported false violations
+    point = strongly_monotone(0.5).intersect(lipschitz(0.5))
+    params = DysParams(1.0, 1.46625)
+    rho = verify_contraction(point, point, point, params, 1.0,
+                             n_trials=20).max_norm_seen
+    assert rho == pytest.approx(0.0225, rel=1e-9)
+    report = verify_contraction(point, point, point, params, rho,
+                                n_trials=20, tol=0.0)
+    assert report.passed and report.violations == []
+
+
 def test_verify_zero_trials_vacuous():
     report = verify_contraction(monotone(), monotone(), cocoercive(1.0),
                                 P11, 0.9, n_trials=0)
@@ -300,6 +314,22 @@ def test_dys_matrix_stack_norm_is_symbol_modulus(triples, alpha, lam):
         scale = 1 + lam * abs(b) + lam * abs(a) * (
             1 + 2 * abs(b) + alpha * abs(c) * abs(b))
         assert abs(norm - expect) <= 1e-14 * scale
+
+
+@settings(deadline=None)
+@given(st.tuples(COMPLEX, COMPLEX, COMPLEX), st.floats(0.01, 2.0),
+       st.floats(0.01, 2.0),
+       st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+def test_dys_matrix_scales_every_vector_by_its_norm(triple, alpha, lam, x):
+    # T is a scaled rotation, so ||T^k x|| = ||T||^k ||x||: iterating T
+    # shows nothing that the norm bound does not
+    a, b, c = triple
+    t = dys_matrix(realize(a), realize(b), realize(c), alpha, lam)
+    x = np.array(x)
+    scale = 1 + lam * abs(b) + lam * abs(a) * (
+        1 + 2 * abs(b) + alpha * abs(c) * abs(b))
+    assert abs(np.linalg.norm(t @ x) - spectral_norm_2x2(t) * np.linalg.norm(
+        x)) <= 1e-12 * scale * np.linalg.norm(x)
 
 
 @settings(deadline=None)
