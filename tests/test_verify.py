@@ -396,9 +396,7 @@ GOLDEN = {
              "bound": 0.713606797749979,
              "triple": ["(0.7236067977499788-0.44721359549995804j)",
                         "(0.7999999999999999+0.4000000000000001j)",
-                        "(0.5+0.5j)"]},
-            {"kind": "iteration_growth", "step": 1,
-             "ratio": 0.723606797749979}]},
+                        "(0.5+0.5j)"]}]},
 }
 
 
