@@ -8,7 +8,6 @@ the region of an intersection is the intersection of the atom regions.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -282,17 +281,18 @@ def dys_preflight(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
 def _disk_hull(region: Region) -> ShiftedLipschitzBall:
     """Smallest real-centered disk containing a bounded region.
 
-    max-distance-to-m is convex in the real center m, so its minimum lies
-    within one step of the smallest value on a grid over any bracket; 16
-    steps per round shrink the span of the smallest disk atom 8-fold, and
-    20 rounds reach float resolution.  The distance from m to the farthest
-    point of a piece is the piece maximum of |z - m|, in closed form.
+    max-distance-to-m is convex in the real center m, so its minimizer
+    lies within one grid step of the grid point with the smallest value.
+    Each round keeps those two steps of a 16-step grid, shrinking the span
+    of the smallest disk atom 8-fold; 20 rounds reach float resolution.
+    The distance from m to the farthest point of a piece is the piece
+    maximum of |z - m|, in closed form.
     """
     pieces = geometry.boundary_pieces(region)
 
     def radius_for(m):
-        return functools.reduce(np.maximum, (
-            geometry._value_on_piece(p, 1.0, -m) for p in pieces))
+        return np.max([geometry._value_on_piece(p, 1.0, -m) for p in pieces],
+                      axis=0)
 
     disk = region.smallest_disk_atom()
     lo, hi = disk.center - disk.radius, disk.center + disk.radius
