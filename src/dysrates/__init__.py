@@ -27,7 +27,7 @@ from .rates import (AveragednessReport, DominanceReport, ParameterRanges,
                     default_eta, dominance_check)
 from .search import (SearchConfig, SearchResult, coordinate_polish,
                      grid_evaluate, search, search_regions)
-from .symbol import DysParams, lipschitz_bound, shifted_modulus, zeta
+from .symbol import DysParams, shifted_modulus, zeta
 from .verify import (VerificationReport, class_membership, dys_matrix,
                      operator_from_resolvent_point, realize,
                      spectral_norm_2x2, verify_averagedness,

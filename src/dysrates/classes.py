@@ -278,7 +278,7 @@ def dys_preflight(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
 # Class enlargement
 # ---------------------------------------------------------------------------
 
-def _disk_hull(region: Region) -> ShiftedLipschitzBall:
+def _disk_hull(region: Region) -> Optional[ShiftedLipschitzBall]:
     """Smallest real-centered disk containing a bounded region.
 
     max-distance-to-m is convex in the real center m, so its minimizer
@@ -286,7 +286,8 @@ def _disk_hull(region: Region) -> ShiftedLipschitzBall:
     Each round keeps those two steps of a 16-step grid, shrinking the span
     of the smallest disk atom 8-fold; 20 rounds reach float resolution.
     The distance from m to the farthest point of a piece is the piece
-    maximum of |z - m|, in closed form.
+    maximum of |z - m|, in closed form.  None for a one-point region, which
+    is its own hull.
     """
     pieces = geometry.boundary_pieces(region)
 
@@ -301,7 +302,8 @@ def _disk_hull(region: Region) -> ShiftedLipschitzBall:
         k = int(np.argmin(radius_for(ms)))
         lo, hi = ms[max(k - 1, 0)], ms[min(k + 1, 16)]
     m = float(0.5 * (lo + hi))
-    return ShiftedLipschitzBall(m, float(radius_for(m)))
+    radius = float(radius_for(m))
+    return ShiftedLipschitzBall(m, radius) if radius > 0.0 else None
 
 
 def enlarge_C(c_spec: OperatorClassSpec, params: DysParams, mode: str,
@@ -322,7 +324,7 @@ def enlarge_C(c_spec: OperatorClassSpec, params: DysParams, mode: str,
         if len(region.atoms) == 1 and isinstance(region.atoms[0], Disk):
             return c_spec  # already a real-centered disk
         ball = _disk_hull(region)
-        return OperatorClassSpec((ball,))
+        return c_spec if ball is None else OperatorClassSpec((ball,))
 
     if mode == "thm33":
         mu_c = c_spec.mu

@@ -12,8 +12,9 @@ solved in closed form); and certify a global upper bound
 
 which is valid regardless of how far the polish got.  Only B and C are
 sampled, so the covering radius combines their radii in the Euclidean
-product metric, sqrt(r_B^2 + r_C^2), while lipschitz_constant stays the
-bound over all three coordinates.
+product metric, sqrt(r_B^2 + r_C^2), and lipschitz_constant is the
+Lipschitz constant in those two coordinates, measured on the boundaries
+themselves: exactly over A, and over C at its grid points.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .classes import OperatorClassSpec, resolvent_srg, srg
 from .errors import PreconditionError, UnboundedRegionError
 from .geometry import (Region, _max_on_piece, _value_on_piece,
                        boundary_grid)
-from .symbol import DysParams, lipschitz_bound, shifted_modulus
+from .symbol import DysParams, shifted_modulus
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,26 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
         grids[0].pieces, grids[1].points, grids[2].points, params,
         top_k=config.top_k)
 
-    lipschitz = lipschitz_bound(region_a.smallest_disk_atom(),
-                                region_b.smallest_disk_atom(),
-                                region_c.smallest_disk_atom(), params)
-    # the grid stage is exact over A, so only B and C carry sampling slack
+    # Soundness: take any boundary triple (z_A, z_B, z_C) and the grid
+    # points z_B', z_C' nearest to z_B, z_C, within r_B, r_C of them.
+    # 1. zeta is affine in z_C with slope -lam alpha z_A z_B, so moving z_C
+    #    to z_C' changes |zeta - s| by at most M_C r_C, where
+    #    M_C = lam alpha sup_{dA} |z_A| sup_{dB} |z_B|.
+    # 2. With z_C' fixed, zeta is affine in z_B with slope
+    #    lam ((2 - alpha z_C') z_A - 1), so moving z_B to z_B' costs at most
+    #    M_B r_B, where M_B = lam max over the C grid points z_C' of
+    #    max_{dA} |(2 - alpha z_C') z_A - 1|.
+    # 3. The grid value at (z_B', z_C') is the exact maximum over dA.
+    # Hence |zeta - s| <= grid_best + M_B r_B + M_C r_C, and by
+    # Cauchy-Schwarz <= grid_best + hypot(M_B, M_C) hypot(r_B, r_C).
+    # Each sup is a piece maximum of |P z + Q| in closed form.
+    sup_a, sup_b = (np.max([_value_on_piece(p, 1.0, 0.0) for p in g.pieces])
+                    for g in grids[:2])
+    m_c = params.lam * params.alpha * sup_a * sup_b
+    w = 2.0 - params.alpha * grids[2].points
+    m_b = params.lam * np.max([_value_on_piece(p, w, -1.0)
+                               for p in grids[0].pieces])
+    lipschitz = math.hypot(m_b, m_c)
     covering = math.hypot(grids[1].covering_radius, grids[2].covering_radius)
     certified = grid_best + lipschitz * covering
 

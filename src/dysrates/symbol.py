@@ -1,5 +1,4 @@
-"""The three-operator splitting symbol and the Lipschitz bound of its
-shifted modulus.
+"""The three-operator splitting symbol and its shifted modulus.
 
 zeta(z_A, z_B, z_C) = 1 - lam*z_A - lam*z_B + lam*(2 - alpha*z_C)*z_A*z_B
 
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import Disk
 
 
 @dataclass(frozen=True)
@@ -49,32 +47,3 @@ def zeta(z_a, z_b, z_c, params: DysParams):
 
 def shifted_modulus(z_a, z_b, z_c, params: DysParams):
     return np.abs(zeta(z_a, z_b, z_c, params) - params.shift)
-
-
-def _sup_abs(disk: Disk) -> float:
-    return abs(disk.center) + disk.radius
-
-
-def _sup_affine(w0: float, rw: float, b0: float, rb: float) -> float:
-    """Upper bound for sup |w*z - 1| over w in Disk(w0, rw), z in Disk(b0, rb),
-    exact whenever either radius vanishes."""
-    return abs(w0 * b0 - 1.0) + abs(b0) * rw + (abs(w0) + rw) * rb
-
-
-def lipschitz_bound(enclosure_a: Disk, enclosure_b: Disk, enclosure_c: Disk,
-                    params: DysParams) -> float:
-    """Certified Lipschitz constant of |zeta - s| on the product of the
-    three disk enclosures, in the Euclidean product metric.
-
-    Combines per-coordinate suprema M_X >= sup |d zeta / d z_X| as
-    sqrt(M_A^2 + M_B^2 + M_C^2); the per-coordinate bounds are exact for
-    degenerate (zero-radius) enclosures and never exceed the coarse
-    triangle-inequality bound lam*(1 + (2 + alpha*sup|z_C|)*sup|z_B|).
-    """
-    lam, alpha = params.lam, params.alpha
-    w0 = 2.0 - alpha * enclosure_c.center
-    rw = alpha * enclosure_c.radius
-    m_a = lam * _sup_affine(w0, rw, enclosure_b.center, enclosure_b.radius)
-    m_b = lam * _sup_affine(w0, rw, enclosure_a.center, enclosure_a.radius)
-    m_c = lam * alpha * _sup_abs(enclosure_a) * _sup_abs(enclosure_b)
-    return math.sqrt(m_a * m_a + m_b * m_b + m_c * m_c)

@@ -152,6 +152,36 @@ def rotation_value(m: np.ndarray) -> complex:
     return complex(m[0, 0], m[1, 0])
 
 
+def _sup_abs(disk) -> float:
+    return abs(disk.center) + disk.radius
+
+
+def _sup_affine(w0: float, rw: float, b0: float, rb: float) -> float:
+    """Upper bound for sup |w*z - 1| over w in Disk(w0, rw), z in Disk(b0, rb),
+    exact whenever either radius vanishes."""
+    return abs(w0 * b0 - 1.0) + abs(b0) * rw + (abs(w0) + rw) * rb
+
+
+def lipschitz_bound(enclosure_a, enclosure_b, enclosure_c, params) -> float:
+    """Certified Lipschitz constant of |zeta - s| on the product of the
+    three disk enclosures, in the Euclidean product metric.
+
+    Combines per-coordinate suprema M_X >= sup |d zeta / d z_X| as
+    sqrt(M_A^2 + M_B^2 + M_C^2); the per-coordinate bounds are exact for
+    degenerate (zero-radius) enclosures and never exceed the coarse
+    triangle-inequality bound lam*(1 + (2 + alpha*sup|z_C|)*sup|z_B|).
+    The search's boundary-measured two-coordinate constant is never
+    larger.
+    """
+    lam, alpha = params.lam, params.alpha
+    w0 = 2.0 - alpha * enclosure_c.center
+    rw = alpha * enclosure_c.radius
+    m_a = lam * _sup_affine(w0, rw, enclosure_b.center, enclosure_b.radius)
+    m_b = lam * _sup_affine(w0, rw, enclosure_a.center, enclosure_a.radius)
+    m_c = lam * alpha * _sup_abs(enclosure_a) * _sup_abs(enclosure_b)
+    return math.sqrt(m_a * m_a + m_b * m_b + m_c * m_c)
+
+
 def lipschitz_bound_coarse(enclosure_a, enclosure_b, enclosure_c,
                            params) -> float:
     """Triangle-inequality Lipschitz bound of |zeta - s| on three disk

@@ -11,12 +11,13 @@ import pytest
 from dysrates import (Disk, DysParams, SearchConfig, averagedness_thm41,
                       cocoercive, contraction_thm31, contraction_thm32,
                       contraction_thm33, dominance_check, dys_matrix,
-                      enlarge_C, lipschitz, lipschitz_bound, monotone,
-                      realize, resolvent_srg, search, shifted_lipschitz_ball,
-                      spectral_norm_2x2, srg, strongly_monotone, zeta)
+                      enlarge_C, lipschitz, monotone, realize, resolvent_srg,
+                      search, shifted_lipschitz_ball, spectral_norm_2x2, srg,
+                      strongly_monotone, zeta)
 from dysrates.cli import main
 from dysrates.verify import _random_boundary_points
-from oracles import grad_shifted_modulus_sq, shifted_modulus_sq
+from oracles import (grad_shifted_modulus_sq, lipschitz_bound,
+                     shifted_modulus_sq)
 
 TIGHT_FACTOR = 0.7745966692       # published reference constant
 MAXMOD_A = 0.7236067977           # published search value, plain class

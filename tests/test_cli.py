@@ -150,6 +150,21 @@ def test_maxmod_enlargement_disk_hull(tmp_path, capsys):
     assert report["best_value"] > 0.7236
 
 
+def test_maxmod_disk_hull_of_point_c_is_c_itself(tmp_path, capsys):
+    # mu = L makes srg(C) the single point 1/2: a hull of radius 0
+    payload = json.loads(json.dumps(PUBLISHED))
+    payload["classes"]["C"] = [{"kind": "strongly_monotone", "mu": 0.5},
+                               {"kind": "lipschitz", "L": 0.5}]
+    outputs = []
+    for enlargement in (None, {"mode": "disk_hull"}):
+        if enlargement is not None:
+            payload["enlargement"] = enlargement
+        spec = write_spec(tmp_path, payload)
+        assert main(["maxmod", spec, "--eps", "0.05"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_maxmod_deterministic_output_bytes(tmp_path, capsys):
     spec = write_spec(tmp_path, PUBLISHED)
     main(["maxmod", spec, "--eps", "0.05"])

@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dysrates import (DysParams, PreconditionError, SearchConfig,
-                      UnboundedRegionError, cocoercive, coordinate_polish,
-                      grid_evaluate, lipschitz, monotone, search,
-                      shifted_lipschitz_ball, shifted_modulus,
+from dysrates import (Disk, DysParams, PreconditionError, Region, SearchConfig,
+                      UnboundedRegionError, boundary_pieces, cocoercive,
+                      coordinate_polish, grid_evaluate, lipschitz, monotone,
+                      search, shifted_lipschitz_ball, shifted_modulus,
                       strongly_monotone)
 from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import (Arc, Segment, _max_on_piece, _value_on_piece,
                                boundary_grid)
 from dysrates.search import search_regions
 from dysrates.verify import _random_boundary_points
-from oracles import project
+from oracles import lipschitz_bound, project
 
 P11 = DysParams(1.0, 1.0)
 
@@ -180,6 +180,61 @@ def test_certified_upper_bounds_random_boundary_triples(a, b, c, params,
     assert shifted_modulus(*zs, params).max() <= result.certified_upper
 
 
+@settings(deadline=None, max_examples=40)
+@given(AB_CLASS, AB_CLASS, C_CLASS, PARAMS)
+def test_certified_upper_bounds_finer_polished_value(a, b, c, params):
+    regions = _instance_regions(a, b, c, params)
+    coarse = search_regions(*regions, params,
+                            SearchConfig(eps_grid=1.0 / 20.0, top_k=4))
+    fine = search_regions(*regions, params, SearchConfig(eps_grid=1.0 / 80.0))
+    assert fine.best_value <= coarse.certified_upper
+
+
+@settings(deadline=None, max_examples=40)
+@given(AB_CLASS, AB_CLASS, C_CLASS, PARAMS)
+def test_certified_upper_never_looser_than_enclosure_bound(a, b, c, params):
+    regions = _instance_regions(a, b, c, params)
+    result = search_regions(*regions, params,
+                            SearchConfig(eps_grid=1.0 / 20.0, top_k=4))
+    enclosure = lipschitz_bound(*(r.smallest_disk_atom() for r in regions),
+                                params)
+    assert result.certified_upper <= (result.grid_best_value + enclosure
+                                      * result.covering_radius + 1e-12)
+
+
+def _dense_boundary(region, n):
+    return np.concatenate([p.point_at(np.linspace(0.0, 1.0, n))
+                           for p in boundary_pieces(region)])
+
+
+def _slack_guard(centers, sampled, params):
+    """Search over tiny disks about the two given centers and a unit circle
+    in the remaining coordinate, sampled at 7 points so that the real
+    maximizer falls halfway between two of them; the certificate must
+    still cover the maximum found on a dense sample."""
+    regions = [Region((Disk(c, 1e-9),)) for c in centers]
+    regions.insert(sampled, Region((Disk(1.0, 1.0),)))
+    result = search_regions(*regions, params,
+                            SearchConfig(eps_grid=1.0, top_k=1))
+    za, zb, zc = (_dense_boundary(r, 20001 if i == sampled else 3)
+                  for i, r in enumerate(regions))
+    dense = shifted_modulus(za[:, None, None], zb[None, :, None],
+                            zc[None, None, :], params).max()
+    # the instance puts the maximum well between samples
+    assert dense > result.grid_best_value + 0.25
+    assert dense <= result.certified_upper
+
+
+def test_certificate_covers_maximum_between_c_samples():
+    # z_A = 1, z_B = -20: zeta - s = 20 z_C - 1, M_C = 20 and M_B = 1
+    _slack_guard((1.0, -20.0), 2, DysParams(1.0, 1.0, -19.0))
+
+
+def test_certificate_covers_maximum_between_b_samples():
+    # z_A = 1/2, z_C = -40: zeta - s = 20 z_B + 1/2, M_B = 20 and M_C = 1
+    _slack_guard((0.5, -40.0), 1, P11)
+
+
 # ---------------------------------------------------------------------------
 # coordinate polish
 # ---------------------------------------------------------------------------
@@ -282,6 +337,15 @@ def test_certified_upper_refinement_chain():
     # and in practice it shrinks monotonically here
     assert results[120].certified_upper < results[60].certified_upper \
         < results[30].certified_upper
+
+
+def test_published_gap_at_eps_120():
+    a, b, c = published_instance()
+    c_prime = cocoercive(1.0).intersect(
+        shifted_lipschitz_ball(1.0, 1.0 / math.sqrt(2.0)))
+    for c_class in (c, c_prime):
+        result = search(a, b, c_class, P11, SearchConfig(eps_grid=1.0 / 120))
+        assert result.certified_upper - result.best_value <= 1e-2
 
 
 def test_search_unbounded_domain_rejected():
