@@ -3,7 +3,7 @@ splitting, computed and certified on the complex plane.
 
 The package builds scaled-relative-graph regions for operator classes,
 evaluates and maximizes the splitting symbol over region boundaries with a
-Lipschitz-certified bound, provides the closed-form factors with their
+certified upper bound, provides the closed-form factors with their
 preconditions, and cross-checks everything against explicit 2x2 operator
 realizations.
 """

@@ -315,8 +315,11 @@ def _circle_pieces(c: float, r: float, others: Sequence[RegionAtom]):
         return [Arc(c, r, -math.pi, math.pi)]
     t1 = math.acos(hi)  # in [0, pi]
     t2 = math.acos(lo)
-    if t2 - t1 <= MIN_ARC_SPAN:
-        return []  # tangency point
+    # tangency point: circles that touch overlap by rounding, and acos
+    # turns an overlap of an ulp in cos t into a span of ~1e-8, so the
+    # arc's extent along the real axis, r (hi - lo), decides too
+    if r * (hi - lo) <= MIN_SEGMENT_LEN or t2 - t1 <= MIN_ARC_SPAN:
+        return []
     if t1 <= MIN_ARC_SPAN:
         return [Arc(c, r, -t2, t2)]
     if math.pi - t2 <= MIN_ARC_SPAN:
@@ -435,7 +438,9 @@ def boundary_pieces(region: Region) -> list:
             key=lambda z: (z.real, z.imag))
         if not feasible:
             raise EmptyRegionError(f"atoms have empty intersection: {atoms}")
-        return [Segment(feasible[0], feasible[0])]
+        # the region is symmetric about the real axis, so is its one point
+        point = complex(feasible[0].real, 0.0)
+        return [Segment(point, point)]
     return pieces
 
 
@@ -445,11 +450,14 @@ def boundary_pieces(region: Region) -> list:
 
 @dataclass(frozen=True)
 class BoundaryGrid:
-    """Deterministic boundary sample with its guaranteed covering radius."""
+    """Deterministic boundary sample with its guaranteed covering radius.
+    Piece i contributes intervals[i] + 1 consecutive points, its two ends
+    included."""
 
     points: np.ndarray
     covering_radius: float
     pieces: tuple
+    intervals: tuple
 
 
 def boundary_grid(region: Region, eps: float) -> BoundaryGrid:
@@ -460,16 +468,12 @@ def boundary_grid(region: Region, eps: float) -> BoundaryGrid:
             "cannot sample the boundary of an unbounded region; intersect "
             "with a bounding atom first")
     pieces = boundary_pieces(region)
-    chunks = []
-    max_gap = 0.0
-    for piece in pieces:
-        n = max(1, math.ceil(piece.length / eps))
-        chunks.append(piece.sample(n))
-        max_gap = max(max_gap, piece.length / n)
-    points = np.concatenate(chunks)
+    intervals = tuple(max(1, math.ceil(p.length / eps)) for p in pieces)
+    points = np.concatenate([p.sample(n) for p, n in zip(pieces, intervals)])
     # samples are spaced <= max_gap along each piece, so every boundary
     # point is within max_gap/2 in arc length, hence in chord distance
-    return BoundaryGrid(points, 0.5 * max_gap, tuple(pieces))
+    max_gap = max(p.length / n for p, n in zip(pieces, intervals))
+    return BoundaryGrid(points, 0.5 * max_gap, tuple(pieces), intervals)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,19 @@ exactly, since zeta - s is affine in z_A and each arc or segment of A has
 a closed-form maximum value; locate the maximizing z_A only for the top
 grid pairs; polish those triples by exact cyclic coordinate maximization
 (the symbol is affine in each argument, so every coordinate step is
-solved in closed form); and certify a global upper bound
+solved in closed form); and certify a global upper bound, valid however
+far the polish got.
 
-    certified_upper = grid_best + lipschitz_constant * covering_radius
+The certificate evaluates the same exact-over-A value at the hull
+vertices of the B and C sample cells: a cell's two end samples and, on an
+arc, the point where their tangents meet.  That value is convex in z_B and
+in z_C separately, so its maximum over a pair of cells is reached at a
+pair of their vertices, and the gap certified_upper - best_value falls as
+eps^2.  The first-order bound
 
-which is valid regardless of how far the polish got.  Only B and C are
+    grid_best + lipschitz_constant * covering_radius
+
+prunes the cells to evaluate and caps the certificate.  Only B and C are
 sampled, so the covering radius combines their radii in the Euclidean
 product metric, sqrt(r_B^2 + r_C^2), and lipschitz_constant is the
 Lipschitz constant in those two coordinates, measured on the boundaries
@@ -26,7 +34,7 @@ import numpy as np
 
 from .classes import OperatorClassSpec, resolvent_srg, srg
 from .errors import PreconditionError, UnboundedRegionError
-from .geometry import (Region, _max_on_piece, _value_on_piece,
+from .geometry import (Arc, Region, _max_on_piece, _value_on_piece,
                        boundary_grid)
 from .symbol import DysParams, shifted_modulus
 
@@ -88,6 +96,17 @@ def _affine_in(idx: int, z_a, z_b, z_c, params: DysParams):
 # Grid stage
 # ---------------------------------------------------------------------------
 
+def _max_over_a(pieces_a, zb, zc, params: DysParams):
+    """Largest |zeta - s| over boundary A, exactly, for every pair of a
+    column zb of B points and a row zc of C points, with the coefficients
+    of zeta - s = P z_A + Q it was taken from."""
+    p_coef, q_coef = _affine_in(0, None, zb, zc, params)
+    vals = _value_on_piece(pieces_a[0], p_coef, q_coef)
+    for piece in pieces_a[1:]:
+        vals = np.maximum(vals, _value_on_piece(piece, p_coef, q_coef))
+    return vals, p_coef, q_coef
+
+
 def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams,
                   top_k: int = 1):
     """|zeta - s| maximum over boundary A, exactly, times the Cartesian
@@ -98,21 +117,19 @@ def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams,
     pairs by that value get their maximizing z_A, from the piece with the
     largest |P z_A + Q| at the point returned (the first piece wins a tie),
     and are rescored there.  Returns (best_value, best_triple, candidates,
-    evaluations) where candidates holds those triples ordered by rescored
-    value then (B, C) grid index, best_value is |zeta - s| at the first of
-    them, and evaluations counts len(pieces_a) * len(boundary_b) *
-    len(boundary_c).
+    evaluations, values) where candidates holds those triples ordered by
+    rescored value then (B, C) grid index, best_value is |zeta - s| at the
+    first of them, evaluations counts len(pieces_a) * len(boundary_b) *
+    len(boundary_c), and values is the (len(boundary_b), len(boundary_c))
+    array of maxima over boundary A.
     """
     zb = np.asarray(boundary_b, dtype=complex)[:, None]
     zc = np.asarray(boundary_c, dtype=complex)[None, :]
     if len(pieces_a) == 0 or zb.size == 0 or zc.size == 0:
         raise PreconditionError("all three boundaries nonempty",
                                 "empty boundary sample")
-    p_coef, q_coef = _affine_in(0, None, zb, zc, params)
-    vals = _value_on_piece(pieces_a[0], p_coef, q_coef)
-    for piece in pieces_a[1:]:
-        vals = np.maximum(vals, _value_on_piece(piece, p_coef, q_coef))
-    vals = vals.ravel()
+    values, p_coef, q_coef = _max_over_a(pieces_a, zb, zc, params)
+    vals = values.ravel()
     keep = min(max(1, top_k), vals.size)
     cut = np.partition(vals, vals.size - keep)[vals.size - keep]
     top = np.flatnonzero(vals >= cut)
@@ -129,7 +146,7 @@ def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams,
     triples = [(complex(za[i]), complex(zb[js[i], 0]), complex(zc[0, ks[i]]))
                for i in order]
     return (float(scores[order[0]]), triples[0], triples,
-            len(pieces_a) * vals.size)
+            len(pieces_a) * vals.size, values)
 
 
 # ---------------------------------------------------------------------------
@@ -145,33 +162,35 @@ def coordinate_polish(starts, pieces_triple, params: DysParams,
     row's maximizer on every piece comes from _max_on_piece in closed form;
     the piece with the largest |zeta - s| there (the first on a tie) gives
     the row's move, accepted only when it beats the row's value by more
-    than tol.  Sweeps repeat until no row improves, so no row falls below
-    its start.  Returns (best_value, best_point, evaluations) for the best
-    row, the first row winning a tie.
+    than tol.  Steps cycle through the coordinates until two in a row move
+    no row, so no row falls below its start.  Returns (best_value,
+    best_point, evaluations) for the best row, the first row winning a tie.
     """
     x = np.array(starts, dtype=complex).reshape(-1, 3).T.copy()  # (3, k)
     rows = np.arange(x.shape[1])
     value = shifted_modulus(*x, params)
     evals = x.shape[1]
-    for _ in range(max_sweeps):
-        improved = False
-        for idx in range(3):
-            p_coef, q_coef = _affine_in(idx, *x, params)
-            cand = np.stack([_max_on_piece(piece, p_coef, q_coef)
-                             for piece in pieces_triple[idx]])
-            # equal ranks: numpy rounds a complex (1,) * (1, 1) product on
-            # another path than a batch, so one row would not match its batch
-            trial = [cand if i == idx else x[i:i + 1] for i in range(3)]
-            vals = shifted_modulus(*trial, params)  # (pieces, k)
-            evals += vals.size
-            first = np.argmax(vals, axis=0)
-            best = vals[first, rows]
-            move = best > value + tol
-            if move.any():
-                x[idx, move] = cand[first, rows][move]
-                value = np.where(move, best, value)
-                improved = True
-        if not improved:
+    idle = 0
+    for step in range(3 * max_sweeps):
+        idx = step % 3
+        p_coef, q_coef = _affine_in(idx, *x, params)
+        cand = np.stack([_max_on_piece(piece, p_coef, q_coef)
+                         for piece in pieces_triple[idx]])
+        # equal ranks: numpy rounds a complex (1,) * (1, 1) product on
+        # another path than a batch, so one row would not match its batch
+        trial = [cand if i == idx else x[i:i + 1] for i in range(3)]
+        vals = shifted_modulus(*trial, params)  # (pieces, k)
+        evals += vals.size
+        first = np.argmax(vals, axis=0)
+        best = vals[first, rows]
+        move = best > value + tol
+        idle = 0 if move.any() else idle + 1
+        x[idx, move] = cand[first, rows][move]
+        value = np.where(move, best, value)
+        # Two idle steps, once all three coordinates have run: every row was
+        # maximized over the coordinate before them and nothing has moved
+        # since, so its next step would find the same candidates, idle too.
+        if idle >= 2 and step >= 2:
             break
     i = int(np.argmax(value))
     return float(value[i]), tuple(complex(z) for z in x[:, i]), evals
@@ -181,10 +200,12 @@ def coordinate_polish(starts, pieces_triple, params: DysParams,
 # End-to-end search
 # ---------------------------------------------------------------------------
 
-def search_regions(region_a: Region, region_b: Region, region_c: Region,
-                   params: DysParams,
-                   config: SearchConfig = SearchConfig()) -> SearchResult:
-    """Search |zeta - s| over the boundaries of three explicit regions."""
+def locate_maximum(region_a: Region, region_b: Region, region_c: Region,
+                   params: DysParams, config: SearchConfig = SearchConfig()):
+    """The grid stage and the polish over three explicit regions, without a
+    certificate.  Returns (best_value, best_point, grid_best_value,
+    grid_best_point, grids, values, evaluations), with the boundary grids
+    of A, B and C and the grid stage's values array."""
     for name, region in (("A", region_a), ("B", region_b), ("C", region_c)):
         if not region.bounded:
             raise UnboundedRegionError(
@@ -192,12 +213,87 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
                 "an enlargement")
     grids = [boundary_grid(r, config.eps_grid)
              for r in (region_a, region_b, region_c)]
-    grid_best, grid_point, seeds, grid_evals = grid_evaluate(
+    grid_best, grid_point, seeds, grid_evals, values = grid_evaluate(
         grids[0].pieces, grids[1].points, grids[2].points, params,
         top_k=config.top_k)
+    polished, polished_point, polish_evals = coordinate_polish(
+        seeds, tuple(g.pieces for g in grids), params)
+    best_value, best_point = grid_best, grid_point
+    if polished > grid_best:
+        best_value, best_point = polished, polished_point
+    return (best_value, best_point, grid_best, grid_point, grids, values,
+            grid_evals + polish_evals)
 
-    # Soundness: take any boundary triple (z_A, z_B, z_C) and the grid
-    # points z_B', z_C' nearest to z_B, z_C, within r_B, r_C of them.
+
+def _cell_hulls(grid):
+    """Hull vertices of the sample cells of one boundary grid.
+
+    Cell j of a piece runs from its sample j to sample j + 1.  A segment
+    cell is the chord between them.  An arc cell of angular step h < pi
+    lies in the triangle of its two end samples and the point where the
+    tangents at them meet, c + r e^{i theta_mid} / cos(h/2).  A step over
+    pi/2 is split into ceil(h / (pi/2)) equal sub-arcs with a tangent point
+    each; every joint between two sub-arcs lies on the segment between
+    their tangent points, so the cell lies in the hull of its end samples
+    and tangent points.  Returns (ends, tangents, owner): the (cells, 2)
+    sample indices of every cell, the tangent points, and the cell of each.
+    """
+    ends, tangents, owner = [], [np.empty(0, complex)], [np.empty(0, int)]
+    first = cells = 0
+    for piece, n in zip(grid.pieces, grid.intervals):
+        j = np.arange(first, first + n)
+        ends.append(np.stack([j, j + 1], axis=1))
+        if isinstance(piece, Arc):
+            step = (piece.angle_end - piece.angle_start) / n
+            split = math.ceil(step / (0.5 * math.pi))
+            half = 0.5 * step / split
+            k = np.arange(n * split)
+            ang = piece.angle_start + (2 * k + 1) * half
+            tangents.append(piece.center + piece.radius / math.cos(half)
+                            * np.exp(1j * ang))
+            owner.append(cells + k // split)
+        first += n + 1
+        cells += n
+    return (np.concatenate(ends), np.concatenate(tangents),
+            np.concatenate(owner))
+
+
+def _vertex_bound(grids, values, params: DysParams, threshold: float):
+    """Largest |zeta - s| over boundary A, exactly, at the pairs of hull
+    vertices of the B and C cells that threshold does not rule out, and
+    the evaluations it took; pairs of two samples are left out, as values
+    holds them.  A cell is kept when the grid value of one of its end
+    samples, maximized over the other coordinate's samples, lies above
+    threshold."""
+    kept = []
+    peaks = values.max(axis=1), values.max(axis=0)
+    for grid, peak in zip(grids[1:], peaks):
+        ends, tangents, owner = _cell_hulls(grid)
+        live = peak[ends].max(axis=1) > threshold
+        samples = np.zeros(len(grid.points), dtype=bool)
+        samples[ends[live]] = True
+        kept.append((grid.points[samples], tangents[live[owner]]))
+    (samples_b, tangents_b), (samples_c, tangents_c) = kept
+    bound, evals = -math.inf, 0
+    for zb, zc in ((tangents_b, np.concatenate([samples_c, tangents_c])),
+                   (samples_b, tangents_c)):
+        if zb.size and zc.size:
+            vals = _max_over_a(grids[0].pieces, zb[:, None], zc[None, :],
+                               params)[0]
+            bound = max(bound, float(vals.max()))
+            evals += len(grids[0].pieces) * vals.size
+    return bound, evals
+
+
+def search_regions(region_a: Region, region_b: Region, region_c: Region,
+                   params: DysParams,
+                   config: SearchConfig = SearchConfig()) -> SearchResult:
+    """Search |zeta - s| over the boundaries of three explicit regions."""
+    best_value, best_point, grid_best, grid_point, grids, values, evals = \
+        locate_maximum(region_a, region_b, region_c, params, config)
+
+    # The pruning bound.  Take any boundary triple (z_A, z_B, z_C) and the
+    # grid points z_B', z_C' nearest to z_B, z_C, within r_B, r_C of them.
     # 1. zeta is affine in z_C with slope -lam alpha z_A z_B, so moving z_C
     #    to z_C' changes |zeta - s| by at most M_C r_C, where
     #    M_C = lam alpha sup_{dA} |z_A| sup_{dB} |z_B|.
@@ -206,8 +302,8 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
     #    M_B r_B, where M_B = lam max over the C grid points z_C' of
     #    max_{dA} |(2 - alpha z_C') z_A - 1|.
     # 3. The grid value at (z_B', z_C') is the exact maximum over dA.
-    # Hence |zeta - s| <= grid_best + M_B r_B + M_C r_C, and by
-    # Cauchy-Schwarz <= grid_best + hypot(M_B, M_C) hypot(r_B, r_C).
+    # Hence |zeta - s| <= (grid value at (z_B', z_C')) + M_B r_B + M_C r_C,
+    # and by Cauchy-Schwarz <= that value + hypot(M_B, M_C) hypot(r_B, r_C).
     # Each sup is a piece maximum of |P z + Q| in closed form.
     sup_a, sup_b = (np.max([_value_on_piece(p, 1.0, 0.0) for p in g.pieces])
                     for g in grids[:2])
@@ -217,16 +313,35 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
                                for p in grids[0].pieces])
     lipschitz = math.hypot(m_b, m_c)
     covering = math.hypot(grids[1].covering_radius, grids[2].covering_radius)
-    certified = grid_best + lipschitz * covering
+    slack = lipschitz * covering
 
-    polished, polished_point, polish_evals = coordinate_polish(
-        seeds, tuple(g.pieces for g in grids), params)
-    best_value, best_point = grid_best, grid_point
-    if polished > grid_best:
-        best_value, best_point = polished, polished_point
+    # The certificate.  F(z_B, z_C) = max_{dA} |zeta - s| is the value the
+    # grid stage computes exactly.
+    # 1. For fixed z_C, zeta - s is affine in z_B for every z_A, so F is a
+    #    maximum of moduli of affine maps of z_B, hence convex in z_B; for
+    #    fixed z_B it is convex in z_C likewise.
+    # 2. Each B or C cell lies in the convex hull of its vertices
+    #    (_cell_hulls).
+    # 3. So over a product of a B cell and a C cell, F is at most its value
+    #    at some pair of their vertices: maximize over z_B with z_C fixed,
+    #    then over z_C with that vertex fixed.
+    # 4. A pair of cells whose four corner grid values are all at most
+    #    grid_best - slack is bounded by grid_best through the pruning
+    #    bound above (each of its points is within r_B, r_C of a corner).
+    # _vertex_bound leaves out the pairs of two samples, whose largest value
+    # is grid_best.  Both bounds are sound, so the certificate takes the
+    # smaller.  The vertex bound is tight enough for rounding to show:
+    # two evaluations of one maximum, at a point and at its mirror image,
+    # can differ by an ulp.  So it carries 16 ulps of the term scale of
+    # zeta - s; a proven rounding bound is still open.
+    vertex, vertex_evals = _vertex_bound(grids, values, params,
+                                         grid_best - slack)
+    terms = 1.0 + abs(params.shift) + params.lam * (
+        sup_a + sup_b + sup_a * sup_b * np.max(np.abs(w)))
+    vertex = max(vertex, grid_best) + 16.0 * np.finfo(float).eps * terms
+    certified = float(max(min(vertex, grid_best + slack), best_value))
     return SearchResult(best_value, best_point, grid_best, grid_point,
-                        certified, lipschitz, covering,
-                        grid_evals + polish_evals)
+                        certified, lipschitz, covering, evals + vertex_evals)
 
 
 def search(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,

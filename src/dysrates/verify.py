@@ -22,7 +22,7 @@ from .classes import (Averaged, Cocoercive, Lipschitz, Monotone,
                       StronglyMonotone, resolvent_srg, srg)
 from .errors import SingularResolventError
 from .geometry import Region, boundary_pieces
-from .search import SearchConfig, search_regions
+from .search import SearchConfig, locate_maximum
 from .symbol import DysParams
 
 I2 = np.eye(2)
@@ -175,7 +175,7 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
                                                       spectral_norm_2x2(m)))
     if extremal:
         config = SearchConfig(eps_grid=1.0 / 40.0, top_k=8)
-        best = search_regions(*regions, params, config).best_point
+        best = locate_maximum(*regions, params, config)[1]
         zs = [np.append(z, p) for z, p in zip(zs, best)]
         member = np.append(member, True)
     t = dys_matrix(*(realize(z) for z in zs), params.alpha, params.lam)

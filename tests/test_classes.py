@@ -8,9 +8,10 @@ import pytest
 
 from dysrates import (Disk, DiskExterior, EmptyRegionError, HalfPlane,
                       InvalidClassError, PreconditionError, Region,
-                      ShiftedLipschitzBall, averaged, boundary_grid,
-                      cocoercive, dys_preflight, enlarge_C, lipschitz,
-                      monotone, resolvent_srg, shifted_lipschitz_ball, srg,
+                      Segment, ShiftedLipschitzBall, averaged,
+                      boundary_grid, boundary_pieces, cocoercive,
+                      dys_preflight, enlarge_C, lipschitz, monotone,
+                      resolvent_srg, shifted_lipschitz_ball, srg,
                       strongly_monotone)
 from dysrates.classes import _disk_hull
 from dysrates.symbol import DysParams
@@ -101,6 +102,20 @@ def test_resolvent_strongly_monotone_closed_form():
     (atom,) = region.atoms
     assert math.isclose(atom.center, h, rel_tol=1e-14)
     assert math.isclose(atom.radius, h, rel_tol=1e-14)
+
+
+def test_resolvent_of_point_class_is_one_point():
+    # strongly monotone and Lipschitz with the same mu is the point mu; its
+    # resolvent region is where two inverted disks touch, 1/(1 + alpha mu),
+    # and rounding used to leave tiny arcs there
+    rng = np.random.default_rng(0)
+    for mu, alpha in 10.0 ** rng.uniform(-2.0, 2.0, (2000, 2)):
+        spec = strongly_monotone(mu).intersect(lipschitz(mu))
+        (piece,) = boundary_pieces(resolvent_srg(spec, alpha))
+        point = 1.0 / (1.0 + alpha * mu)
+        assert isinstance(piece, Segment) and piece.p0 == piece.p1
+        assert piece.p0.imag == 0.0
+        assert piece.p0.real == pytest.approx(point, rel=1e-12)
 
 
 def test_resolvent_lipschitz_exterior_branch():

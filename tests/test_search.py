@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dysrates import (Disk, DysParams, PreconditionError, Region, SearchConfig,
-                      UnboundedRegionError, boundary_pieces, cocoercive,
-                      coordinate_polish, grid_evaluate, lipschitz, monotone,
-                      search, shifted_lipschitz_ball, shifted_modulus,
+from dysrates import (Disk, DiskExterior, DysParams, PreconditionError,
+                      Region, SearchConfig, UnboundedRegionError,
+                      boundary_pieces, cocoercive, coordinate_polish,
+                      grid_evaluate, lipschitz, monotone, search,
+                      shifted_lipschitz_ball, shifted_modulus,
                       strongly_monotone)
 from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import (Arc, Segment, _max_on_piece, _value_on_piece,
@@ -42,8 +43,8 @@ def instance_pieces(a, b, c, eps):
 # ---------------------------------------------------------------------------
 
 def test_grid_single_point_boundaries():
-    best, triple, _, evals = grid_evaluate([Segment(0.5 + 0j, 0.5 + 0j)],
-                                           [0.5 + 0j], [1 + 0j], P11)
+    best, triple, _, evals, _ = grid_evaluate([Segment(0.5 + 0j, 0.5 + 0j)],
+                                              [0.5 + 0j], [1 + 0j], P11)
     assert best == pytest.approx(0.25)
     assert triple == (0.5 + 0j, 0.5 + 0j, 1.0 + 0j)
     assert evals == 1
@@ -57,8 +58,8 @@ def test_grid_empty_boundary_rejected():
 def test_grid_lexicographic_tie_break():
     # all four triples give |zeta| = 1; the first index wins
     zs = [0j, 0j]
-    best, triple, top, _ = grid_evaluate([Segment(z, z) for z in zs], zs,
-                                         [1.0 + 0j], P11, top_k=4)
+    best, triple, top, _, _ = grid_evaluate([Segment(z, z) for z in zs], zs,
+                                            [1.0 + 0j], P11, top_k=4)
     assert best == pytest.approx(1.0)
     assert triple == (0j, 0j, 1.0 + 0j)
 
@@ -66,8 +67,8 @@ def test_grid_lexicographic_tie_break():
 def test_grid_close_to_published_value_within_certificate_slack():
     a, b, c = published_instance()
     grids = instance_pieces(a, b, c, 1.0 / 120.0)
-    best, _, _, _ = grid_evaluate(grids[0].pieces, grids[1].points,
-                                  grids[2].points, P11)
+    best, _, _, _, _ = grid_evaluate(grids[0].pieces, grids[1].points,
+                                     grids[2].points, P11)
     assert abs(best - 0.7236067977) <= 6.0 / 120.0
 
 
@@ -143,8 +144,8 @@ def test_value_on_piece_is_value_at_max_on_piece(piece, pqs):
        st.integers(1, 8))
 def test_grid_value_is_symbol_at_reported_triple(pieces, zbs, zcs, params,
                                                  top_k):
-    best, triple, top, evals = grid_evaluate(pieces, zbs, zcs, params,
-                                             top_k=top_k)
+    best, triple, top, evals, values = grid_evaluate(pieces, zbs, zcs,
+                                                     params, top_k=top_k)
     za, zb, zc = triple
     lam, alpha = params.lam, params.alpha
     terms = (1.0 + lam * abs(za) + lam * abs(zb) + abs(params.shift)
@@ -153,6 +154,9 @@ def test_grid_value_is_symbol_at_reported_triple(pieces, zbs, zcs, params,
                                  rel=1e-14, abs=1e-14 * terms)
     assert top[0] == triple and len(top) == min(top_k, len(zbs) * len(zcs))
     assert evals == len(pieces) * len(zbs) * len(zcs)
+    # values holds the maximum over A of every grid pair, the best included
+    assert values.shape == (len(zbs), len(zcs))
+    assert best == pytest.approx(values.max(), rel=1e-14, abs=1e-14 * terms)
 
 
 @settings(deadline=None, max_examples=40)
@@ -160,8 +164,8 @@ def test_grid_value_is_symbol_at_reported_triple(pieces, zbs, zcs, params,
 def test_grid_dominates_sampled_cubic_grid(a, b, c, params):
     grids = [boundary_grid(r, 1.0 / 20.0)
              for r in _instance_regions(a, b, c, params)]
-    best, _, _, _ = grid_evaluate(grids[0].pieces, grids[1].points,
-                                  grids[2].points, params)
+    best, _, _, _, _ = grid_evaluate(grids[0].pieces, grids[1].points,
+                                     grids[2].points, params)
     brute = shifted_modulus(grids[0].points[:, None, None],
                             grids[1].points[None, :, None],
                             grids[2].points[None, None, :], params).max()
@@ -235,6 +239,55 @@ def test_certificate_covers_maximum_between_b_samples():
     _slack_guard((0.5, -40.0), 1, P11)
 
 
+def _second_peak_guard(regions, params, eps, samples):
+    """Search with top_k 1, so that the polish climbs from the best grid
+    pair to the lower of two peaks and only the certificate can cover the
+    higher one, which must lie between samples."""
+    result = search_regions(*regions, params,
+                            SearchConfig(eps_grid=eps, top_k=1))
+    dense = grid_evaluate(boundary_pieces(regions[0]),
+                          *(_dense_boundary(r, n)
+                            for r, n in zip(regions[1:], samples)),
+                          params)[0]
+    assert dense > result.best_value + 0.1
+    assert dense <= result.certified_upper
+
+
+def test_certificate_covers_second_peak_between_samples():
+    # A is a point; B and C are circles sampled at 6 and 2 intervals.  The
+    # higher peak lies off the middle of its B and C cells, and its B cell
+    # has no corner at the best grid pair, whose value its corners stay
+    # below.
+    regions = [Region((Disk(-1.1, 1e-9),)), Region((Disk(0.8, 0.8),)),
+               Region((Disk(1.1, 0.3),))]
+    _second_peak_guard(regions, DysParams(1.6, 0.9, 0.7), 1.0, (1441, 1441))
+
+
+def test_certificate_covers_second_peak_on_a_coarse_circle():
+    # B is a point, A has two pieces, and C is the unit circle about -0.8
+    # sampled once, at -1.8, the lower peak: its single cell needs four
+    # tangent points
+    regions = [Region((Disk(0.2, 0.8), DiskExterior(-0.3, 0.2))),
+               Region((Disk(1.8, 1e-9),)), Region((Disk(-0.8, 1.0),))]
+    _second_peak_guard(regions, DysParams(1.8, 1.8, 0.7), 10.0, (3, 20001))
+
+
+@settings(deadline=None, max_examples=40)
+@given(AB_CLASS, AB_CLASS, C_CLASS, PARAMS)
+def test_certified_upper_brackets_dense_boundary_maximum(a, b, c, params):
+    regions = _instance_regions(a, b, c, params)
+    result = search_regions(*regions, params,
+                            SearchConfig(eps_grid=1.0 / 10.0, top_k=1))
+    # five B and C points per sample interval: most lie between samples
+    dense = grid_evaluate(boundary_pieces(regions[0]),
+                          *(boundary_grid(r, 1.0 / 50.0).points
+                            for r in regions[1:]), params)[0]
+    assert dense <= result.certified_upper
+    assert result.certified_upper <= (result.grid_best_value
+                                      + result.lipschitz_constant
+                                      * result.covering_radius)
+
+
 # ---------------------------------------------------------------------------
 # coordinate polish
 # ---------------------------------------------------------------------------
@@ -305,7 +358,7 @@ def test_search_invariant_chain():
     result = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 30.0))
     assert result.grid_best_value <= result.best_value + 1e-15
     assert result.best_value <= result.certified_upper + 1e-15
-    assert result.certified_upper == pytest.approx(
+    assert result.certified_upper <= (
         result.grid_best_value
         + result.lipschitz_constant * result.covering_radius)
 
@@ -320,32 +373,54 @@ def test_search_deterministic():
     assert r1.best_point == r3.best_point
 
 
+def enlarged_c():
+    return cocoercive(1.0).intersect(
+        shifted_lipschitz_ball(1.0, 1.0 / math.sqrt(2.0)))
+
+
 def test_certified_upper_refinement_chain():
     a, b, c = published_instance()
-    results = {}
-    for denom in (30, 60, 120):
-        results[denom] = search(a, b, c, P11,
-                                SearchConfig(eps_grid=1.0 / denom))
-    lip = results[30].lipschitz_constant
-    assert results[60].lipschitz_constant == lip
-    assert results[120].lipschitz_constant == lip
-    # refining can raise the certificate by at most the finer slack
-    assert results[60].certified_upper <= results[30].certified_upper + \
-        lip * results[60].covering_radius + 1e-12
-    assert results[120].certified_upper <= results[60].certified_upper + \
-        lip * results[120].covering_radius + 1e-12
-    # and in practice it shrinks monotonically here
+    for c_class in (c, enlarged_c()):
+        results = {}
+        for denom in (30, 60, 120):
+            results[denom] = search(a, b, c_class, P11,
+                                    SearchConfig(eps_grid=1.0 / denom))
+        lip = results[30].lipschitz_constant
+        assert results[60].lipschitz_constant == lip
+        assert results[120].lipschitz_constant == lip
+        # refining can raise the certificate by at most the finer slack
+        assert results[60].certified_upper <= results[30].certified_upper + \
+            lip * results[60].covering_radius + 1e-12
+        assert results[120].certified_upper <= results[60].certified_upper + \
+            lip * results[120].covering_radius + 1e-12
+    # the plain certificate is best_value plus a rounding allowance at every
+    # eps; the enlarged one shrinks monotonically
     assert results[120].certified_upper < results[60].certified_upper \
         < results[30].certified_upper
 
 
 def test_published_gap_at_eps_120():
     a, b, c = published_instance()
-    c_prime = cocoercive(1.0).intersect(
-        shifted_lipschitz_ball(1.0, 1.0 / math.sqrt(2.0)))
-    for c_class in (c, c_prime):
+    for c_class in (c, enlarged_c()):
         result = search(a, b, c_class, P11, SearchConfig(eps_grid=1.0 / 120))
         assert result.certified_upper - result.best_value <= 1e-2
+
+
+def test_published_gap_at_eps_30():
+    a, b, c = published_instance()
+    for c_class in (c, enlarged_c()):
+        result = search(a, b, c_class, P11, SearchConfig(eps_grid=1.0 / 30))
+        assert result.certified_upper - result.best_value <= 1e-3
+
+
+def test_enlarged_gap_falls_faster_than_eps():
+    # a first-order certificate would shrink 4x from eps 1/30 to 1/120;
+    # the hull-vertex certificate is second order in eps
+    a, b, _ = published_instance()
+    gaps = [search(a, b, enlarged_c(), P11, SearchConfig(eps_grid=1.0 / d))
+            for d in (30, 120)]
+    gaps = [r.certified_upper - r.best_value for r in gaps]
+    assert 0.0 < gaps[1] <= gaps[0] / 12.0
 
 
 def test_search_unbounded_domain_rejected():
@@ -368,8 +443,8 @@ def test_search_never_exceeds_closed_form():
 def test_ascent_from_best_grid_point_reaches_published_value():
     a, b, c = published_instance()
     grids = instance_pieces(a, b, c, 1.0 / 120.0)
-    _, triple, _, _ = grid_evaluate(grids[0].pieces, grids[1].points,
-                                    grids[2].points, P11)
+    _, triple, _, _, _ = grid_evaluate(grids[0].pieces, grids[1].points,
+                                       grids[2].points, P11)
     pieces = tuple(g.pieces for g in grids)
     value, _, _ = coordinate_polish(triple, pieces, P11)
     assert value == pytest.approx(0.7236067977, abs=1e-9)
