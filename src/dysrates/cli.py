@@ -23,6 +23,7 @@ precondition, 4 unbounded search domain, 5 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -50,16 +51,13 @@ EXIT_UNBOUNDED = 4
 EXIT_IO = 5
 
 _ATOM_KINDS = {
-    "monotone": ((), cls.Monotone),
-    "strongly_monotone": (("mu",), cls.StronglyMonotone),
-    "cocoercive": (("beta",), cls.Cocoercive),
-    "lipschitz": (("L",), cls.Lipschitz),
-    "averaged": (("theta",), cls.Averaged),
-    "shifted_lipschitz_ball": (("center", "radius"), cls.ShiftedLipschitzBall),
+    "monotone": cls.Monotone,
+    "strongly_monotone": cls.StronglyMonotone,
+    "cocoercive": cls.Cocoercive,
+    "lipschitz": cls.Lipschitz,
+    "averaged": cls.Averaged,
+    "shifted_lipschitz_ball": cls.ShiftedLipschitzBall,
 }
-
-_SEARCH_KEYS = {"eps_grid", "top_k"}
-
 
 class SpecFileError(DysRatesError):
     pass
@@ -91,17 +89,38 @@ def _reject_unknown(obj: dict, allowed, where: str) -> None:
             f"{sorted(allowed)}")
 
 
+def _section(raw: dict, key: str, allowed, required: bool = False) -> dict:
+    """The object raw[key] with no keys outside allowed; {} when an
+    optional section is absent."""
+    if key not in raw and not required:
+        return {}
+    obj = raw.get(key)
+    if not isinstance(obj, dict):
+        raise SpecFileError(f"'{key}' object is required" if required
+                            else f"'{key}' must be an object")
+    _reject_unknown(obj, allowed, key)
+    return obj
+
+
+def _number(obj: dict, key: str, where: str, default=None):
+    """obj[key] as a finite float, or default when the key is absent."""
+    if key not in obj:
+        return default
+    return _finite_number(obj[key], f"{where}.{key}")
+
+
 def _parse_atom(obj, where: str):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecFileError(f"{where}: atom must be an object with 'kind'")
     kind = obj["kind"]
-    if kind not in _ATOM_KINDS:
+    if not isinstance(kind, str) or kind not in _ATOM_KINDS:
         raise SpecFileError(
             f"{where}: unknown kind {kind!r}; known: {sorted(_ATOM_KINDS)}")
-    fields, ctor = _ATOM_KINDS[kind]
-    _reject_unknown(obj, ("kind",) + fields, where)
+    ctor = _ATOM_KINDS[kind]
+    names = [f.name for f in dataclasses.fields(ctor)]
+    _reject_unknown(obj, ["kind"] + names, where)
     try:
-        return ctor(*[_finite_number(obj[f], f"{where}.{f}") for f in fields])
+        return ctor(*[_finite_number(obj[f], f"{where}.{f}") for f in names])
     except KeyError as exc:
         raise SpecFileError(f"{where}: missing field {exc}") from exc
 
@@ -121,69 +140,35 @@ class ProblemSpec:
             raise SpecFileError("top level must be an object")
         _reject_unknown(raw, {"classes", "params", "search", "enlargement",
                               "plot"}, "top level")
-        classes = raw.get("classes")
-        if not isinstance(classes, dict):
-            raise SpecFileError("'classes' object is required")
-        _reject_unknown(classes, {"A", "B", "C", "Cprime"}, "classes")
+        classes = _section(raw, "classes", {"A", "B", "C", "Cprime"},
+                           required=True)
         for key in ("A", "B", "C"):
             if key not in classes:
                 raise SpecFileError(f"classes.{key} is required")
-        self.a = _parse_class(classes["A"], "classes.A")
-        self.b = _parse_class(classes["B"], "classes.B")
-        self.c = _parse_class(classes["C"], "classes.C")
-        self.c_prime = None
-        if "Cprime" in classes:
-            self.c_prime = _parse_class(classes["Cprime"], "classes.Cprime")
+        self.a, self.b, self.c, self.c_prime = (
+            _parse_class(classes[k], f"classes.{k}") if k in classes else None
+            for k in ("A", "B", "C", "Cprime"))
 
-        params = raw.get("params")
-        if not isinstance(params, dict):
-            raise SpecFileError("'params' object is required")
-        _reject_unknown(params, {"alpha", "lambda", "s"}, "params")
+        params = _section(raw, "params", {"alpha", "lambda", "s"},
+                          required=True)
         if "alpha" not in params or "lambda" not in params:
             raise SpecFileError("params.alpha and params.lambda are required")
-        self.alpha = _finite_number(params["alpha"], "params.alpha")
-        self.lam = _finite_number(params["lambda"], "params.lambda")
-        self.shift = _finite_number(params.get("s", 0.0), "params.s")
+        self.alpha = _number(params, "alpha", "params")
+        self.lam = _number(params, "lambda", "params")
+        self.shift = _number(params, "s", "params", 0.0)
 
-        search_cfg = raw.get("search", {})
-        if not isinstance(search_cfg, dict):
-            raise SpecFileError("'search' must be an object")
-        _reject_unknown(search_cfg, _SEARCH_KEYS, "search")
-        self.search_kwargs = {}
-        for key, value in search_cfg.items():
-            if key == "top_k":
-                number = _finite_number(value, f"search.{key}")
-                if not number.is_integer():
-                    raise SpecFileError(
-                        f"search.{key}: expected an integer, got {value!r}")
-                self.search_kwargs[key] = int(number)
-            else:
-                self.search_kwargs[key] = _finite_number(value,
-                                                         f"search.{key}")
+        self.eps_grid = _number(_section(raw, "search", {"eps_grid"}),
+                                "eps_grid", "search")
 
-        enlargement = raw.get("enlargement", {"mode": "none"})
-        if not isinstance(enlargement, dict):
-            raise SpecFileError("'enlargement' must be an object")
-        _reject_unknown(enlargement, {"mode", "mu"}, "enlargement")
+        enlargement = _section(raw, "enlargement", {"mode"})
         mode = enlargement.get("mode", "none")
         if mode not in ("none", "disk_hull", "thm33", "thm41"):
             raise SpecFileError(f"unknown enlargement mode {mode!r}")
         self.enlargement_mode = mode
-        self.enlargement_mu = None
-        if "mu" in enlargement:
-            self.enlargement_mu = _finite_number(enlargement["mu"],
-                                                 "enlargement.mu")
 
-        plot_cfg = raw.get("plot", {})
-        if not isinstance(plot_cfg, dict):
-            raise SpecFileError("'plot' must be an object")
-        _reject_unknown(plot_cfg, {"circle_radius", "eps"}, "plot")
-        self.plot_circle = None
-        if "circle_radius" in plot_cfg:
-            self.plot_circle = _finite_number(plot_cfg["circle_radius"],
-                                              "plot.circle_radius")
-        self.plot_eps = _finite_number(plot_cfg.get("eps", 1.0 / 30.0),
-                                       "plot.eps")
+        plot_cfg = _section(raw, "plot", {"circle_radius", "eps"})
+        self.plot_circle = _number(plot_cfg, "circle_radius", "plot")
+        self.plot_eps = _number(plot_cfg, "eps", "plot", 1.0 / 30.0)
         if self.plot_eps <= 0:
             raise SpecFileError(f"plot.eps: must be positive, got "
                                 f"{self.plot_eps!r}")
@@ -194,9 +179,8 @@ class ProblemSpec:
     def effective_c(self) -> cls.OperatorClassSpec:
         if self.enlargement_mode == "none":
             return self.c
-        mu = self.enlargement_mu
-        if mu is None and self.enlargement_mode == "thm41":
-            mu = self.a.mu if self.a.mu is not None else self.b.mu
+        # only thm41 reads mu
+        mu = self.a.mu if self.a.mu is not None else self.b.mu
         return cls.enlarge_C(self.c, self.params(), self.enlargement_mode,
                              mu=mu)
 
@@ -240,22 +224,17 @@ def cmd_factor(args) -> int:
     return EXIT_OK
 
 
-def _search_config(spec: ProblemSpec, args) -> SearchConfig:
-    kwargs = dict(spec.search_kwargs)
-    if args.eps is not None:
-        kwargs["eps_grid"] = _finite_number(args.eps, "--eps")
-    try:
-        return SearchConfig(**kwargs)
-    except ValueError as exc:
-        raise SpecFileError(f"search settings: {exc}") from exc
-
-
 def cmd_maxmod(args) -> int:
     spec = load_spec(args.spec)
     shift = spec.shift if args.shift is None else _finite_number(
         args.shift, "--shift")
     params = DysParams(spec.alpha, spec.lam, shift)
-    config = _search_config(spec, args)
+    eps = spec.eps_grid if args.eps is None else _finite_number(
+        args.eps, "--eps")
+    try:
+        config = SearchConfig() if eps is None else SearchConfig(eps_grid=eps)
+    except ValueError as exc:
+        raise SpecFileError(f"search settings: {exc}") from exc
     effective_c = spec.effective_c()
     result = search(spec.a, spec.b, effective_c, params, config)
     if args.dump_grid is not None:

@@ -21,7 +21,6 @@ would need an unbounded boundary raise instead.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -235,8 +234,7 @@ class Arc:
     def point_at(self, t):
         """The point at parameter t in [0, 1]; an array of t gives an array."""
         ang = (1.0 - t) * self.angle_start + t * self.angle_end
-        exp = np.exp if isinstance(ang, np.ndarray) else cmath.exp
-        return self.center + self.radius * exp(1j * ang)
+        return self.center + self.radius * np.exp(1j * ang)
 
     def sample(self, n_intervals: int) -> np.ndarray:
         angs = np.linspace(self.angle_start, self.angle_end, n_intervals + 1)

@@ -148,8 +148,7 @@ class SvgFigure:
     def add_piece_outline(self, piece, color: str, width: float = 1.0):
         if isinstance(piece, Arc):
             n = max(16, int(piece.length * 64))
-            # scalar t, so each point comes from cmath.exp as before
-            pts = np.array([piece.point_at(i / n) for i in range(n + 1)])
+            pts = piece.point_at(np.arange(n + 1) / n)
         elif isinstance(piece, Segment):
             pts = np.array([piece.p0, piece.p1])
         else:

@@ -174,8 +174,11 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
         member &= _members(m, spec, 1e-9 * np.maximum(1.0,
                                                       spectral_norm_2x2(m)))
     if extremal:
+        # the probe maximizes |zeta - center|, the quantity checked below,
+        # whatever shift params carries
         config = SearchConfig(eps_grid=1.0 / 40.0, top_k=8)
-        best = locate_maximum(*regions, params, config)[1]
+        probe = DysParams(params.alpha, params.lam, center)
+        best = locate_maximum(*regions, probe, config)[1]
         zs = [np.append(z, p) for z, p in zip(zs, best)]
         member = np.append(member, True)
     t = dys_matrix(*(realize(z) for z in zs), params.alpha, params.lam)

@@ -1,5 +1,6 @@
 """Command-line surface: JSON report schema, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dysrates
+from dysrates import classes as cls
 from dysrates.classes import resolvent_srg, srg
 from dysrates.cli import ProblemSpec, _cloud, main
 from dysrates.geometry import boundary_grid
@@ -346,12 +348,15 @@ def test_four_atom_c_exits_ok(tmp_path, capsys, argv):
     (None, None, ["verify", "--rho", "-inf"], 2),
     ("enlargement", "thm33", ["maxmod", "--eps", "0.1"], 2),
     (None, None, ["maxmod", "--eps", "0.1", "--json-indent", "4"], 2),
+    ("search", {"top_k": 8}, ["maxmod", "--eps", "0.1"], 2),
+    ("enlargement", {"mode": "thm41", "mu": 0.5},
+     ["maxmod", "--eps", "0.1"], 2),
 ], ids=["top_k_fraction", "max_iters_fraction", "ascent_step_removed",
         "parallel_removed", "eps_grid_zero", "eps_negative", "plot_eps_zero",
         "rho_nan", "rho_inf", "trials_negative", "seed_negative", "eps_nan",
         "eps_inf", "shift_nan", "shift_inf", "trials_not_integer",
         "rho_minus_inf", "enlargement_string_removed",
-        "json_indent_removed"])
+        "json_indent_removed", "top_k_removed", "enlargement_mu_removed"])
 def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
                                              value, argv, expected):
     payload = json.loads(json.dumps(PUBLISHED))
@@ -366,6 +371,42 @@ def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
     assert code == expected
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind, ctor", [
+    ("monotone", cls.Monotone),
+    ("strongly_monotone", cls.StronglyMonotone),
+    ("cocoercive", cls.Cocoercive),
+    ("lipschitz", cls.Lipschitz),
+    ("averaged", cls.Averaged),
+    ("shifted_lipschitz_ball", cls.ShiftedLipschitzBall),
+])
+def test_atom_takes_exactly_its_class_fields(tmp_path, capsys, kind, ctor):
+    names = [f.name for f in dataclasses.fields(ctor)]
+    atom = {"kind": kind, **{name: 0.5 for name in names}}
+    payload = json.loads(json.dumps(PUBLISHED))
+    payload["classes"]["C"] = [atom]
+    assert ProblemSpec(payload).c.atoms == (ctor(*[0.5] * len(names)),)
+    extra = "L" if "mu" in names else "mu"
+    for name, bad in ([(name, {k: v for k, v in atom.items() if k != name})
+                       for name in names] + [(extra, {**atom, extra: 0.5})]):
+        payload["classes"]["C"] = [bad]
+        code = main(["factor", write_spec(tmp_path, payload)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "classes.C[0]" in err and repr(name) in err
+
+
+@pytest.mark.parametrize("kind", ["bogus", [], {}, 1],
+                         ids=["unknown", "list", "object", "number"])
+def test_unknown_atom_kind_exits_2(tmp_path, capsys, kind):
+    payload = json.loads(json.dumps(PUBLISHED))
+    payload["classes"]["A"] = [{"kind": kind}]
+    assert main(["factor", write_spec(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: classes.A[0]: unknown kind")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_parser_is_reused_after_an_argparse_error(tmp_path, capsys):

@@ -199,6 +199,21 @@ def test_verify_negative_control_finds_counterexample():
     assert any(v["kind"] == "norm_bound" for v in report.violations)
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.5, 0.9, -0.5])
+def test_verify_probe_ignores_the_shift(shift):
+    # the check is ||T|| <= rho, so the probe must aim at max |zeta| whatever
+    # s the params carry; one random trial almost never finds that maximum
+    a = monotone()
+    b = monotone().intersect(lipschitz(0.5))
+    c = cocoercive(1.0).intersect(strongly_monotone(0.5))
+    best = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 40.0)).best_value
+    params = DysParams(1.0, 1.0, shift)
+    for seed in range(5):
+        report = verify_contraction(a, b, c, params, best - 0.005,
+                                    n_trials=1, rng_seed=seed)
+        assert not report.passed
+
+
 def test_verify_tiny_norm_at_its_own_rho_passes():
     # zeta = 1 - 1.46625 * (2/3) = 0.0225 on one-point regions; iterating
     # this T from a unit vector drives x.x subnormal near step 95, where a
