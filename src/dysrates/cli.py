@@ -169,9 +169,11 @@ class ProblemSpec:
         plot_cfg = _section(raw, "plot", {"circle_radius", "eps"})
         self.plot_circle = _number(plot_cfg, "circle_radius", "plot")
         self.plot_eps = _number(plot_cfg, "eps", "plot", 1.0 / 30.0)
-        if self.plot_eps <= 0:
-            raise SpecFileError(f"plot.eps: must be positive, got "
-                                f"{self.plot_eps!r}")
+        for key, value in (("circle_radius", self.plot_circle),
+                           ("eps", self.plot_eps)):
+            if value is not None and value <= 0:
+                raise SpecFileError(f"plot.{key}: must be positive, got "
+                                    f"{value!r}")
 
     def params(self) -> DysParams:
         return DysParams(self.alpha, self.lam, self.shift)
@@ -196,12 +198,15 @@ def load_spec(path: str) -> ProblemSpec:
     return ProblemSpec(raw)
 
 
+_WRITE_CHARS = 1 << 18  # characters _write_text encodes per write
+
+
 def _write_text(path: str, text: str) -> None:
     """Write text to path as UTF-8, with no newline translation."""
-    data = text.encode("utf-8")
     try:
         with open(path, "wb") as fh:
-            fh.write(data)
+            for i in range(0, len(text), _WRITE_CHARS):
+                fh.write(text[i:i + _WRITE_CHARS].encode("utf-8"))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

@@ -286,7 +286,9 @@ def _cos_bounds_on_circle(c: float, r: float,
                 if r < r2 - DEGENERACY_TOL:
                     return None
             continue
-        u = (r2 * r2 - r * r - d * d) / (2.0 * r * d)
+        num, den = r2 * r2 - r * r - d * d, 2.0 * r * d
+        # a subnormal r can underflow den to 0; two divisions do not
+        u = num / den if den else num / (2.0 * d) / r
         if isinstance(other, Disk):
             # |z - c2|^2 = r^2 + d^2 + 2 r d cos t <= r2^2
             if d > 0:
@@ -494,7 +496,8 @@ def _arc_property(region: Region, left: bool) -> bool:
     if radii:
         probes = (radii + [0.5 * (a + b) for a, b in zip(radii, radii[1:])]
                   + [0.5 * radii[0], 2.0 * radii[-1]])
-    for r in probes:
+    # 0.5 * 5e-324 rounds to 0: no circle lies in that gap, so skip it
+    for r in filter(None, probes):
         bounds = _cos_bounds_on_circle(0.0, r, region.atoms)
         if bounds is None:
             continue

@@ -28,6 +28,8 @@ _INT3 = (np.where(_N3 < [100, 10, 0], 0, _D3) * _PACK3).sum(axis=1).astype(
 # in the x integer slots and ".", word 2 starts with the x decimals, and
 # words 3 and 4 hold y the same way.
 _ROW_HEAD = b'<circle cx="\0\0\0.\0\0\0\0\0\0" cy="\0\0\0.\0\0\0\0\0\0'
+# Rows per cloud element; a block's buffer, bytes and str then fit in L2.
+_BLOCK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
@@ -35,9 +37,9 @@ def _fmt(x: float) -> str:
 
 
 def _micro_units(v):
-    """(ok, q) for an array of coordinates: q = rint(v * 1e6) as int64,
-    and where ok, q is exactly the digit string of '%.6f' % v without its
-    point, with at most 3 integer digits.
+    """(ok, q) for an array of coordinates: where ok, q = rint(v * 1e6) as
+    int64 is exactly the digit string of '%.6f' % v without its point,
+    with at most 3 integer digits; elsewhere q is 0.
 
     For finite 0 <= v < 1000 the float product v * 1e6 is within 1.2e-7 of
     the exact one, so away from a .5 tie it rounds as '%.6f' does
@@ -47,7 +49,7 @@ def _micro_units(v):
     p = np.where(ok, v, 0.0) * 1e6
     r = np.rint(p)
     ok &= (np.abs(p - r) < 0.5 - 1e-6) & (r < 1e9)
-    return ok, r.astype(np.int64)
+    return ok, np.where(ok, r, 0.0).astype(np.int64)
 
 
 @dataclass
@@ -90,52 +92,41 @@ class SvgFigure:
         return tuple(xy.tolist())
 
     def add_points(self, zs, color: str, radius: float = 0.8):
-        """Append one element string for the cloud: a <circle> row per
-        point, rows joined by newlines, each coordinate exactly
-        '%.6f' % of its mapped float.
+        """Append the cloud as elements of `_BLOCK_ROWS` rows: a <circle> row
+        per point, rows joined by newlines, each coordinate exactly '%.6f' %
+        of its mapped float.
 
-        The rows are written into one byte buffer, 8-byte words at a time,
-        with the digits of `_micro_units` from 3-digit tables; the pad
-        bytes of short integer parts are then dropped with one mask. A row
-        with a coordinate `_micro_units` leaves out is %-formatted and
-        spliced in."""
+        A block's rows are written into one buffer, 8-byte words at a time,
+        with the digits of `_micro_units` from 3-digit tables. The buffer is
+        cut at each row with a coordinate `_micro_units` leaves out; the
+        runs, pad bytes dropped, are joined with those rows %-formatted."""
         zs = np.asarray(zs).ravel()
-        if zs.size == 0:
-            return
         px, py = self._map(zs.real, zs.imag)
-        tail = f'" r="{_fmt(radius)}" fill="{color}"/>\n'.encode()
+        tail = f'" r="{_fmt(radius)}" fill="{color}"/>\n'
         (okx, qx), (oky, qy) = _micro_units(px), _micro_units(py)
-        fast = okx & oky & (b"\0" not in tail)
+        fast = okx & oky & ("\0" not in tail)
 
-        row = _ROW_HEAD + tail
+        row = _ROW_HEAD + tail.encode()
         template = np.frombuffer(row + b"\0" * (-len(row) % 8), "<u8")
-        words = np.empty((np.count_nonzero(fast), template.size), "<u8")
-        words[:] = template
-        for col, q in ((1, qx[fast]), (3, qy[fast])):
-            ip = q // 1_000_000
-            fp = q - ip * 1_000_000
-            words[:, col] |= _INT3[ip] << np.uint64(32)
-            words[:, col + 1] |= (_ASCII3[fp // 1000]
-                                  | _ASCII3[fp % 1000] << np.uint64(24))
-        flat = words.view(np.uint8).reshape(-1)
-        slow = np.flatnonzero(~fast)
-        if slow.size == 0:
-            flat[len(row) - 1 - 8 * template.size] = 0   # the last newline
-            self.elements.append(flat[flat != 0].tobytes().decode())
-            return
-
-        keep = flat != 0
-        body = flat[keep].tobytes()
-        width = keep.reshape(len(words), 8 * template.size).sum(axis=1)
-        ends = np.concatenate(([0], np.cumsum(width)))
-        cuts = ends[slow - np.arange(slow.size)].tolist()
-        point = b'<circle cx="%.6f" cy="%.6f' + tail
-        parts, start = [], 0
-        for cut, x, y in zip(cuts, px[slow].tolist(), py[slow].tolist()):
-            parts += [body[start:cut], point % (x, y)]
-            start = cut
-        parts.append(body[start:])
-        self.elements.append(b"".join(parts)[:-1].decode())
+        width = 8 * template.size
+        point = '<circle cx="%.6f" cy="%.6f' + tail
+        for lo in range(0, zs.size, _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            words = np.tile(template, (len(fast[block]), 1))
+            for col, q in ((1, qx[block]), (3, qy[block])):
+                ip = q // 1_000_000
+                fp = q - ip * 1_000_000
+                words[:, col] |= _INT3[ip] << np.uint64(32)
+                words[:, col + 1] |= (_ASCII3[fp // 1000]
+                                      | _ASCII3[fp % 1000] << np.uint64(24))
+            body = words.tobytes()
+            parts, start = [], 0
+            for i in np.flatnonzero(~fast[block]).tolist():
+                parts += [body[start:i * width].replace(b"\0", b"").decode(),
+                          point % (px[lo + i], py[lo + i])]
+                start = (i + 1) * width
+            parts.append(body[start:].replace(b"\0", b"").decode())
+            self.elements.append("".join(parts)[:-1])
 
     def add_circle(self, center: complex, radius: float, color: str,
                    width: float = 1.5):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import dysrates
 from dysrates import classes as cls
 from dysrates.classes import resolvent_srg, srg
-from dysrates.cli import ProblemSpec, _cloud, main
+from dysrates.cli import _WRITE_CHARS, ProblemSpec, _cloud, _write_text, main
 from dysrates.geometry import boundary_grid
 from dysrates.symbol import zeta
 
@@ -351,12 +351,15 @@ def test_four_atom_c_exits_ok(tmp_path, capsys, argv):
     ("search", {"top_k": 8}, ["maxmod", "--eps", "0.1"], 2),
     ("enlargement", {"mode": "thm41", "mu": 0.5},
      ["maxmod", "--eps", "0.1"], 2),
+    ("plot", {"circle_radius": -1.0}, ["plot", "--out", "fig.svg"], 2),
+    ("plot", {"circle_radius": 0.0}, ["plot", "--out", "fig.svg"], 2),
 ], ids=["top_k_fraction", "max_iters_fraction", "ascent_step_removed",
         "parallel_removed", "eps_grid_zero", "eps_negative", "plot_eps_zero",
         "rho_nan", "rho_inf", "trials_negative", "seed_negative", "eps_nan",
         "eps_inf", "shift_nan", "shift_inf", "trials_not_integer",
         "rho_minus_inf", "enlargement_string_removed",
-        "json_indent_removed", "top_k_removed", "enlargement_mu_removed"])
+        "json_indent_removed", "top_k_removed", "enlargement_mu_removed",
+        "plot_circle_radius_negative", "plot_circle_radius_zero"])
 def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
                                              value, argv, expected):
     payload = json.loads(json.dumps(PUBLISHED))
@@ -371,6 +374,7 @@ def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
     assert code == expected
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "fig.svg").exists()
 
 
 @pytest.mark.parametrize("kind, ctor", [
@@ -625,6 +629,20 @@ def test_cloud_memory_does_not_grow_with_the_cube():
         tracemalloc.stop()
     assert 0 < values.size <= 30000
     assert peak < 32 * 2 ** 20
+
+
+def test_write_text_encodes_across_write_blocks(tmp_path):
+    # multi-byte characters (2, 3 and 4 bytes) on both sides of both block
+    # edges, and a text that ends inside its third block
+    n = _WRITE_CHARS
+    text = "a" * (n - 1) + "é€" + "b" * (n - 2) + "😀é" + "€" * 99
+    for k in (1, 2):
+        assert ord(text[k * n - 1]) > 127 and ord(text[k * n]) > 127
+    path = tmp_path / "out.txt"
+    _write_text(str(path), text)
+    assert path.read_bytes() == text.encode("utf-8")
+    _write_text(str(path), "")
+    assert path.read_bytes() == b""
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,10 +3,11 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dysrates.svgplot import SvgFigure, bounds_for
+from dysrates.svgplot import _BLOCK_ROWS, SvgFigure, bounds_for
 from oracles import svg_points_reference
 
 INF = math.inf
@@ -75,3 +76,41 @@ def test_empty_cloud_adds_no_element():
     fig = SvgFigure(0.0, 1.0, 0.0, 1.0)
     fig.add_points(np.array([], dtype=complex), "#555555")
     assert fig.elements == []
+
+
+B = _BLOCK_ROWS
+
+
+@pytest.mark.parametrize("size, slow", [
+    (2 * B + 17, []),
+    (2 * B + 17, [B, 2 * B]),
+    (2 * B + 17, [B - 1, 2 * B - 1]),
+    (2 * B + 17, [0, 5, 6, B - 1, B, 2 * B + 16]),
+    (3 * B + 1, list(range(B, 2 * B))),
+    (2 * B, []),
+    (2 * B, [2 * B - 1]),
+    (B, list(range(B))),
+], ids=["several_blocks", "slow_first_row", "slow_last_row",
+        "adjacent_slow_rows", "block_of_slow_rows", "multiple_of_block",
+        "multiple_of_block_slow_last", "all_slow"])
+def test_add_points_across_block_edges(size, slow):
+    # a slow row has an x that `_micro_units` leaves out: negative, not
+    # finite, too large, or rounding up to 1000.000000
+    rng = np.random.default_rng(size + len(slow))
+    zs = rng.uniform(0.0, 640.0, size) + 1j * rng.uniform(0.0, 640.0, size)
+    zs.real[slow] = rng.choice([-1.5, INF, 1e6, math.nextafter(1000.0, 0.0)],
+                               len(slow))
+    fig = _Unmapped(0.0, 1.0, 0.0, 1.0)
+    got = _emitted(fig, zs, "#555555")
+    assert got == svg_points_reference(fig, zs, "#555555")
+    assert len(fig.elements) == -(-size // B)
+
+
+def test_nul_in_color_matches_reference():
+    # a NUL in the row tail keeps every row off the fast path, whose pad
+    # bytes are dropped by value
+    zs = np.array([1.5 + 2.25j, 600.125 + 3.0j, -1.0 + 1.0j] * (B // 2))
+    for color in ("#55\x005555", "\x00", "#bbbbbb\x00"):
+        fig = _Unmapped(0.0, 1.0, 0.0, 1.0)
+        assert _emitted(fig, zs, color) == svg_points_reference(fig, zs,
+                                                                color)
