@@ -2,21 +2,22 @@
 
 A class is an intersection of elementary atoms (monotone, strongly
 monotone, cocoercive, Lipschitz, averaged, shifted Lipschitz ball).  Each
-atom has a known scaled-relative-graph region on the complex plane, and
-the region of an intersection is the intersection of the atom regions.
+atom carries its spec-file name, ``kind``, and its scaled-relative-graph
+region on the complex plane, ``region()``; the region of an intersection is
+the intersection of the atom regions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from . import geometry
 from .errors import InvalidClassError, PreconditionError
-from .geometry import Disk, HalfPlane, Region
+from .geometry import Disk, HalfPlane, Region, RegionAtom
 from .symbol import DysParams
 
 
@@ -26,46 +27,67 @@ from .symbol import DysParams
 
 @dataclass(frozen=True)
 class Monotone:
-    pass
+    kind: ClassVar[str] = "monotone"
+
+    def region(self) -> RegionAtom:
+        return HalfPlane(0.0)
 
 
 @dataclass(frozen=True)
 class StronglyMonotone:
+    kind: ClassVar[str] = "strongly_monotone"
     mu: float
 
     def __post_init__(self):
         _positive("mu", self.mu)
 
+    def region(self) -> RegionAtom:
+        return HalfPlane(self.mu)
+
 
 @dataclass(frozen=True)
 class Cocoercive:
+    kind: ClassVar[str] = "cocoercive"
     beta: float
 
     def __post_init__(self):
         _positive("beta", self.beta)
 
+    def region(self) -> RegionAtom:
+        h = 1.0 / (2.0 * self.beta)
+        return Disk(h, h)
+
 
 @dataclass(frozen=True)
 class Lipschitz:
+    kind: ClassVar[str] = "lipschitz"
     L: float
 
     def __post_init__(self):
         _positive("L", self.L)
 
+    def region(self) -> RegionAtom:
+        return Disk(0.0, self.L)
+
 
 @dataclass(frozen=True)
 class Averaged:
+    kind: ClassVar[str] = "averaged"
     theta: float
 
     def __post_init__(self):
         if not (math.isfinite(self.theta) and 0.0 < self.theta < 1.0):
             raise InvalidClassError(f"theta must lie in (0, 1), got {self.theta}")
 
+    def region(self) -> RegionAtom:
+        return Disk(1.0 - self.theta, self.theta)
+
 
 @dataclass(frozen=True)
 class ShiftedLipschitzBall:
     """The class c*I + L_r, whose region is Disk(c, r)."""
 
+    kind: ClassVar[str] = "shifted_lipschitz_ball"
     center: float
     radius: float
 
@@ -75,9 +97,12 @@ class ShiftedLipschitzBall:
         if self.radius <= 0.0:
             raise InvalidClassError(f"ball radius must be positive, got {self.radius}")
 
+    def region(self) -> RegionAtom:
+        return Disk(self.center, self.radius)
 
-ClassAtom = Union[Monotone, StronglyMonotone, Cocoercive, Lipschitz,
-                  Averaged, ShiftedLipschitzBall]
+
+ATOMS = (Monotone, StronglyMonotone, Cocoercive, Lipschitz, Averaged,
+         ShiftedLipschitzBall)
 
 
 def _positive(name: str, value: float) -> None:
@@ -99,6 +124,8 @@ class OperatorClassSpec:
         if not self.atoms:
             raise InvalidClassError("a class needs at least one atom")
         object.__setattr__(self, "atoms", tuple(self.atoms))
+        if not all(isinstance(a, ATOMS) for a in self.atoms):
+            raise InvalidClassError(f"unknown class atom in {self.atoms!r}")
         mus = [a.mu for a in self.atoms if isinstance(a, StronglyMonotone)]
         lips = [a.L for a in self.atoms if isinstance(a, Lipschitz)]
         betas = [a.beta for a in self.atoms if isinstance(a, Cocoercive)]
@@ -160,26 +187,9 @@ def shifted_lipschitz_ball(center: float, radius: float) -> OperatorClassSpec:
 # SRG regions
 # ---------------------------------------------------------------------------
 
-def _atom_region(atom: ClassAtom) -> geometry.RegionAtom:
-    if isinstance(atom, Monotone):
-        return HalfPlane(0.0)
-    if isinstance(atom, StronglyMonotone):
-        return HalfPlane(atom.mu)
-    if isinstance(atom, Cocoercive):
-        h = 1.0 / (2.0 * atom.beta)
-        return Disk(h, h)
-    if isinstance(atom, Lipschitz):
-        return Disk(0.0, atom.L)
-    if isinstance(atom, Averaged):
-        return Disk(1.0 - atom.theta, atom.theta)
-    if isinstance(atom, ShiftedLipschitzBall):
-        return Disk(atom.center, atom.radius)
-    raise InvalidClassError(f"unknown class atom {atom!r}")
-
-
 def srg(spec: OperatorClassSpec) -> Region:
     """Region of the class on the complex plane."""
-    return Region(tuple(_atom_region(a) for a in spec.atoms))
+    return Region(tuple(a.region() for a in spec.atoms))
 
 
 def resolvent_srg(spec: OperatorClassSpec, alpha: float) -> Region:
@@ -189,24 +199,10 @@ def resolvent_srg(spec: OperatorClassSpec, alpha: float) -> Region:
     return srg(spec).scale(alpha).translate(1.0).invert()
 
 
-def _atom_min_real(atom: ClassAtom) -> float:
-    """Smallest Re z over the atom's region (certainly monotone iff >= 0)."""
-    if isinstance(atom, Monotone):
-        return 0.0
-    if isinstance(atom, StronglyMonotone):
-        return atom.mu
-    if isinstance(atom, Cocoercive):
-        return 0.0
-    if isinstance(atom, Lipschitz):
-        return -atom.L
-    if isinstance(atom, Averaged):
-        return 1.0 - 2.0 * atom.theta
-    return atom.center - atom.radius
-
-
 def is_monotone_class(spec: OperatorClassSpec) -> bool:
-    """True when some atom already forces Re z >= 0 over the class region."""
-    return max(_atom_min_real(a) for a in spec.atoms) >= 0.0
+    """True when the smallest Re z over some atom's region is >= 0."""
+    return max(r.threshold if isinstance(r, HalfPlane) else r.center - r.radius
+               for r in (a.region() for a in spec.atoms)) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +226,6 @@ class PreflightReport:
         return all(self.triple)
 
 
-def c_side_shift(params: DysParams) -> float:
-    """The real number sigma with sigma*I - alpha*C the class whose arc
-    property gates applicability; sigma = 2 - lambda/(1-s) = 2 - 1/t."""
-    return 2.0 - 1.0 / params.t
-
-
 def c_side_mirror_region(c_spec: OperatorClassSpec,
                          params: DysParams) -> Region:
     """Region of alpha*srg(C) - sigma, the negation of sigma - alpha*srg(C).
@@ -244,7 +234,7 @@ def c_side_mirror_region(c_spec: OperatorClassSpec,
     on this representable region decides whether sigma*I - alpha*C has an
     arc property (left half-planes never need to be materialized).
     """
-    sigma = c_side_shift(params)
+    sigma = 2.0 - 1.0 / params.t  # = 2 - lambda/(1-s), the C-side shift
     return srg(c_spec).scale(params.alpha).translate(-sigma)
 
 
@@ -355,9 +345,8 @@ def enlarge_C(c_spec: OperatorClassSpec, params: DysParams, mode: str,
         if mu is None:
             raise PreconditionError(
                 "mu of A or B supplied", "thm41 enlargement needs mu")
-        if not 0.0 < alpha < 2.0 * mu / l_c ** 2:
-            raise PreconditionError("0 < alpha < 2 mu / L_C^2")
-        theta = 2.0 / (4.0 - alpha * l_c ** 2 / mu)
+        from .rates import averagedness_thm41  # rates imports this module
+        theta = averagedness_thm41(alpha, mu, l_c).theta
         base = 2.0 - 1.0 / theta
         radius = math.sqrt(base ** 2 + (alpha * l_c) ** 2)
         ball = ShiftedLipschitzBall(base / alpha, radius / alpha)

@@ -50,14 +50,8 @@ EXIT_PRECONDITION = 3
 EXIT_UNBOUNDED = 4
 EXIT_IO = 5
 
-_ATOM_KINDS = {
-    "monotone": cls.Monotone,
-    "strongly_monotone": cls.StronglyMonotone,
-    "cocoercive": cls.Cocoercive,
-    "lipschitz": cls.Lipschitz,
-    "averaged": cls.Averaged,
-    "shifted_lipschitz_ball": cls.ShiftedLipschitzBall,
-}
+_ATOM_KINDS = {atom.kind: atom for atom in cls.ATOMS}
+
 
 class SpecFileError(DysRatesError):
     pass
@@ -199,6 +193,7 @@ def load_spec(path: str) -> ProblemSpec:
 
 
 _WRITE_CHARS = 1 << 18  # characters _write_text encodes per write
+_DUMP_CAP = 100_000  # symbol values --dump-grid writes at most (see _cloud)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -254,12 +249,13 @@ def cmd_maxmod(args) -> int:
 
 
 def _dump_grid_csv(path: str, spec: ProblemSpec, c_spec, params: DysParams,
-                   eps: float, cap: int = 100_000) -> None:
+                   eps: float) -> None:
     """Decimated symbol values on the grid product (see _cloud), for
     external plotting: CSV rows re,im,shifted_modulus with CRLF line ends."""
     rows = ["re,im,shifted_modulus"]
+    cloud = _cloud(spec, c_spec, params, eps, cap=_DUMP_CAP)
     rows.extend(f"{v.real!r},{v.imag!r},{abs(v - params.shift)!r}"
-                for v in _cloud(spec, c_spec, params, eps, cap=cap).tolist())
+                for v in cloud.tolist())
     _write_text(path, "\r\n".join(rows) + "\r\n")
 
 

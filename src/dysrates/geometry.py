@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     EmptyRegionError,
+    PreconditionError,
     UnboundedRegionError,
     UnsupportedInversionError,
     UnsupportedOrientationError,
@@ -42,6 +43,9 @@ DEGENERACY_TOL = 1e-12
 # Angular span below which an arc is a tangency point, not a piece.
 MIN_ARC_SPAN = 1e-9
 MIN_SEGMENT_LEN = 1e-12
+# Most boundary samples boundary_grid allocates for one region (64 MB of
+# complex points): an eps too fine for it is refused before any allocation.
+SAMPLE_BUDGET = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +472,16 @@ def boundary_grid(region: Region, eps: float) -> BoundaryGrid:
             "cannot sample the boundary of an unbounded region; intersect "
             "with a bounding atom first")
     pieces = boundary_pieces(region)
-    intervals = tuple(max(1, math.ceil(p.length / eps)) for p in pieces)
+    ratios = [p.length / eps for p in pieces]
+    if not all(math.isfinite(r) for r in ratios):
+        raise PreconditionError("finite boundary sample count",
+                                f"eps={eps!r}")
+    intervals = tuple(max(1, math.ceil(r)) for r in ratios)
+    samples = sum(intervals) + len(intervals)
+    if samples > SAMPLE_BUDGET:
+        raise PreconditionError(
+            f"at most {SAMPLE_BUDGET} boundary samples per region",
+            f"eps={eps!r} needs {samples}")
     points = np.concatenate([p.sample(n) for p, n in zip(pieces, intervals)])
     # samples are spaced <= max_gap along each piece, so every boundary
     # point is within max_gap/2 in arc length, hence in chord distance

@@ -38,6 +38,15 @@ from .geometry import (Arc, Region, _max_on_piece, _value_on_piece,
                        boundary_grid)
 from .symbol import DysParams, shifted_modulus
 
+# Most (z_B, z_C) grid pairs grid_evaluate takes.  The grid stage and the
+# certificate peak at about 50-90 bytes per pair, so a search at this budget
+# stays under 0.8 GB.  A finer eps is refused before any pair is evaluated.
+PAIR_BUDGET = 1 << 23
+# The polish stops after this many sweeps over the three coordinates, and
+# accepts a move only when it gains more than POLISH_TOL.
+POLISH_MAX_SWEEPS = 60
+POLISH_TOL = 1e-16
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -128,6 +137,10 @@ def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams,
     if len(pieces_a) == 0 or zb.size == 0 or zc.size == 0:
         raise PreconditionError("all three boundaries nonempty",
                                 "empty boundary sample")
+    if zb.size * zc.size > PAIR_BUDGET:
+        raise PreconditionError(
+            f"at most {PAIR_BUDGET} B x C grid pairs",
+            f"{zb.size} x {zc.size} = {zb.size * zc.size}; use a coarser eps")
     values, p_coef, q_coef = _max_over_a(pieces_a, zb, zc, params)
     vals = values.ravel()
     keep = min(max(1, top_k), vals.size)
@@ -153,8 +166,7 @@ def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams,
 # Local refinement
 # ---------------------------------------------------------------------------
 
-def coordinate_polish(starts, pieces_triple, params: DysParams,
-                      max_sweeps: int = 60, tol: float = 1e-16):
+def coordinate_polish(starts, pieces_triple, params: DysParams):
     """Exact cyclic per-coordinate maximization of |zeta - s| from every
     start at once.
 
@@ -162,8 +174,9 @@ def coordinate_polish(starts, pieces_triple, params: DysParams,
     row's maximizer on every piece comes from _max_on_piece in closed form;
     the piece with the largest |zeta - s| there (the first on a tie) gives
     the row's move, accepted only when it beats the row's value by more
-    than tol.  Steps cycle through the coordinates until two in a row move
-    no row, so no row falls below its start.  Returns (best_value,
+    than POLISH_TOL.  Steps cycle through the coordinates, for at most
+    POLISH_MAX_SWEEPS sweeps, until two in a row move no row, so no row
+    falls below its start.  Returns (best_value,
     best_point, evaluations) for the best row, the first row winning a tie.
     """
     x = np.array(starts, dtype=complex).reshape(-1, 3).T.copy()  # (3, k)
@@ -171,7 +184,7 @@ def coordinate_polish(starts, pieces_triple, params: DysParams,
     value = shifted_modulus(*x, params)
     evals = x.shape[1]
     idle = 0
-    for step in range(3 * max_sweeps):
+    for step in range(3 * POLISH_MAX_SWEEPS):
         idx = step % 3
         p_coef, q_coef = _affine_in(idx, *x, params)
         cand = np.stack([_max_on_piece(piece, p_coef, q_coef)
@@ -183,7 +196,7 @@ def coordinate_polish(starts, pieces_triple, params: DysParams,
         evals += vals.size
         first = np.argmax(vals, axis=0)
         best = vals[first, rows]
-        move = best > value + tol
+        move = best > value + POLISH_TOL
         idle = 0 if move.any() else idle + 1
         x[idx, move] = cand[first, rows][move]
         value = np.where(move, best, value)

@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from dysrates import (Arc, Disk, HalfPlane, Region, Segment, boundary_pieces,
-                      zeta)
+from dysrates import (Arc, Averaged, Cocoercive, Disk, HalfPlane, Lipschitz,
+                      Monotone, Region, Segment, StronglyMonotone,
+                      boundary_pieces, zeta)
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,6 +117,23 @@ def disk_hull_radius(region: Region) -> float:
         else:
             lo = m1
     return radius_for(0.5 * (lo + hi))
+
+
+def atom_min_real(atom) -> float:
+    """Smallest Re z over a class atom's region, from each class's own
+    definition rather than from its region atom: the class is certainly
+    monotone when this is >= 0."""
+    if isinstance(atom, Monotone):
+        return 0.0
+    if isinstance(atom, StronglyMonotone):
+        return atom.mu
+    if isinstance(atom, Cocoercive):
+        return 0.0
+    if isinstance(atom, Lipschitz):
+        return -atom.L
+    if isinstance(atom, Averaged):
+        return 1.0 - 2.0 * atom.theta
+    return atom.center - atom.radius
 
 
 def zeta_partials(z_a, z_b, z_c, params):

@@ -12,9 +12,10 @@ from dysrates import (Disk, DysParams, SearchConfig, averagedness_thm41,
                       cocoercive, contraction_thm31, contraction_thm32,
                       contraction_thm33, dominance_check, dys_matrix,
                       enlarge_C, lipschitz, monotone, realize, resolvent_srg,
-                      search, shifted_lipschitz_ball, spectral_norm_2x2, srg,
+                      shifted_lipschitz_ball, spectral_norm_2x2, srg,
                       strongly_monotone, zeta)
 from dysrates.cli import main
+from dysrates.search import search
 from dysrates.verify import _random_boundary_points
 from oracles import (grad_shifted_modulus_sq, lipschitz_bound,
                      shifted_modulus_sq)

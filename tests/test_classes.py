@@ -5,17 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dysrates import (Disk, DiskExterior, EmptyRegionError, HalfPlane,
-                      InvalidClassError, PreconditionError, Region,
-                      Segment, ShiftedLipschitzBall, averaged,
+from dysrates import (Averaged, Cocoercive, Disk, DiskExterior,
+                      EmptyRegionError, HalfPlane, InvalidClassError,
+                      Lipschitz, Monotone, OperatorClassSpec,
+                      PreconditionError, Region, Segment,
+                      ShiftedLipschitzBall, StronglyMonotone, averaged,
                       boundary_grid, boundary_pieces, cocoercive,
-                      dys_preflight, enlarge_C, lipschitz, monotone,
-                      resolvent_srg, shifted_lipschitz_ball, srg,
+                      dys_preflight, enlarge_C, is_monotone_class, lipschitz,
+                      monotone, resolvent_srg, shifted_lipschitz_ball, srg,
                       strongly_monotone)
 from dysrates.classes import _disk_hull
 from dysrates.symbol import DysParams
-from oracles import disk_hull_radius
+from oracles import atom_min_real, disk_hull_radius
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +62,55 @@ def test_degenerate_parameters_need_explicit_monotone_atom():
         strongly_monotone(0.0)
     with pytest.raises(InvalidClassError):
         cocoercive(0.0)
+
+
+@pytest.mark.parametrize("atom", [HalfPlane(0.0), Disk(0.5, 0.5), "monotone",
+                                  None],
+                         ids=["region_atom", "disk", "string", "none"])
+def test_non_atom_rejected(atom):
+    with pytest.raises(InvalidClassError):
+        OperatorClassSpec((Monotone(), atom))
+
+
+# ---------------------------------------------------------------------------
+# monotonicity, read off the region atoms
+# ---------------------------------------------------------------------------
+
+def _ulps_from_half(k: int) -> float:
+    theta = 0.5
+    for _ in range(abs(k)):
+        theta = math.nextafter(theta, math.copysign(1.0, k))
+    return theta
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+_ATOM = st.one_of(
+    st.just(Monotone()),
+    _POSITIVE.map(StronglyMonotone),
+    _POSITIVE.map(Cocoercive),
+    _POSITIVE.map(Lipschitz),
+    st.floats(1e-6, 1.0 - 1e-6).map(Averaged),
+    # theta within a few ulps of 1/2, where 1 - 2 theta changes sign
+    st.integers(-4, 4).map(_ulps_from_half).map(Averaged),
+    st.builds(ShiftedLipschitzBall, st.floats(-10.0, 10.0), _POSITIVE),
+    _POSITIVE.map(lambda r: ShiftedLipschitzBall(r, r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ATOM, min_size=1, max_size=4))
+def test_is_monotone_class_matches_reference_table(atoms):
+    try:
+        spec = OperatorClassSpec(tuple(atoms))
+    except InvalidClassError:
+        assume(False)
+    expected = max(atom_min_real(a) for a in atoms) >= 0.0
+    assert is_monotone_class(spec) == expected
+
+
+def test_averaged_near_half_monotone_iff_theta_at_most_half():
+    for k in range(-4, 5):
+        theta = _ulps_from_half(k)
+        assert is_monotone_class(averaged(theta)) == (k <= 0), k
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +260,13 @@ def test_enlarge_thm41_all_ones():
     assert isinstance(ball, ShiftedLipschitzBall)
     assert math.isclose(ball.center, 0.5, rel_tol=1e-14)
     assert math.isclose(ball.radius, math.sqrt(5.0) / 2.0, rel_tol=1e-14)
+
+
+def test_enlarge_thm41_alpha_window_is_the_theorems():
+    c_spec = monotone().intersect(lipschitz(1.0))
+    with pytest.raises(PreconditionError) as err:
+        enlarge_C(c_spec, DysParams(2.5, 1.0), "thm41", mu=1.0)
+    assert str(err.value) == "0 < alpha < 2 mu / L_C^2 (alpha=2.5, bound=2.0)"
 
 
 def test_enlarge_thm33_values():

@@ -15,9 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dysrates
+import dysrates.search as search_module
 from dysrates import classes as cls
+from dysrates import geometry
 from dysrates.classes import resolvent_srg, srg
-from dysrates.cli import _WRITE_CHARS, ProblemSpec, _cloud, _write_text, main
+from dysrates.cli import (_ATOM_KINDS, _WRITE_CHARS, ProblemSpec, _cloud,
+                          _write_text, main)
 from dysrates.geometry import boundary_grid
 from dysrates.symbol import zeta
 
@@ -377,14 +380,82 @@ def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
     assert not (tmp_path / "fig.svg").exists()
 
 
-@pytest.mark.parametrize("kind, ctor", [
+# ---------------------------------------------------------------------------
+# an eps too fine for the budgets: exit 3 before anything is allocated
+# ---------------------------------------------------------------------------
+
+def assert_refused(tmp_path, capsys, section, value, argv, needle):
+    payload = json.loads(json.dumps(PUBLISHED))
+    if section is not None:
+        payload[section] = value
+    spec = write_spec(tmp_path, payload)
+    args = [argv[0], spec] + argv[1:-1] + [str(tmp_path / argv[-1])]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and needle in lines[0], lines
+    assert not (tmp_path / argv[-1]).exists()
+
+
+@pytest.mark.parametrize("section, value, argv", [
+    (None, None, ["maxmod", "--eps", "5e-324", "--dump-grid", "out.file"]),
+    ("search", {"eps_grid": 5e-324}, ["maxmod", "--dump-grid", "out.file"]),
+    ("plot", {"eps": 5e-324}, ["plot", "--out", "out.file"]),
+], ids=["eps_flag", "search_eps_grid", "plot_eps"])
+def test_subnormal_eps_exits_precondition(tmp_path, capsys, section, value,
+                                          argv):
+    assert_refused(tmp_path, capsys, section, value, argv,
+                   "finite boundary sample count")
+
+
+@pytest.mark.parametrize("section, value, argv", [
+    (None, None, ["maxmod", "--eps", "0.05", "--dump-grid", "out.file"]),
+    ("plot", {"eps": 0.05}, ["plot", "--out", "out.file"]),
+], ids=["maxmod", "plot"])
+def test_eps_over_sample_budget_exits_precondition(tmp_path, capsys,
+                                                   monkeypatch, section,
+                                                   value, argv):
+    # the published regions take 56 to 96 samples each at eps 0.05
+    monkeypatch.setattr(geometry, "SAMPLE_BUDGET", 50)
+    assert_refused(tmp_path, capsys, section, value, argv,
+                   "at most 50 boundary samples per region")
+
+
+def test_eps_over_pair_budget_exits_before_evaluating(tmp_path, capsys,
+                                                      monkeypatch):
+    def evaluated(*args):
+        raise AssertionError("a pair was evaluated")
+    monkeypatch.setattr(search_module, "PAIR_BUDGET", 1000)
+    monkeypatch.setattr(search_module, "_max_over_a", evaluated)
+    assert_refused(tmp_path, capsys, None, None,
+                   ["maxmod", "--eps", "0.05", "--dump-grid", "out.file"],
+                   "at most 1000 B x C grid pairs")
+
+
+# the spec-file names of the atoms, as the README documents them
+SPEC_KINDS = [
     ("monotone", cls.Monotone),
     ("strongly_monotone", cls.StronglyMonotone),
     ("cocoercive", cls.Cocoercive),
     ("lipschitz", cls.Lipschitz),
     ("averaged", cls.Averaged),
     ("shifted_lipschitz_ball", cls.ShiftedLipschitzBall),
-])
+]
+
+
+def test_atom_kinds_are_distinct_and_round_trip():
+    kinds = [atom.kind for atom in cls.ATOMS]
+    assert len(set(kinds)) == len(kinds)
+    assert all(_ATOM_KINDS[atom.kind] is atom for atom in cls.ATOMS)
+    assert _ATOM_KINDS == dict(SPEC_KINDS)
+    # kind is a class constant, not a field a spec entry could set
+    assert all("kind" not in [f.name for f in dataclasses.fields(atom)]
+               for atom in cls.ATOMS)
+
+
+@pytest.mark.parametrize("kind, ctor", SPEC_KINDS)
 def test_atom_takes_exactly_its_class_fields(tmp_path, capsys, kind, ctor):
     names = [f.name for f in dataclasses.fields(ctor)]
     atom = {"kind": kind, **{name: 0.5 for name in names}}

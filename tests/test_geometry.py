@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dysrates import (Arc, Disk, DiskExterior, EmptyRegionError, HalfPlane,
-                      Region, Segment, UnboundedRegionError,
+                      PreconditionError, Region, Segment, UnboundedRegionError,
                       UnsupportedOrientationError, boundary_pieces,
                       has_left_arc_property, has_right_arc_property)
 from dysrates.geometry import _max_on_piece, _value_on_piece, boundary_grid
@@ -408,6 +408,24 @@ def test_sampling_covers_boundary():
 def test_sample_unbounded_region_rejected():
     with pytest.raises(UnboundedRegionError):
         boundary_grid(Region((HalfPlane(0.0),)), 0.1)
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-310])
+def test_subnormal_eps_refused_before_sampling(eps):
+    # the unit circle's length over eps overflows to inf
+    with pytest.raises(PreconditionError, match="finite boundary sample"):
+        boundary_grid(Region((Disk(0.0, 1.0),)), eps)
+
+
+def test_sample_budget_is_checked_before_sampling(monkeypatch):
+    import dysrates.geometry as geometry
+    region = Region((Disk(0.0, 1.0),))
+    n = boundary_grid(region, 0.1).points.size
+    monkeypatch.setattr(geometry, "SAMPLE_BUDGET", n)
+    assert boundary_grid(region, 0.1).points.size == n
+    monkeypatch.setattr(geometry, "SAMPLE_BUDGET", n - 1)
+    with pytest.raises(PreconditionError, match=f"needs {n}"):
+        boundary_grid(region, 0.1)
 
 
 def test_lens_samples_stay_on_boundary():

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from dysrates import (Disk, DiskExterior, DysParams, PreconditionError,
                       Region, SearchConfig, UnboundedRegionError,
                       boundary_pieces, cocoercive, coordinate_polish,
-                      grid_evaluate, lipschitz, monotone, search,
+                      grid_evaluate, lipschitz, monotone,
                       shifted_lipschitz_ball, shifted_modulus,
                       strongly_monotone)
 from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import (Arc, Segment, _max_on_piece, _value_on_piece,
                                boundary_grid)
-from dysrates.search import search_regions
+from dysrates.search import search, search_regions
 from dysrates.verify import _random_boundary_points
 from oracles import lipschitz_bound, project
 
@@ -53,6 +53,27 @@ def test_grid_single_point_boundaries():
 def test_grid_empty_boundary_rejected():
     with pytest.raises(PreconditionError):
         grid_evaluate([Segment(0.5 + 0j, 0.5 + 0j)], [0.5 + 0j], [], P11)
+
+
+def test_grid_pair_budget_checked_before_evaluating(monkeypatch):
+    import dysrates.search as search_module
+    segment = [Segment(0.5 + 0j, 0.5 + 0j)]
+    monkeypatch.setattr(search_module, "PAIR_BUDGET", 6)
+    assert grid_evaluate(segment, [0.5 + 0j] * 2, [1 + 0j] * 3, P11)[3] == 6
+
+    def evaluated(*args):
+        raise AssertionError("a pair was evaluated")
+    monkeypatch.setattr(search_module, "_max_over_a", evaluated)
+    with pytest.raises(PreconditionError, match="2 x 4 = 8"):
+        grid_evaluate(segment, [0.5 + 0j] * 2, [1 + 0j] * 4, P11)
+
+
+def test_package_attribute_is_the_search_module():
+    import dysrates
+    import dysrates.search as m
+    assert m is dysrates.search
+    assert callable(m.locate_maximum)
+    assert m.search is search
 
 
 def test_grid_lexicographic_tie_break():

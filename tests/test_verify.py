@@ -15,11 +15,12 @@ from dysrates import (Averaged, Cocoercive, DysParams, InvalidClassError,
                       ShiftedLipschitzBall, SingularResolventError,
                       StronglyMonotone, class_membership, cocoercive,
                       contraction_thm33, dys_matrix, lipschitz, monotone,
-                      operator_from_resolvent_point, realize, search,
+                      operator_from_resolvent_point, realize,
                       spectral_norm_2x2, strongly_monotone,
                       verify_averagedness, verify_contraction, zeta)
 from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import boundary_grid
+from dysrates.search import search
 from dysrates.verify import _members, _sym_min_eig
 from oracles import assert_matches, rotation_value
 
