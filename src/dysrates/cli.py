@@ -75,6 +75,12 @@ def _finite_number(value, where: str) -> float:
     return x
 
 
+def _positive(x: float, where: str) -> float:
+    if x <= 0:
+        raise SpecFileError(f"{where}: must be positive, got {x!r}")
+    return x
+
+
 def _reject_unknown(obj: dict, allowed, where: str) -> None:
     unknown = set(obj) - set(allowed)
     if unknown:
@@ -163,11 +169,11 @@ class ProblemSpec:
         plot_cfg = _section(raw, "plot", {"circle_radius", "eps"})
         self.plot_circle = _number(plot_cfg, "circle_radius", "plot")
         self.plot_eps = _number(plot_cfg, "eps", "plot", 1.0 / 30.0)
-        for key, value in (("circle_radius", self.plot_circle),
-                           ("eps", self.plot_eps)):
-            if value is not None and value <= 0:
-                raise SpecFileError(f"plot.{key}: must be positive, got "
-                                    f"{value!r}")
+        for where, value in (("search.eps_grid", self.eps_grid),
+                             ("plot.circle_radius", self.plot_circle),
+                             ("plot.eps", self.plot_eps)):
+            if value is not None:
+                _positive(value, where)
 
     def params(self) -> DysParams:
         return DysParams(self.alpha, self.lam, self.shift)
@@ -229,12 +235,9 @@ def cmd_maxmod(args) -> int:
     shift = spec.shift if args.shift is None else _finite_number(
         args.shift, "--shift")
     params = DysParams(spec.alpha, spec.lam, shift)
-    eps = spec.eps_grid if args.eps is None else _finite_number(
-        args.eps, "--eps")
-    try:
-        config = SearchConfig() if eps is None else SearchConfig(eps_grid=eps)
-    except ValueError as exc:
-        raise SpecFileError(f"search settings: {exc}") from exc
+    eps = spec.eps_grid if args.eps is None else _positive(
+        _finite_number(args.eps, "--eps"), "--eps")
+    config = SearchConfig() if eps is None else SearchConfig(eps_grid=eps)
     effective_c = spec.effective_c()
     result = search(spec.a, spec.b, effective_c, params, config)
     if args.dump_grid is not None:

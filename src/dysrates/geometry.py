@@ -463,15 +463,48 @@ class BoundaryGrid:
     pieces: tuple
     intervals: tuple
 
+    def cell_hulls(self):
+        """Hull vertices of the sample cells.
 
-def boundary_grid(region: Region, eps: float) -> BoundaryGrid:
+        Cell j of a piece runs from its sample j to sample j + 1.  A segment
+        cell is the chord between them.  An arc cell of angular step h < pi
+        lies in the triangle of its two end samples and the point where the
+        tangents at them meet, c + r e^{i theta_mid} / cos(h/2).  A step
+        over pi/2 is split into ceil(h / (pi/2)) equal sub-arcs with a
+        tangent point each; every joint between two sub-arcs lies on the
+        segment between their tangent points, so the cell lies in the hull
+        of its end samples and tangent points.  Returns (ends, tangents,
+        owner): the (cells, 2) sample indices of every cell, the tangent
+        points, and the cell of each.
+        """
+        ends, tangents, owner = [], [np.empty(0, complex)], [np.empty(0, int)]
+        cells = 0
+        for i, (piece, n) in enumerate(zip(self.pieces, self.intervals)):
+            # the pieces before this one hold cells + i samples
+            j = np.arange(cells + i, cells + i + n)
+            ends.append(np.stack([j, j + 1], axis=1))
+            if isinstance(piece, Arc):
+                step = (piece.angle_end - piece.angle_start) / n
+                split = math.ceil(step / (0.5 * math.pi))
+                half = 0.5 * step / split
+                k = np.arange(n * split)
+                ang = piece.angle_start + (2 * k + 1) * half
+                tangents.append(piece.center + piece.radius / math.cos(half)
+                                * np.exp(1j * ang))
+                owner.append(cells + k // split)
+            cells += n
+        return (np.concatenate(ends), np.concatenate(tangents),
+                np.concatenate(owner))
+
+
+def grid_intervals(pieces, eps: float) -> tuple:
+    """Interval count of each boundary piece on a grid of spacing eps,
+    ceil(length / eps) and at least 1, as boundary_grid lays it out: piece
+    i takes intervals[i] + 1 samples.  An eps whose counts are not finite,
+    or whose grid would take more than SAMPLE_BUDGET samples, is refused
+    here, before any sample exists."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not region.bounded:
-        raise UnboundedRegionError(
-            "cannot sample the boundary of an unbounded region; intersect "
-            "with a bounding atom first")
-    pieces = boundary_pieces(region)
     ratios = [p.length / eps for p in pieces]
     if not all(math.isfinite(r) for r in ratios):
         raise PreconditionError("finite boundary sample count",
@@ -482,6 +515,16 @@ def boundary_grid(region: Region, eps: float) -> BoundaryGrid:
         raise PreconditionError(
             f"at most {SAMPLE_BUDGET} boundary samples per region",
             f"eps={eps!r} needs {samples}")
+    return intervals
+
+
+def boundary_grid(region: Region, eps: float) -> BoundaryGrid:
+    if not region.bounded:
+        raise UnboundedRegionError(
+            "cannot sample the boundary of an unbounded region; intersect "
+            "with a bounding atom first")
+    pieces = boundary_pieces(region)
+    intervals = grid_intervals(pieces, eps)
     points = np.concatenate([p.sample(n) for p, n in zip(pieces, intervals)])
     # samples are spaced <= max_gap along each piece, so every boundary
     # point is within max_gap/2 in arc length, hence in chord distance

@@ -34,13 +34,13 @@ import numpy as np
 
 from .classes import OperatorClassSpec, resolvent_srg, srg
 from .errors import PreconditionError, UnboundedRegionError
-from .geometry import (Arc, Region, _max_on_piece, _value_on_piece,
-                       boundary_grid)
+from .geometry import (Region, _max_on_piece, _value_on_piece,
+                       boundary_grid, boundary_pieces, grid_intervals)
 from .symbol import DysParams, shifted_modulus
 
 # Most (z_B, z_C) grid pairs grid_evaluate takes.  The grid stage and the
 # certificate peak at about 50-90 bytes per pair, so a search at this budget
-# stays under 0.8 GB.  A finer eps is refused before any pair is evaluated.
+# stays under 0.8 GB.  A finer eps is refused before any boundary is sampled.
 PAIR_BUDGET = 1 << 23
 # The polish stops after this many sweeps over the three coordinates, and
 # accepts a move only when it gains more than POLISH_TOL.
@@ -105,6 +105,15 @@ def _affine_in(idx: int, z_a, z_b, z_c, params: DysParams):
 # Grid stage
 # ---------------------------------------------------------------------------
 
+def _check_pairs(n_b: int, n_c: int) -> None:
+    """Refuse a grid of n_b B samples and n_c C samples with more than
+    PAIR_BUDGET pairs."""
+    if n_b * n_c > PAIR_BUDGET:
+        raise PreconditionError(
+            f"at most {PAIR_BUDGET} B x C grid pairs",
+            f"{n_b} x {n_c} = {n_b * n_c}; use a coarser eps")
+
+
 def _max_over_a(pieces_a, zb, zc, params: DysParams):
     """Largest |zeta - s| over boundary A, exactly, for every pair of a
     column zb of B points and a row zc of C points, with the coefficients
@@ -137,10 +146,7 @@ def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams,
     if len(pieces_a) == 0 or zb.size == 0 or zc.size == 0:
         raise PreconditionError("all three boundaries nonempty",
                                 "empty boundary sample")
-    if zb.size * zc.size > PAIR_BUDGET:
-        raise PreconditionError(
-            f"at most {PAIR_BUDGET} B x C grid pairs",
-            f"{zb.size} x {zc.size} = {zb.size * zc.size}; use a coarser eps")
+    _check_pairs(zb.size, zc.size)
     values, p_coef, q_coef = _max_over_a(pieces_a, zb, zc, params)
     vals = values.ravel()
     keep = min(max(1, top_k), vals.size)
@@ -216,62 +222,36 @@ def coordinate_polish(starts, pieces_triple, params: DysParams):
 def locate_maximum(region_a: Region, region_b: Region, region_c: Region,
                    params: DysParams, config: SearchConfig = SearchConfig()):
     """The grid stage and the polish over three explicit regions, without a
-    certificate.  Returns (best_value, best_point, grid_best_value,
-    grid_best_point, grids, values, evaluations), with the boundary grids
-    of A, B and C and the grid stage's values array."""
+    certificate.  Only B and C are sampled, and an eps over the pair budget
+    is refused before either is.  Returns (best_value, best_point,
+    grid_best_value, grid_best_point, pieces_a, grids, values,
+    evaluations), with the boundary pieces of A, the boundary grids of B
+    and C and the grid stage's values array."""
     for name, region in (("A", region_a), ("B", region_b), ("C", region_c)):
         if not region.bounded:
             raise UnboundedRegionError(
                 f"search region {name} is unbounded; add a bounding atom or "
                 "an enlargement")
-    grids = [boundary_grid(r, config.eps_grid)
-             for r in (region_a, region_b, region_c)]
+    eps = config.eps_grid
+    pieces_a = boundary_pieces(region_a)
+    sizes = [sum(n + 1 for n in grid_intervals(boundary_pieces(r), eps))
+             for r in (region_b, region_c)]
+    _check_pairs(*sizes)
+    grids = tuple(boundary_grid(r, eps) for r in (region_b, region_c))
     grid_best, grid_point, seeds, grid_evals, values = grid_evaluate(
-        grids[0].pieces, grids[1].points, grids[2].points, params,
+        pieces_a, grids[0].points, grids[1].points, params,
         top_k=config.top_k)
     polished, polished_point, polish_evals = coordinate_polish(
-        seeds, tuple(g.pieces for g in grids), params)
+        seeds, (pieces_a,) + tuple(g.pieces for g in grids), params)
     best_value, best_point = grid_best, grid_point
     if polished > grid_best:
         best_value, best_point = polished, polished_point
-    return (best_value, best_point, grid_best, grid_point, grids, values,
-            grid_evals + polish_evals)
+    return (best_value, best_point, grid_best, grid_point, pieces_a, grids,
+            values, grid_evals + polish_evals)
 
 
-def _cell_hulls(grid):
-    """Hull vertices of the sample cells of one boundary grid.
-
-    Cell j of a piece runs from its sample j to sample j + 1.  A segment
-    cell is the chord between them.  An arc cell of angular step h < pi
-    lies in the triangle of its two end samples and the point where the
-    tangents at them meet, c + r e^{i theta_mid} / cos(h/2).  A step over
-    pi/2 is split into ceil(h / (pi/2)) equal sub-arcs with a tangent point
-    each; every joint between two sub-arcs lies on the segment between
-    their tangent points, so the cell lies in the hull of its end samples
-    and tangent points.  Returns (ends, tangents, owner): the (cells, 2)
-    sample indices of every cell, the tangent points, and the cell of each.
-    """
-    ends, tangents, owner = [], [np.empty(0, complex)], [np.empty(0, int)]
-    first = cells = 0
-    for piece, n in zip(grid.pieces, grid.intervals):
-        j = np.arange(first, first + n)
-        ends.append(np.stack([j, j + 1], axis=1))
-        if isinstance(piece, Arc):
-            step = (piece.angle_end - piece.angle_start) / n
-            split = math.ceil(step / (0.5 * math.pi))
-            half = 0.5 * step / split
-            k = np.arange(n * split)
-            ang = piece.angle_start + (2 * k + 1) * half
-            tangents.append(piece.center + piece.radius / math.cos(half)
-                            * np.exp(1j * ang))
-            owner.append(cells + k // split)
-        first += n + 1
-        cells += n
-    return (np.concatenate(ends), np.concatenate(tangents),
-            np.concatenate(owner))
-
-
-def _vertex_bound(grids, values, params: DysParams, threshold: float):
+def _vertex_bound(pieces_a, grids, values, params: DysParams,
+                  threshold: float):
     """Largest |zeta - s| over boundary A, exactly, at the pairs of hull
     vertices of the B and C cells that threshold does not rule out, and
     the evaluations it took; pairs of two samples are left out, as values
@@ -280,8 +260,8 @@ def _vertex_bound(grids, values, params: DysParams, threshold: float):
     threshold."""
     kept = []
     peaks = values.max(axis=1), values.max(axis=0)
-    for grid, peak in zip(grids[1:], peaks):
-        ends, tangents, owner = _cell_hulls(grid)
+    for grid, peak in zip(grids, peaks):
+        ends, tangents, owner = grid.cell_hulls()
         live = peak[ends].max(axis=1) > threshold
         samples = np.zeros(len(grid.points), dtype=bool)
         samples[ends[live]] = True
@@ -291,10 +271,9 @@ def _vertex_bound(grids, values, params: DysParams, threshold: float):
     for zb, zc in ((tangents_b, np.concatenate([samples_c, tangents_c])),
                    (samples_b, tangents_c)):
         if zb.size and zc.size:
-            vals = _max_over_a(grids[0].pieces, zb[:, None], zc[None, :],
-                               params)[0]
+            vals = _max_over_a(pieces_a, zb[:, None], zc[None, :], params)[0]
             bound = max(bound, float(vals.max()))
-            evals += len(grids[0].pieces) * vals.size
+            evals += len(pieces_a) * vals.size
     return bound, evals
 
 
@@ -302,8 +281,9 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
                    params: DysParams,
                    config: SearchConfig = SearchConfig()) -> SearchResult:
     """Search |zeta - s| over the boundaries of three explicit regions."""
-    best_value, best_point, grid_best, grid_point, grids, values, evals = \
-        locate_maximum(region_a, region_b, region_c, params, config)
+    (best_value, best_point, grid_best, grid_point, pieces_a, (grid_b, grid_c),
+     values, evals) = locate_maximum(region_a, region_b, region_c, params,
+                                     config)
 
     # The pruning bound.  Take any boundary triple (z_A, z_B, z_C) and the
     # grid points z_B', z_C' nearest to z_B, z_C, within r_B, r_C of them.
@@ -318,14 +298,13 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
     # Hence |zeta - s| <= (grid value at (z_B', z_C')) + M_B r_B + M_C r_C,
     # and by Cauchy-Schwarz <= that value + hypot(M_B, M_C) hypot(r_B, r_C).
     # Each sup is a piece maximum of |P z + Q| in closed form.
-    sup_a, sup_b = (np.max([_value_on_piece(p, 1.0, 0.0) for p in g.pieces])
-                    for g in grids[:2])
+    sup_a, sup_b = (np.max([_value_on_piece(p, 1.0, 0.0) for p in pieces])
+                    for pieces in (pieces_a, grid_b.pieces))
     m_c = params.lam * params.alpha * sup_a * sup_b
-    w = 2.0 - params.alpha * grids[2].points
-    m_b = params.lam * np.max([_value_on_piece(p, w, -1.0)
-                               for p in grids[0].pieces])
+    w = 2.0 - params.alpha * grid_c.points
+    m_b = params.lam * np.max([_value_on_piece(p, w, -1.0) for p in pieces_a])
     lipschitz = math.hypot(m_b, m_c)
-    covering = math.hypot(grids[1].covering_radius, grids[2].covering_radius)
+    covering = math.hypot(grid_b.covering_radius, grid_c.covering_radius)
     slack = lipschitz * covering
 
     # The certificate.  F(z_B, z_C) = max_{dA} |zeta - s| is the value the
@@ -334,7 +313,7 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
     #    maximum of moduli of affine maps of z_B, hence convex in z_B; for
     #    fixed z_B it is convex in z_C likewise.
     # 2. Each B or C cell lies in the convex hull of its vertices
-    #    (_cell_hulls).
+    #    (BoundaryGrid.cell_hulls).
     # 3. So over a product of a B cell and a C cell, F is at most its value
     #    at some pair of their vertices: maximize over z_B with z_C fixed,
     #    then over z_C with that vertex fixed.
@@ -347,8 +326,8 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
     # two evaluations of one maximum, at a point and at its mirror image,
     # can differ by an ulp.  So it carries 16 ulps of the term scale of
     # zeta - s; a proven rounding bound is still open.
-    vertex, vertex_evals = _vertex_bound(grids, values, params,
-                                         grid_best - slack)
+    vertex, vertex_evals = _vertex_bound(pieces_a, (grid_b, grid_c), values,
+                                         params, grid_best - slack)
     terms = 1.0 + abs(params.shift) + params.lam * (
         sup_a + sup_b + sup_a * sup_b * np.max(np.abs(w)))
     vertex = max(vertex, grid_best) + 16.0 * np.finfo(float).eps * terms

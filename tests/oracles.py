@@ -40,6 +40,30 @@ def project(piece, w: complex) -> complex:
     raise TypeError(f"unknown piece {piece!r}")
 
 
+def distance_to_hull(w: complex, vertices) -> float:
+    """Distance from w to the convex hull of a few points, 0 inside it:
+    Andrew's monotone chain gives the hull counterclockwise, and outside it
+    the nearest point lies on an edge."""
+    pts = [complex(*q) for q in sorted({(v.real, v.imag) for v in vertices})]
+
+    def turn(o, a, b):  # > 0 when o, a, b turn counterclockwise
+        return ((a - o).conjugate() * (b - o)).imag
+
+    def chain(seq):
+        out = []
+        for q in seq:
+            while len(out) >= 2 and turn(out[-2], out[-1], q) <= 0:
+                out.pop()
+            out.append(q)
+        return out[:-1]
+
+    hull = chain(pts) + chain(pts[::-1]) or pts[:1]
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    if len(hull) >= 3 and all(turn(a, b, w) >= 0 for a, b in edges):
+        return 0.0
+    return min(abs(w - project(Segment(a, b), w)) for a, b in edges)
+
+
 def _arc_probe_points(region: Region, n_samples: int) -> np.ndarray:
     """Boundary samples for the refuting check; unbounded regions are
     clipped by a generous probe disk first (membership is still tested

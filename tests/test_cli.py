@@ -356,13 +356,16 @@ def test_four_atom_c_exits_ok(tmp_path, capsys, argv):
      ["maxmod", "--eps", "0.1"], 2),
     ("plot", {"circle_radius": -1.0}, ["plot", "--out", "fig.svg"], 2),
     ("plot", {"circle_radius": 0.0}, ["plot", "--out", "fig.svg"], 2),
+    ("search", {"eps_grid": -1}, ["factor"], 2),
+    ("search", {"eps_grid": -1}, ["verify"], 2),
 ], ids=["top_k_fraction", "max_iters_fraction", "ascent_step_removed",
         "parallel_removed", "eps_grid_zero", "eps_negative", "plot_eps_zero",
         "rho_nan", "rho_inf", "trials_negative", "seed_negative", "eps_nan",
         "eps_inf", "shift_nan", "shift_inf", "trials_not_integer",
         "rho_minus_inf", "enlargement_string_removed",
         "json_indent_removed", "top_k_removed", "enlargement_mu_removed",
-        "plot_circle_radius_negative", "plot_circle_radius_zero"])
+        "plot_circle_radius_negative", "plot_circle_radius_zero",
+        "factor_eps_grid_negative", "verify_eps_grid_negative"])
 def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
                                              value, argv, expected):
     payload = json.loads(json.dumps(PUBLISHED))
@@ -432,6 +435,18 @@ def test_eps_over_pair_budget_exits_before_evaluating(tmp_path, capsys,
     assert_refused(tmp_path, capsys, None, None,
                    ["maxmod", "--eps", "0.05", "--dump-grid", "out.file"],
                    "at most 1000 B x C grid pairs")
+
+
+def test_eps_over_pair_budget_exits_before_sampling(tmp_path, capsys,
+                                                    monkeypatch):
+    # eps 1e-6 asks for 1785300 x 2570799 B x C pairs on the published spec
+    def sampled(*args):
+        raise AssertionError("a boundary was sampled")
+    monkeypatch.setattr(geometry.Arc, "sample", sampled)
+    monkeypatch.setattr(geometry.Segment, "sample", sampled)
+    assert_refused(tmp_path, capsys, None, None,
+                   ["maxmod", "--eps", "1e-6", "--dump-grid", "out.file"],
+                   f"at most {search_module.PAIR_BUDGET} B x C grid pairs")
 
 
 # the spec-file names of the atoms, as the README documents them

@@ -13,8 +13,9 @@ from dysrates import (Arc, Disk, DiskExterior, EmptyRegionError, HalfPlane,
                       PreconditionError, Region, Segment, UnboundedRegionError,
                       UnsupportedOrientationError, boundary_pieces,
                       has_left_arc_property, has_right_arc_property)
-from dysrates.geometry import _max_on_piece, _value_on_piece, boundary_grid
-from oracles import arc_sampling_refuter, project
+from dysrates.geometry import (BoundaryGrid, _max_on_piece, _value_on_piece,
+                               boundary_grid)
+from oracles import arc_sampling_refuter, distance_to_hull, project
 
 
 def lens(c1, r1, c2, r2):
@@ -426,6 +427,33 @@ def test_sample_budget_is_checked_before_sampling(monkeypatch):
     monkeypatch.setattr(geometry, "SAMPLE_BUDGET", n - 1)
     with pytest.raises(PreconditionError, match=f"needs {n}"):
         boundary_grid(region, 0.1)
+
+
+PIECE = st.one_of(
+    st.builds(lambda c, r, start, span: Arc(c, r, start, start + span),
+              CENTER, RADIUS, st.floats(-math.pi, math.pi),
+              st.floats(1e-3, 2.0 * math.pi)),
+    st.builds(lambda p0, p1: Segment(complex(*p0), complex(*p1)),
+              st.tuples(CENTER, CENTER), st.tuples(CENTER, CENTER)))
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(PIECE, st.integers(1, 6)), min_size=1, max_size=3))
+def test_cells_lie_in_their_hulls(pieces_and_counts):
+    # one to six cells on an arc of up to 2 pi: steps over pi/2 and over pi
+    pieces, intervals = zip(*pieces_and_counts)
+    points = np.concatenate([p.sample(n) for p, n in zip(pieces, intervals)])
+    ends, tangents, owner = BoundaryGrid(points, 0.0, pieces,
+                                         intervals).cell_hulls()
+    cells = [(p, j, n) for p, n in zip(pieces, intervals) for j in range(n)]
+    assert len(ends) == len(cells)
+    for k, ((piece, j, n), pair) in enumerate(zip(cells, ends)):
+        assert np.allclose(points[pair], piece.point_at(np.array([j, j + 1])
+                                                        / n), atol=1e-12)
+        vertices = list(points[pair]) + list(tangents[owner == k])
+        for t in np.linspace(j / n, (j + 1) / n, 17):
+            assert distance_to_hull(complex(piece.point_at(t)),
+                                    vertices) <= 1e-9
 
 
 def test_lens_samples_stay_on_boundary():

@@ -68,6 +68,20 @@ def test_grid_pair_budget_checked_before_evaluating(monkeypatch):
         grid_evaluate(segment, [0.5 + 0j] * 2, [1 + 0j] * 4, P11)
 
 
+def test_search_samples_only_b_and_c(monkeypatch):
+    import dysrates.search as search_module
+    sampled = []
+
+    def recording(region, eps):
+        sampled.append(region)
+        return boundary_grid(region, eps)
+    monkeypatch.setattr(search_module, "boundary_grid", recording)
+    a, b, c = published_instance()
+    regions = resolvent_srg(a, 1.0), resolvent_srg(b, 1.0), srg(c)
+    search_regions(*regions, P11, SearchConfig(eps_grid=1.0 / 30.0))
+    assert sampled == list(regions[1:])
+
+
 def test_package_attribute_is_the_search_module():
     import dysrates
     import dysrates.search as m

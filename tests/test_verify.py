@@ -337,13 +337,19 @@ def test_dys_matrix_stack_norm_is_symbol_modulus(triples, alpha, lam):
        st.floats(0.01, 2.0),
        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
 @example(((1 + 0j), (1 + 0j), (1 + 0j)), 1.0, 0.5, (0.0, 4.849e-160))
+@example(((1 + 0j), (1 + 0j), (1 + 0j)), 2.0, 2.0, (5e-324, 5e-324))
 def test_dys_matrix_scales_every_vector_by_its_norm(triple, alpha, lam, x):
     # T is a scaled rotation, so ||T^k x|| = ||T||^k ||x||: iterating T
     # shows nothing that the norm bound does not.  math.hypot keeps its
-    # precision where the squares of tiny entries are subnormal.
+    # precision where the squares of tiny entries are subnormal, but not
+    # where x itself is: hypot(5e-324, 5e-324) rounds to 5e-324.  T is
+    # linear, so a small x is first scaled up by a power of two, which is
+    # exact, to a largest entry of at least 0.5.
     a, b, c = triple
     t = dys_matrix(realize(a), realize(b), realize(c), alpha, lam)
     x = np.array(x)
+    if x.any():
+        x = np.ldexp(x, max(0, -math.frexp(np.abs(x).max())[1]))
     scale = 1 + lam * abs(b) + lam * abs(a) * (
         1 + 2 * abs(b) + alpha * abs(c) * abs(b))
     norm_x = math.hypot(*x)
