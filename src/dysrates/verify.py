@@ -152,12 +152,13 @@ class VerificationReport:
 
 
 def _check_trials(specs, params: DysParams, bound: float, center: float,
-                  n_trials: int, rng: np.random.Generator, tol: float,
-                  extremal: bool):
+                  n_trials: int, rng: np.random.Generator, tol: float):
     """Realize n_trials random boundary triples as (n, 2, 2) stacks, check
     the classes of the induced operators and ||T - center*I|| <= bound + tol,
-    and report in trial order.  The extremal probe is checked last, without
-    class checks."""
+    and report in trial order.  The maximizer of a coarse search for
+    |zeta - center| is probed last, without class checks, so an undersized
+    bound fails deterministically rather than only when random sampling
+    gets lucky."""
     report = VerificationReport(trials=n_trials, rho=bound)
     if n_trials <= 0:
         report.warnings.append("no trials requested; vacuous pass")
@@ -173,14 +174,13 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
         # which grows without bound as the resolvent value J nears 0
         member &= _members(m, spec, 1e-9 * np.maximum(1.0,
                                                       spectral_norm_2x2(m)))
-    if extremal:
-        # the probe maximizes |zeta - center|, the quantity checked below,
-        # whatever shift params carries
-        config = SearchConfig(eps_grid=1.0 / 40.0, top_k=8)
-        probe = DysParams(params.alpha, params.lam, center)
-        best = locate_maximum(*regions, probe, config)[1]
-        zs = [np.append(z, p) for z, p in zip(zs, best)]
-        member = np.append(member, True)
+    # the probe maximizes |zeta - center|, the quantity checked below,
+    # whatever shift params carries
+    config = SearchConfig(eps_grid=1.0 / 40.0, top_k=8)
+    probe = DysParams(params.alpha, params.lam, center)
+    best = locate_maximum(*regions, probe, config)[1]
+    zs = [np.append(z, p) for z, p in zip(zs, best)]
+    member = np.append(member, True)
     t = dys_matrix(*(realize(z) for z in zs), params.alpha, params.lam)
     norms = spectral_norm_2x2(t - center * I2)
     seen = np.where(member & (norms > 0.0), norms, 0.0)
@@ -204,14 +204,9 @@ def verify_contraction(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
     """Realize random boundary triples and test ||T|| <= rho + tol and class
     membership of the induced operators.  T is a scaled rotation, so
     ||T^k x|| = ||T||^k ||x||: iterating T can show no growth that the norm
-    bound has not already shown.
-
-    The triple found by a coarse max-modulus search is probed too, which
-    makes undersized rho values fail deterministically rather than only
-    when random sampling gets lucky.
-    """
+    bound has not already shown."""
     return _check_trials((a_spec, b_spec, c_spec), params, rho, 0.0,
-                         n_trials, np.random.default_rng(rng_seed), tol, True)
+                         n_trials, np.random.default_rng(rng_seed), tol)
 
 
 def verify_averagedness(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
@@ -223,4 +218,4 @@ def verify_averagedness(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
     scaled-rotation realizations of boundary triples."""
     return _check_trials((a_spec, b_spec, c_spec), params, theta,
                          1.0 - theta, n_trials,
-                         np.random.default_rng(rng_seed), tol, False)
+                         np.random.default_rng(rng_seed), tol)

@@ -13,7 +13,8 @@ from hypothesis.extra.numpy import arrays
 from dysrates import (Averaged, Cocoercive, DysParams, InvalidClassError,
                       Lipschitz, Monotone, OperatorClassSpec, SearchConfig,
                       ShiftedLipschitzBall, SingularResolventError,
-                      StronglyMonotone, class_membership, cocoercive,
+                      StronglyMonotone, averagedness_thm41,
+                      class_membership, cocoercive,
                       contraction_thm33, dys_matrix, lipschitz, monotone,
                       operator_from_resolvent_point, realize,
                       spectral_norm_2x2, strongly_monotone,
@@ -243,6 +244,38 @@ def test_verify_averagedness_norm_bound():
                                  n_trials=1000, rng_seed=0)
     assert report.passed
     assert report.max_norm_seen <= 2.0 / 3.0 + 1e-9
+
+
+def test_verify_averagedness_probe_refutes_undersized_theta():
+    # Theorem 4.1 is tight here: max |zeta - 1/3| = 2/3 is attained at one
+    # boundary triple, which 1000 random trials come within 1e-3 of only
+    # by luck; the probe aims at it
+    a = strongly_monotone(1.0)
+    c = monotone().intersect(lipschitz(1.0))
+    theta = 2.0 / 3.0 - 1e-3
+    report = verify_averagedness(a, monotone(), c, P11, theta,
+                                 n_trials=1000, rng_seed=0)
+    assert not report.passed
+    assert [v["kind"] for v in report.violations] == ["norm_bound"]
+    assert report.violations[0]["norm"] > theta + 1e-9
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.floats(0.05, 2.0), st.floats(0.05, 2.0), st.floats(0.01, 0.99),
+       st.booleans(), st.integers(0, 2 ** 16))
+def test_verify_averagedness_passes_at_thm41_theta(mu, l_c, frac, on_a,
+                                                   seed):
+    # the probe lies on the boundaries, where Theorem 4.1 bounds
+    # |zeta - (1 - theta)| by theta: it must never report a false failure
+    alpha = frac * min(2.0, 2.0 * mu / l_c ** 2)
+    sm = strongly_monotone(mu)
+    a, b = (sm, monotone()) if on_a else (monotone(), sm)
+    c = monotone().intersect(lipschitz(l_c))
+    theta = averagedness_thm41(alpha, mu, l_c).theta
+    report = verify_averagedness(a, b, c, DysParams(alpha, 1.0), theta,
+                                 n_trials=100, rng_seed=seed)
+    assert report.passed, report.violations
+    assert report.max_norm_seen <= theta + 1e-9
 
 
 def test_verify_thm33_instance_clean():
