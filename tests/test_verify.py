@@ -443,7 +443,7 @@ GOLDEN = {
     "thm33": {"max_norm_seen": 0.8090169943749473, "passed": True,
               "rho": 0.8660254037844386, "trials": 1000, "violations": [],
               "warnings": []},
-    "thm41": {"max_norm_seen": 0.6654079940610714, "passed": True,
+    "thm41": {"max_norm_seen": 0.6666666666666666, "passed": True,
               "rho": 0.6666666666666666, "trials": 1000, "violations": [],
               "warnings": []},
     "negative_control": {
