@@ -370,9 +370,16 @@ def _prior(form: str, args, values) -> RateReport:
     return _call(form, args, values)
 
 
+def _require_monotone_a_b(a, b) -> None:
+    """Every theorem takes A and B maximal monotone."""
+    if not (is_monotone_class(a) and is_monotone_class(b)):
+        raise PreconditionError("A and B monotone")
+
+
 def factor(a, b, c, alpha: float, lam: float, theorem: str = "auto"):
     """Closed-form factor of the first placement of `theorem` that the
     classes a, b and c carry; "auto" picks the theorem as THEOREMS says."""
+    _require_monotone_a_b(a, b)
     values = _sources(a, b, c, alpha, lam)
     if theorem == "auto":
         placed = {row.theorem for row in PLACEMENTS if _carried(
@@ -398,6 +405,7 @@ def factor(a, b, c, alpha: float, lam: float, theorem: str = "auto"):
 def compare(a, b, c, alpha: float, lam: float) -> dict:
     """Each carried placement's factor against every prior it improves on,
     in table order, with epsilon and eta at their window midpoints."""
+    _require_monotone_a_b(a, b)
     if c.beta is None:
         raise PreconditionError("C carries beta_C")
     eps = default_eps(alpha, c.beta)

@@ -238,6 +238,36 @@ def test_thm41_requires_monotone_c(tmp_path, capsys, command):
     assert "C monotone" in captured.err
 
 
+# Theorems 3.1-4.1 take A and B maximal monotone.  Without that check each
+# spec got a closed form: thm31 0.8248 (verify refutes it at 1.2143),
+# thm33 0.8581 (refuted at 0.9719) and thm41 0.5769 (verify exits 4 on B's
+# unbounded resolvent region).
+NONMONOTONE_B = [
+    ([{"kind": "lipschitz", "L": 0.9}], [{"kind": "cocoercive", "beta": 1.0}]),
+    ([{"kind": "averaged", "theta": 0.9}],
+     [{"kind": "cocoercive", "beta": 1.0},
+      {"kind": "strongly_monotone", "mu": 0.5}]),
+    ([{"kind": "lipschitz", "L": 2.0}],
+     [{"kind": "monotone"}, {"kind": "lipschitz", "L": 0.8}]),
+]
+
+
+@pytest.mark.parametrize("command", ["factor", "compare", "verify"])
+def test_closed_forms_require_monotone_a_and_b(tmp_path, capsys, command):
+    for b, c in NONMONOTONE_B:
+        spec = write_spec(tmp_path, {
+            "classes": {"A": [{"kind": "strongly_monotone", "mu": 0.6},
+                              {"kind": "lipschitz", "L": 1.3}],
+                        "B": b, "C": c},
+            "params": {"alpha": 0.5, "lambda": 1.0}})
+        code = main([command, spec])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == \
+            "error: violated precondition: A and B monotone\n"
+
+
 # C is strongly monotone and Lipschitz but not cocoercive: no beta_C, so
 # thm33 cannot apply and auto-dispatch must reach thm41.
 SM_LIP_C = {
