@@ -479,6 +479,91 @@ def test_eps_over_pair_budget_exits_before_sampling(tmp_path, capsys,
                    f"at most {search_module.PAIR_BUDGET} B x C grid pairs")
 
 
+# ---------------------------------------------------------------------------
+# every spec and enlargement refusal: its exit code and one stderr line
+# ---------------------------------------------------------------------------
+
+def _edited(edit):
+    payload = json.loads(json.dumps(PUBLISHED))
+    edit(payload)
+    return payload
+
+
+def _enlarged(mode, edit=lambda payload: None):
+    def both(payload):
+        payload["enlargement"] = {"mode": mode}
+        edit(payload)
+    return _edited(both)
+
+
+LEFT_A = _edited(lambda p: p["classes"].__setitem__("A", [
+    {"kind": "shifted_lipschitz_ball", "center": -2.0, "radius": 1.0}]))
+
+REFUSALS = {
+    "top_level_list": ([PUBLISHED], ["factor"], 2,
+                       "error: top level must be an object"),
+    "missing_A": (_edited(lambda p: p["classes"].pop("A")), ["factor"], 2,
+                  "error: classes.A is required"),
+    "missing_alpha": (_edited(lambda p: p["params"].pop("alpha")),
+                      ["factor"], 2,
+                      "error: params.alpha and params.lambda are required"),
+    "atom_not_object": (_edited(lambda p: p["classes"].__setitem__("B", [5])),
+                        ["factor"], 2,
+                        "error: classes.B[0]: atom must be an object with "
+                        "'kind'"),
+    "empty_atom_list": (_edited(lambda p: p["classes"].__setitem__("A", [])),
+                        ["factor"], 2,
+                        "error: classes.A: expected a nonempty list of atoms"),
+    "atom_field_not_number": (
+        _edited(lambda p: p["classes"]["B"][1].__setitem__("L", "0.5")),
+        ["factor"], 2, "error: classes.B[1].L: expected a number, got '0.5'"),
+    "enlargement_mode_unknown": (_enlarged("bogus"), ["maxmod"], 2,
+                                 "error: unknown enlargement mode 'bogus'"),
+    "rho_not_number": (PUBLISHED, ["verify", "--rho", "abc"], 2,
+                       "error: --rho must be a number or 'auto'"),
+    "thm33_without_mu_c": (
+        _enlarged("thm33", lambda p: p["classes"]["C"].pop()),
+        ["maxmod", "--eps", "0.1"], 3,
+        "error: violated precondition: C carries mu_C and beta_C (thm33 "
+        "enlargement needs StronglyMonotone and Cocoercive atoms)"),
+    "thm41_without_l_c": (
+        _enlarged("thm41"), ["maxmod", "--eps", "0.1"], 3,
+        "error: violated precondition: C carries L_C (thm41 enlargement "
+        "needs a Lipschitz atom)"),
+    "thm41_without_mu": (
+        _enlarged("thm41", lambda p: p["classes"].__setitem__("C", [
+            {"kind": "monotone"}, {"kind": "lipschitz", "L": 1.0}])),
+        ["maxmod", "--eps", "0.1"], 3,
+        "error: violated precondition: mu of A or B supplied (thm41 "
+        "enlargement needs mu)"),
+    "thm33_lambda_too_large": (
+        _enlarged("thm33", lambda p: p["params"].__setitem__("lambda", 1.5)),
+        ["maxmod", "--eps", "0.1"], 3,
+        "error: violated precondition: lambda < 2 - alpha/(2 beta_C)"),
+    # J_A's region would be a left half-plane, which regions do not model
+    **{f"left_half_plane_resolvent_{argv[0]}": (
+        LEFT_A, argv, 3, "error: inverting a disk through 0 with "
+        "nonpositive center gives a left half-plane")
+       for argv in (["maxmod", "--eps", "0.1"], ["verify", "--rho", "0.9"],
+                    ["plot", "--out", "fig.svg"])},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal_exit_code_and_line(tmp_path, capsys, name):
+    payload, argv, expected, line = REFUSALS[name]
+    spec = write_spec(tmp_path, payload)
+    args = [argv[0], spec] + argv[1:]
+    if "--out" in args:
+        args[-1] = str(tmp_path / args[-1])
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+    assert not (tmp_path / "fig.svg").exists()
+
+
 # the spec-file names of the atoms, as the README documents them
 SPEC_KINDS = [
     ("monotone", cls.Monotone),

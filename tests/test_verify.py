@@ -19,10 +19,11 @@ from dysrates import (Averaged, Cocoercive, DysParams, InvalidClassError,
                       operator_from_resolvent_point, realize,
                       spectral_norm_2x2, strongly_monotone,
                       verify_averagedness, verify_contraction, zeta)
+import dysrates.verify as verify_module
 from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import boundary_grid
 from dysrates.search import search
-from dysrates.verify import _members, _sym_min_eig
+from dysrates.verify import _members, _random_boundary_points, _sym_min_eig
 from oracles import assert_matches, rotation_value
 
 P11 = DysParams(1.0, 1.0)
@@ -276,6 +277,29 @@ def test_verify_averagedness_passes_at_thm41_theta(mu, l_c, frac, on_a,
                                  n_trials=100, rng_seed=seed)
     assert report.passed, report.violations
     assert report.max_norm_seen <= theta + 1e-9
+
+
+def test_verify_reports_trials_off_the_classes(monkeypatch):
+    # doubling a boundary point of J_A's region {|z - 1/2| <= 1/2} gives
+    # Re A = -1/(2 alpha): no trial realizes a monotone A, so each one is a
+    # class_membership violation and only the probe counts in max_norm_seen
+    drawn = []
+
+    def doubled(region, n, rng):
+        drawn.append(2.0 * _random_boundary_points(region, n, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify_module, "_random_boundary_points", doubled)
+    a = monotone()
+    b = monotone().intersect(lipschitz(0.5))
+    c = cocoercive(1.0).intersect(strongly_monotone(0.5))
+    report = verify_contraction(a, b, c, P11, 10.0, n_trials=50)
+    assert not report.passed
+    assert len(report.violations) == 50
+    assert {v["kind"] for v in report.violations} == {"class_membership"}
+    peak = (5.0 + math.sqrt(5.0)) / 10.0
+    assert report.max_norm_seen == pytest.approx(peak, rel=1e-12)
+    assert np.max(np.abs(zeta(*drawn, P11))) > peak
 
 
 def test_verify_thm33_instance_clean():
