@@ -388,6 +388,9 @@ def test_four_atom_c_exits_ok(tmp_path, capsys, argv):
     ("plot", {"circle_radius": 0.0}, ["plot", "--out", "fig.svg"], 2),
     ("search", {"eps_grid": -1}, ["factor"], 2),
     ("search", {"eps_grid": -1}, ["verify"], 2),
+    ("enlargement", {"mode": "bogus"}, ["maxmod"], 2),
+    (None, None, ["verify", "--rho", "abc"], 2),
+    ("enlargement", {"mode": "thm41"}, ["maxmod", "--eps", "0.1"], 3),
 ], ids=["top_k_fraction", "max_iters_fraction", "ascent_step_removed",
         "parallel_removed", "eps_grid_zero", "eps_negative", "plot_eps_zero",
         "rho_nan", "rho_inf", "trials_negative", "seed_negative", "eps_nan",
@@ -395,7 +398,8 @@ def test_four_atom_c_exits_ok(tmp_path, capsys, argv):
         "rho_minus_inf", "enlargement_string_removed",
         "json_indent_removed", "top_k_removed", "enlargement_mu_removed",
         "plot_circle_radius_negative", "plot_circle_radius_zero",
-        "factor_eps_grid_negative", "verify_eps_grid_negative"])
+        "factor_eps_grid_negative", "verify_eps_grid_negative",
+        "enlargement_mode_unknown", "rho_not_number", "thm41_without_l_c"])
 def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
                                              value, argv, expected):
     payload = json.loads(json.dumps(PUBLISHED))
@@ -517,19 +521,11 @@ REFUSALS = {
     "atom_field_not_number": (
         _edited(lambda p: p["classes"]["B"][1].__setitem__("L", "0.5")),
         ["factor"], 2, "error: classes.B[1].L: expected a number, got '0.5'"),
-    "enlargement_mode_unknown": (_enlarged("bogus"), ["maxmod"], 2,
-                                 "error: unknown enlargement mode 'bogus'"),
-    "rho_not_number": (PUBLISHED, ["verify", "--rho", "abc"], 2,
-                       "error: --rho must be a number or 'auto'"),
     "thm33_without_mu_c": (
         _enlarged("thm33", lambda p: p["classes"]["C"].pop()),
         ["maxmod", "--eps", "0.1"], 3,
         "error: violated precondition: C carries mu_C and beta_C (thm33 "
         "enlargement needs StronglyMonotone and Cocoercive atoms)"),
-    "thm41_without_l_c": (
-        _enlarged("thm41"), ["maxmod", "--eps", "0.1"], 3,
-        "error: violated precondition: C carries L_C (thm41 enlargement "
-        "needs a Lipschitz atom)"),
     "thm41_without_mu": (
         _enlarged("thm41", lambda p: p["classes"].__setitem__("C", [
             {"kind": "monotone"}, {"kind": "lipschitz", "L": 1.0}])),
