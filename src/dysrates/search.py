@@ -3,11 +3,11 @@
 The pipeline: sample the boundaries of B and C on an eps-grid; for every
 grid pair (z_B, z_C) take the largest |zeta - s| over the boundary of A
 exactly, since zeta - s is affine in z_A and each arc or segment of A has
-a closed-form maximum value; locate the maximizing z_A only for the top
-grid pairs; polish those triples by exact cyclic coordinate maximization
-(the symbol is affine in each argument, so every coordinate step is
-solved in closed form); and certify a global upper bound, valid however
-far the polish got.
+a closed-form maximum value; locate the maximizing z_A only at the peaks
+of that grid, the pairs no array neighbour exceeds; polish those triples
+by exact cyclic coordinate maximization (the symbol is affine in each
+argument, so every coordinate step is solved in closed form); and certify
+a global upper bound, valid however far the polish got.
 
 The certificate evaluates the same exact-over-A value at the hull
 vertices of the B and C sample cells: a cell's two end samples and, on an
@@ -42,8 +42,10 @@ from .symbol import DysParams, shifted_modulus
 # certificate peak at about 50-90 bytes per pair, so a search at this budget
 # stays under 0.8 GB.  A finer eps is refused before any boundary is sampled.
 PAIR_BUDGET = 1 << 23
-# The polish stops after this many sweeps over the three coordinates, and
-# accepts a move only when it gains more than POLISH_TOL.
+# The polish starts from at most POLISH_SEEDS grid peaks, stops after
+# POLISH_MAX_SWEEPS sweeps over the three coordinates, and accepts a move
+# only when it gains more than POLISH_TOL.
+POLISH_SEEDS = 8
 POLISH_MAX_SWEEPS = 60
 POLISH_TOL = 1e-16
 
@@ -51,13 +53,10 @@ POLISH_TOL = 1e-16
 @dataclass(frozen=True)
 class SearchConfig:
     eps_grid: float = 1.0 / 120.0
-    top_k: int = 64
 
     def __post_init__(self):
         if self.eps_grid <= 0:
             raise ValueError("grid spacing must be positive")
-        if self.top_k <= 0:
-            raise ValueError("top_k must be positive")
 
 
 @dataclass(frozen=True)
@@ -125,21 +124,34 @@ def _max_over_a(pieces_a, zb, zc, params: DysParams):
     return vals, p_coef, q_coef
 
 
-def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams,
-                  top_k: int = 1):
+def _peaks(values):
+    """Flat indices of the local maxima of a 2-d array, the entries at
+    least as large as each of their four array neighbours (an edge has
+    none beyond it), largest first, then by index; at most POLISH_SEEDS."""
+    peak = np.ones(values.shape, dtype=bool)
+    peak[1:] &= values[1:] >= values[:-1]
+    peak[:-1] &= values[:-1] >= values[1:]
+    peak[:, 1:] &= values[:, 1:] >= values[:, :-1]
+    peak[:, :-1] &= values[:, :-1] >= values[:, 1:]
+    top = np.flatnonzero(peak)
+    return top[np.argsort(-values.ravel()[top], kind="stable")[:POLISH_SEEDS]]
+
+
+def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams):
     """|zeta - s| maximum over boundary A, exactly, times the Cartesian
     product of the B and C sample lists.
 
     zeta - s = P z_A + Q is affine in z_A, so every piece of A gives each
-    grid pair (z_B, z_C) its maximum value in closed form.  Only the top_k
-    pairs by that value get their maximizing z_A, from the piece with the
-    largest |P z_A + Q| at the point returned (the first piece wins a tie),
-    and are rescored there.  Returns (best_value, best_triple, candidates,
-    evaluations, values) where candidates holds those triples ordered by
-    rescored value then (B, C) grid index, best_value is |zeta - s| at the
-    first of them, evaluations counts len(pieces_a) * len(boundary_b) *
-    len(boundary_c), and values is the (len(boundary_b), len(boundary_c))
-    array of maxima over boundary A.
+    grid pair (z_B, z_C) its maximum value in closed form.  Only the peaks
+    of that (B, C) array (_peaks) get their maximizing z_A, from the piece
+    with the largest |P z_A + Q| at the point returned (the first piece
+    wins a tie), and are rescored there.  The largest value is a peak, so
+    the best pair always is one.  Returns (best_value, best_triple,
+    candidates, evaluations, values) where candidates holds those triples
+    ordered by rescored value then (B, C) grid index, best_value is
+    |zeta - s| at the first of them, evaluations counts len(pieces_a) *
+    len(boundary_b) * len(boundary_c), and values is the (len(boundary_b),
+    len(boundary_c)) array of maxima over boundary A.
     """
     zb = np.asarray(boundary_b, dtype=complex)[:, None]
     zc = np.asarray(boundary_c, dtype=complex)[None, :]
@@ -148,24 +160,20 @@ def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams,
                                 "empty boundary sample")
     _check_pairs(zb.size, zc.size)
     values, p_coef, q_coef = _max_over_a(pieces_a, zb, zc, params)
-    vals = values.ravel()
-    keep = min(max(1, top_k), vals.size)
-    cut = np.partition(vals, vals.size - keep)[vals.size - keep]
-    top = np.flatnonzero(vals >= cut)
-    top = top[np.argsort(-vals[top], kind="stable")[:keep]]
+    top = _peaks(values)
     js, ks = np.unravel_index(top, p_coef.shape)
     p_top, q_top = p_coef[js, ks], q_coef[js, 0]
     za = np.stack([_max_on_piece(piece, p_top, q_top) for piece in pieces_a])
     # equal ranks, so one pair rounds as in a batch (see coordinate_polish)
     scores = np.abs(q_top[None] + p_top[None] * za)
     first = np.argmax(scores, axis=0)  # the first piece wins a tie
-    rows = np.arange(keep)
+    rows = np.arange(top.size)
     za, scores = za[first, rows], scores[first, rows]
     order = np.lexsort((top, -scores))
     triples = [(complex(za[i]), complex(zb[js[i], 0]), complex(zc[0, ks[i]]))
                for i in order]
     return (float(scores[order[0]]), triples[0], triples,
-            len(pieces_a) * vals.size, values)
+            len(pieces_a) * values.size, values)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +247,7 @@ def locate_maximum(region_a: Region, region_b: Region, region_c: Region,
     _check_pairs(*sizes)
     grids = tuple(boundary_grid(r, eps) for r in (region_b, region_c))
     grid_best, grid_point, seeds, grid_evals, values = grid_evaluate(
-        pieces_a, grids[0].points, grids[1].points, params,
-        top_k=config.top_k)
+        pieces_a, grids[0].points, grids[1].points, params)
     polished, polished_point, polish_evals = coordinate_polish(
         seeds, (pieces_a,) + tuple(g.pieces for g in grids), params)
     best_value, best_point = grid_best, grid_point

@@ -158,11 +158,13 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
     and report in trial order.  The maximizer of a coarse search for
     |zeta - center| is probed last, without class checks, so an undersized
     bound fails deterministically rather than only when random sampling
-    gets lucky."""
+    gets lucky; with no random trials the probe is the whole check."""
+    if n_trials < 0:
+        raise ValueError("n_trials must be nonnegative")
     report = VerificationReport(trials=n_trials, rho=bound)
-    if n_trials <= 0:
-        report.warnings.append("no trials requested; vacuous pass")
-        return report
+    if n_trials == 0:
+        report.warnings.append("no random trials requested; only the "
+                               "probe was checked")
     regions = (resolvent_srg(specs[0], params.alpha),
                resolvent_srg(specs[1], params.alpha), srg(specs[2]))
     zs = [_random_boundary_points(r, n_trials, rng) for r in regions]
@@ -176,7 +178,7 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
                                                       spectral_norm_2x2(m)))
     # the probe maximizes |zeta - center|, the quantity checked below,
     # whatever shift params carries
-    config = SearchConfig(eps_grid=1.0 / 40.0, top_k=8)
+    config = SearchConfig(eps_grid=1.0 / 40.0)
     probe = DysParams(params.alpha, params.lam, center)
     best = locate_maximum(*regions, probe, config)[1]
     zs = [np.append(z, p) for z, p in zip(zs, best)]

@@ -326,6 +326,21 @@ def test_verify_zero_trials_warns(tmp_path, capsys):
     assert json.loads(captured.out)["passed"] is True
 
 
+def test_verify_zero_trials_is_a_probe_only_check(tmp_path, capsys):
+    # the published maximum is 0.7236; the probe refutes 0.1 without any
+    # random trial
+    spec = write_spec(tmp_path, PUBLISHED)
+    code = main(["verify", spec, "--rho", "0.1", "--trials", "0"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert code == 1
+    assert captured.err == ("warning: no random trials requested; only the "
+                            "probe was checked\n")
+    assert payload["passed"] is False and payload["trials"] == 0
+    assert [v["kind"] for v in payload["violations"]] == ["norm_bound"]
+    assert payload["max_norm_seen"] == pytest.approx(0.7236067977, abs=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # a class of four atoms
 # ---------------------------------------------------------------------------

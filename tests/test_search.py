@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dysrates import (Disk, DiskExterior, DysParams, PreconditionError,
@@ -17,7 +17,7 @@ from dysrates import (Disk, DiskExterior, DysParams, PreconditionError,
 from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import (Arc, Segment, _max_on_piece, _value_on_piece,
                                boundary_grid)
-from dysrates.search import search, search_regions
+from dysrates.search import POLISH_SEEDS, search, search_regions
 from dysrates.verify import _random_boundary_points
 from oracles import lipschitz_bound, project
 
@@ -29,6 +29,11 @@ def published_instance():
     b = monotone().intersect(lipschitz(0.5))
     c = cocoercive(1.0).intersect(strongly_monotone(0.5))
     return a, b, c
+
+
+def enlarged_c():
+    return cocoercive(1.0).intersect(
+        shifted_lipschitz_ball(1.0, 1.0 / math.sqrt(2.0)))
 
 
 def instance_pieces(a, b, c, eps):
@@ -91,12 +96,14 @@ def test_package_attribute_is_the_search_module():
 
 
 def test_grid_lexicographic_tie_break():
-    # all four triples give |zeta| = 1; the first index wins
+    # all four triples give |zeta| = 1; the first index wins, and both grid
+    # pairs of the plateau are peaks
     zs = [0j, 0j]
     best, triple, top, _, _ = grid_evaluate([Segment(z, z) for z in zs], zs,
-                                            [1.0 + 0j], P11, top_k=4)
+                                            [1.0 + 0j], P11)
     assert best == pytest.approx(1.0)
     assert triple == (0j, 0j, 1.0 + 0j)
+    assert len(top) == 2
 
 
 def test_grid_close_to_published_value_within_certificate_slack():
@@ -172,22 +179,38 @@ def test_value_on_piece_is_value_at_max_on_piece(piece, pqs):
         assert np.abs(p * samples + q).max() <= v + 1e-13 * scale
 
 
+def _local_maxima(values):
+    """(j, k) of every entry at least as large as its four neighbours,
+    with the array padded by -inf."""
+    padded = np.pad(values, 1, constant_values=-np.inf)
+    centre = padded[1:-1, 1:-1]
+    peak = ((centre >= padded[:-2, 1:-1]) & (centre >= padded[2:, 1:-1])
+            & (centre >= padded[1:-1, :-2]) & (centre >= padded[1:-1, 2:]))
+    return set(zip(*np.nonzero(peak)))
+
+
 @settings(deadline=None)
 @given(st.lists(PIECE, min_size=1, max_size=3),
-       st.lists(COMPLEX, min_size=1, max_size=6),
-       st.lists(COMPLEX, min_size=1, max_size=6), PARAMS,
-       st.integers(1, 8))
-def test_grid_value_is_symbol_at_reported_triple(pieces, zbs, zcs, params,
-                                                 top_k):
+       st.lists(COMPLEX, min_size=1, max_size=12, unique=True),
+       st.lists(COMPLEX, min_size=1, max_size=12, unique=True), PARAMS)
+def test_grid_value_is_symbol_at_reported_triple(pieces, zbs, zcs, params):
     best, triple, top, evals, values = grid_evaluate(pieces, zbs, zcs,
-                                                     params, top_k=top_k)
+                                                     params)
     za, zb, zc = triple
     lam, alpha = params.lam, params.alpha
     terms = (1.0 + lam * abs(za) + lam * abs(zb) + abs(params.shift)
              + lam * abs(2.0 - alpha * zc) * abs(za) * abs(zb))
     assert best == pytest.approx(float(shifted_modulus(*triple, params)),
                                  rel=1e-14, abs=1e-14 * terms)
-    assert top[0] == triple and len(top) == min(top_k, len(zbs) * len(zcs))
+    # the candidates are distinct local maxima of values, best first, and
+    # no peak left out lies above one kept
+    assert top[0] == triple
+    peaks = _local_maxima(values)
+    kept = {(zbs.index(zb), zcs.index(zc)) for _, zb, zc in top}
+    assert len(kept) == len(top) == min(POLISH_SEEDS, len(peaks))
+    assert kept <= peaks
+    assert max((values[p] for p in peaks - kept), default=-np.inf) \
+        <= min(values[p] for p in kept)
     assert evals == len(pieces) * len(zbs) * len(zcs)
     # values holds the maximum over A of every grid pair, the best included
     assert values.shape == (len(zbs), len(zcs))
@@ -213,7 +236,7 @@ def test_certified_upper_bounds_random_boundary_triples(a, b, c, params,
                                                         seed):
     regions = _instance_regions(a, b, c, params)
     result = search_regions(*regions, params,
-                            SearchConfig(eps_grid=1.0 / 20.0, top_k=4))
+                            SearchConfig(eps_grid=1.0 / 20.0))
     rng = np.random.default_rng(seed)
     zs = [_random_boundary_points(r, 500, rng) for r in regions]
     assert shifted_modulus(*zs, params).max() <= result.certified_upper
@@ -224,7 +247,7 @@ def test_certified_upper_bounds_random_boundary_triples(a, b, c, params,
 def test_certified_upper_bounds_finer_polished_value(a, b, c, params):
     regions = _instance_regions(a, b, c, params)
     coarse = search_regions(*regions, params,
-                            SearchConfig(eps_grid=1.0 / 20.0, top_k=4))
+                            SearchConfig(eps_grid=1.0 / 20.0))
     fine = search_regions(*regions, params, SearchConfig(eps_grid=1.0 / 80.0))
     assert fine.best_value <= coarse.certified_upper
 
@@ -234,11 +257,54 @@ def test_certified_upper_bounds_finer_polished_value(a, b, c, params):
 def test_certified_upper_never_looser_than_enclosure_bound(a, b, c, params):
     regions = _instance_regions(a, b, c, params)
     result = search_regions(*regions, params,
-                            SearchConfig(eps_grid=1.0 / 20.0, top_k=4))
+                            SearchConfig(eps_grid=1.0 / 20.0))
     enclosure = lipschitz_bound(*(r.smallest_disk_atom() for r in regions),
                                 params)
     assert result.certified_upper <= (result.grid_best_value + enclosure
                                       * result.covering_radius + 1e-12)
+
+
+def _polish_from_best_grid_pairs(regions, params, eps):
+    """(search result, value of the polish started from the 64 largest
+    grid values), those being the seeds the search took before the peaks."""
+    result = search_regions(*regions, params, SearchConfig(eps_grid=eps))
+    pieces = (boundary_pieces(regions[0]),) + tuple(
+        boundary_grid(r, eps).pieces for r in regions[1:])
+    zb, zc = (boundary_grid(r, eps).points for r in regions[1:])
+    values = grid_evaluate(pieces[0], zb, zc, params)[4]
+    best64 = np.argsort(-values.ravel(), kind="stable")[:64]
+    starts = [grid_evaluate(pieces[0], [zb[j]], [zc[k]], params)[1]
+              for j, k in zip(*np.unravel_index(best64, values.shape))]
+    return result, coordinate_polish(starts, pieces, params)[0]
+
+
+@pytest.mark.parametrize("c", [published_instance()[2], enlarged_c()],
+                         ids=["plain", "enlarged"])
+@pytest.mark.parametrize("denom", [30, 60])
+def test_peak_seeds_match_the_64_best_grid_pairs_on_published(c, denom):
+    a, b, _ = published_instance()
+    result, best64 = _polish_from_best_grid_pairs(
+        _instance_regions(a, b, c, P11), P11, 1.0 / denom)
+    assert result.best_value >= best64 - 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(AB_CLASS, AB_CLASS, C_CLASS, PARAMS)
+@example(monotone().intersect(lipschitz(2.9877632380693893)),
+         strongly_monotone(1.7029672198779768), cocoercive(1.970252280329724),
+         DysParams(2.853361751201259, 1.8396045106716754,
+                   -0.40942154484415216))
+def test_peak_seeds_lose_at_most_the_certificate_gap(a, b, c, params):
+    # The peak seeds can end below the 64 best pairs, by more than rounding.
+    # On the example B's resolvent boundary passes through 0, where zeta
+    # does not depend on z_C, so a grid row of 33 equal values are all
+    # peaks; the 8 first by index climb to 1.401303, while the rest of the
+    # row reaches 1.401406.  Both lie under the certificate.
+    result, best64 = _polish_from_best_grid_pairs(
+        _instance_regions(a, b, c, params), params, 1.0 / 20.0)
+    assert best64 <= result.certified_upper
+    assert result.certified_upper >= result.best_value \
+        >= result.grid_best_value
 
 
 def _dense_boundary(region, n):
@@ -250,11 +316,12 @@ def _slack_guard(centers, sampled, params):
     """Search over tiny disks about the two given centers and a unit circle
     in the remaining coordinate, sampled at 7 points so that the real
     maximizer falls halfway between two of them; the certificate must
-    still cover the maximum found on a dense sample."""
+    still cover the maximum found on a dense sample, and so must the
+    first-order bound that prunes and caps it, since the polish can reach
+    the maximum and lift the certificate to it whatever the slack."""
     regions = [Region((Disk(c, 1e-9),)) for c in centers]
     regions.insert(sampled, Region((Disk(1.0, 1.0),)))
-    result = search_regions(*regions, params,
-                            SearchConfig(eps_grid=1.0, top_k=1))
+    result = search_regions(*regions, params, SearchConfig(eps_grid=1.0))
     za, zb, zc = (_dense_boundary(r, 20001 if i == sampled else 3)
                   for i, r in enumerate(regions))
     dense = shifted_modulus(za[:, None, None], zb[None, :, None],
@@ -262,6 +329,8 @@ def _slack_guard(centers, sampled, params):
     # the instance puts the maximum well between samples
     assert dense > result.grid_best_value + 0.25
     assert dense <= result.certified_upper
+    assert dense <= (result.grid_best_value
+                     + result.lipschitz_constant * result.covering_radius)
 
 
 def test_certificate_covers_maximum_between_c_samples():
@@ -275,11 +344,10 @@ def test_certificate_covers_maximum_between_b_samples():
 
 
 def _second_peak_guard(regions, params, eps, samples):
-    """Search with top_k 1, so that the polish climbs from the best grid
-    pair to the lower of two peaks and only the certificate can cover the
-    higher one, which must lie between samples."""
-    result = search_regions(*regions, params,
-                            SearchConfig(eps_grid=eps, top_k=1))
+    """Search an instance whose grid peaks all lead the polish to the lower
+    of two peaks, so that only the certificate can cover the higher one,
+    which must lie between samples."""
+    result = search_regions(*regions, params, SearchConfig(eps_grid=eps))
     dense = grid_evaluate(boundary_pieces(regions[0]),
                           *(_dense_boundary(r, n)
                             for r, n in zip(regions[1:], samples)),
@@ -312,7 +380,7 @@ def test_certificate_covers_second_peak_on_a_coarse_circle():
 def test_certified_upper_brackets_dense_boundary_maximum(a, b, c, params):
     regions = _instance_regions(a, b, c, params)
     result = search_regions(*regions, params,
-                            SearchConfig(eps_grid=1.0 / 10.0, top_k=1))
+                            SearchConfig(eps_grid=1.0 / 10.0))
     # five B and C points per sample interval: most lie between samples
     dense = grid_evaluate(boundary_pieces(regions[0]),
                           *(boundary_grid(r, 1.0 / 50.0).points
@@ -406,11 +474,6 @@ def test_search_deterministic():
     assert r1.grid_best_value == r2.grid_best_value == r3.grid_best_value
     assert abs(r1.best_value - r3.best_value) <= 1e-12
     assert r1.best_point == r3.best_point
-
-
-def enlarged_c():
-    return cocoercive(1.0).intersect(
-        shifted_lipschitz_ball(1.0, 1.0 / math.sqrt(2.0)))
 
 
 def test_certified_upper_refinement_chain():

@@ -231,11 +231,17 @@ def test_verify_tiny_norm_at_its_own_rho_passes():
     assert report.passed and report.violations == []
 
 
-def test_verify_zero_trials_vacuous():
-    report = verify_contraction(monotone(), monotone(), cocoercive(1.0),
-                                P11, 0.9, n_trials=0)
-    assert report.passed
-    assert report.warnings
+def test_verify_zero_trials_checks_the_probe():
+    # max |zeta| is 1, at z_A = z_B = 0: the probe alone refutes 0.9 and
+    # passes 1
+    classes = monotone(), monotone(), cocoercive(1.0)
+    report = verify_contraction(*classes, P11, 0.9, n_trials=0)
+    assert report.trials == 0 and report.warnings
+    assert [v["kind"] for v in report.violations] == ["norm_bound"]
+    assert report.max_norm_seen == pytest.approx(1.0, abs=1e-12)
+    assert verify_contraction(*classes, P11, 1.0, n_trials=0).passed
+    with pytest.raises(ValueError, match="n_trials"):
+        verify_contraction(*classes, P11, 1.0, n_trials=-1)
 
 
 def test_verify_averagedness_norm_bound():
