@@ -126,15 +126,21 @@ def _max_over_a(pieces_a, zb, zc, params: DysParams):
 
 def _peaks(values):
     """Flat indices of the local maxima of a 2-d array, the entries at
-    least as large as each of their four array neighbours (an edge has
-    none beyond it), largest first, then by index; at most POLISH_SEEDS."""
-    peak = np.ones(values.shape, dtype=bool)
-    peak[1:] &= values[1:] >= values[:-1]
-    peak[:-1] &= values[:-1] >= values[1:]
-    peak[:, 1:] &= values[:, 1:] >= values[:, :-1]
-    peak[:, :-1] &= values[:, :-1] >= values[:, 1:]
-    top = np.flatnonzero(peak)
-    return top[np.argsort(-values.ravel()[top], kind="stable")[:POLISH_SEEDS]]
+    least as large as each of their four array neighbours (an edge entry
+    stands in for its missing ones), largest first; at most POLISH_SEEDS.
+
+    Equal values go to the larger sum of the four neighbours, then to the
+    lower index.  Plateaus are common: where boundary B passes through 0,
+    zeta does not depend on z_C and a whole row ties.  The polish, once it
+    moves z_B, climbs best where the row's neighbours fall off least, and
+    by index alone the first POLISH_SEEDS entries of the row would take
+    every seed."""
+    padded = np.pad(values, 1, mode="edge")
+    around = (padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2],
+              padded[1:-1, 2:])
+    top = np.flatnonzero(np.logical_and.reduce([values >= n for n in around]))
+    near = sum(n[np.unravel_index(top, values.shape)] for n in around)
+    return top[np.lexsort((top, -near, -values.ravel()[top]))[:POLISH_SEEDS]]
 
 
 def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams):
@@ -145,13 +151,13 @@ def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams):
     grid pair (z_B, z_C) its maximum value in closed form.  Only the peaks
     of that (B, C) array (_peaks) get their maximizing z_A, from the piece
     with the largest |P z_A + Q| at the point returned (the first piece
-    wins a tie), and are rescored there.  The largest value is a peak, so
-    the best pair always is one.  Returns (best_value, best_triple,
-    candidates, evaluations, values) where candidates holds those triples
-    ordered by rescored value then (B, C) grid index, best_value is
-    |zeta - s| at the first of them, evaluations counts len(pieces_a) *
-    len(boundary_b) * len(boundary_c), and values is the (len(boundary_b),
-    len(boundary_c)) array of maxima over boundary A.
+    wins a tie), and are rescored there.  A pair with the largest value is
+    a peak and ranks first, so one always is a candidate.  Returns
+    (best_value, best_triple, candidates, evaluations, values) where
+    candidates holds those triples ordered by rescored value then (B, C)
+    grid index, best_value is |zeta - s| at the first of them, evaluations
+    counts len(pieces_a) * len(boundary_b) * len(boundary_c), and values is
+    the (len(boundary_b), len(boundary_c)) array of maxima over boundary A.
     """
     zb = np.asarray(boundary_b, dtype=complex)[:, None]
     zc = np.asarray(boundary_c, dtype=complex)[None, :]

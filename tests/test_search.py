@@ -1,11 +1,12 @@
 """Grid maximization, exact coordinate polish and the certified upper
 bound."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dysrates import (Disk, DiskExterior, DysParams, PreconditionError,
@@ -17,7 +18,7 @@ from dysrates import (Disk, DiskExterior, DysParams, PreconditionError,
 from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import (Arc, Segment, _max_on_piece, _value_on_piece,
                                boundary_grid)
-from dysrates.search import POLISH_SEEDS, search, search_regions
+from dysrates.search import POLISH_SEEDS, _peaks, search, search_regions
 from dysrates.verify import _random_boundary_points
 from oracles import lipschitz_bound, project
 
@@ -106,6 +107,19 @@ def test_grid_lexicographic_tie_break():
     assert len(top) == 2
 
 
+def test_plateau_seeds_go_where_the_neighbours_fall_off_least():
+    # a row of ten equal peaks, more than POLISH_SEEDS; the last entry's
+    # neighbour in the next row is the highest, so it leads, and the first
+    # POLISH_SEEDS by index no longer take every seed
+    values = np.zeros((3, 10))
+    values[0] = 1.0
+    values[1, 9], values[1, 4] = 0.5, 0.25
+    seeds = _peaks(values)
+    assert len(seeds) == POLISH_SEEDS
+    assert list(seeds[:2]) == [9, 4]
+    assert set(seeds) < set(range(10))
+
+
 def test_grid_close_to_published_value_within_certificate_slack():
     a, b, c = published_instance()
     grids = instance_pieces(a, b, c, 1.0 / 120.0)
@@ -179,20 +193,27 @@ def test_value_on_piece_is_value_at_max_on_piece(piece, pqs):
         assert np.abs(p * samples + q).max() <= v + 1e-13 * scale
 
 
-def _local_maxima(values):
-    """(j, k) of every entry at least as large as its four neighbours,
-    with the array padded by -inf."""
-    padded = np.pad(values, 1, constant_values=-np.inf)
-    centre = padded[1:-1, 1:-1]
-    peak = ((centre >= padded[:-2, 1:-1]) & (centre >= padded[2:, 1:-1])
-            & (centre >= padded[1:-1, :-2]) & (centre >= padded[1:-1, 2:]))
-    return set(zip(*np.nonzero(peak)))
+def _seed_positions(values):
+    """(j, k) of the grid pairs grid_evaluate seeds the polish from: the
+    entries at least as large as their four neighbours, an edge entry
+    standing in for a missing one, by value, then neighbour sum, largest
+    first, then by position; at most POLISH_SEEDS."""
+    n_b, n_c = values.shape
+    ranked = []
+    for j in range(n_b):
+        for k in range(n_c):
+            around = [values[min(max(j + dj, 0), n_b - 1),
+                             min(max(k + dk, 0), n_c - 1)]
+                      for dj, dk in ((-1, 0), (1, 0), (0, -1), (0, 1))]
+            if all(values[j, k] >= v for v in around):
+                ranked.append((-values[j, k], -sum(around), j, k))
+    return [(j, k) for _, _, j, k in sorted(ranked)[:POLISH_SEEDS]]
 
 
 @settings(deadline=None)
 @given(st.lists(PIECE, min_size=1, max_size=3),
-       st.lists(COMPLEX, min_size=1, max_size=12, unique=True),
-       st.lists(COMPLEX, min_size=1, max_size=12, unique=True), PARAMS)
+       st.lists(COMPLEX, min_size=1, max_size=12),
+       st.lists(COMPLEX, min_size=1, max_size=12), PARAMS)
 def test_grid_value_is_symbol_at_reported_triple(pieces, zbs, zcs, params):
     best, triple, top, evals, values = grid_evaluate(pieces, zbs, zcs,
                                                      params)
@@ -202,15 +223,12 @@ def test_grid_value_is_symbol_at_reported_triple(pieces, zbs, zcs, params):
              + lam * abs(2.0 - alpha * zc) * abs(za) * abs(zb))
     assert best == pytest.approx(float(shifted_modulus(*triple, params)),
                                  rel=1e-14, abs=1e-14 * terms)
-    # the candidates are distinct local maxima of values, best first, and
-    # no peak left out lies above one kept
+    # the candidates sit at the seed positions, the best first; repeated
+    # samples make repeated pairs, so they are compared as a multiset
     assert top[0] == triple
-    peaks = _local_maxima(values)
-    kept = {(zbs.index(zb), zcs.index(zc)) for _, zb, zc in top}
-    assert len(kept) == len(top) == min(POLISH_SEEDS, len(peaks))
-    assert kept <= peaks
-    assert max((values[p] for p in peaks - kept), default=-np.inf) \
-        <= min(values[p] for p in kept)
+    seeds = _seed_positions(values)
+    assert (collections.Counter((zb, zc) for _, zb, zc in top)
+            == collections.Counter((zbs[j], zcs[k]) for j, k in seeds))
     assert evals == len(pieces) * len(zbs) * len(zcs)
     # values holds the maximum over A of every grid pair, the best included
     assert values.shape == (len(zbs), len(zcs))
@@ -278,31 +296,55 @@ def _polish_from_best_grid_pairs(regions, params, eps):
     return result, coordinate_polish(starts, pieces, params)[0]
 
 
-@pytest.mark.parametrize("c", [published_instance()[2], enlarged_c()],
-                         ids=["plain", "enlarged"])
-@pytest.mark.parametrize("denom", [30, 60])
-def test_peak_seeds_match_the_64_best_grid_pairs_on_published(c, denom):
-    a, b, _ = published_instance()
+# Instances where a grid row ties: B's resolvent boundary passes through 0,
+# where zeta does not depend on z_C.  Seeded by index alone, the first 8 of
+# the 33 equal peaks in the first instance's row would climb to 1.401303
+# while the rest of the row reaches 1.401406; the four would lose 1.0e-4,
+# 2.4e-3, 2.8e-4 and 3.6e-4 to the 64 best pairs.
+PLATEAUS = [
+    (monotone().intersect(lipschitz(2.9877632380693893)),
+     strongly_monotone(1.7029672198779768), cocoercive(1.970252280329724),
+     DysParams(2.853361751201259, 1.8396045106716754, -0.40942154484415216)),
+    (monotone().intersect(lipschitz(1.98)), strongly_monotone(1.98),
+     cocoercive(1.3528088440292558),
+     DysParams(2.7669501428135685, 1.3015082446366246, 0.0)),
+    (monotone().intersect(lipschitz(1.7672327595458235)),
+     strongly_monotone(1.7672327595458235), cocoercive(1.7672327595458235),
+     DysParams(2.183213423646313, 1.7672327595458235, -0.2634451842507001)),
+    (monotone().intersect(lipschitz(2.123341328807229)),
+     strongly_monotone(1.476664009759083),
+     cocoercive(1.3399522660706111).intersect(
+         strongly_monotone(0.042446257297847526)),
+     DysParams(2.9115571756258025, 0.9164900460126674, 0.02320905091045622)),
+]
+
+
+@pytest.mark.parametrize("a, b, c, params, denom", [
+    published_instance() + (P11, 30),
+    published_instance() + (P11, 60),
+    published_instance()[:2] + (enlarged_c(), P11, 30),
+    published_instance()[:2] + (enlarged_c(), P11, 60),
+] + [plateau + (20,) for plateau in PLATEAUS], ids=[
+    "plain-30", "plain-60", "enlarged-30", "enlarged-60",
+    "plateau0", "plateau1", "plateau2", "plateau3"])
+def test_peak_seeds_match_the_64_best_grid_pairs(a, b, c, params, denom):
     result, best64 = _polish_from_best_grid_pairs(
-        _instance_regions(a, b, c, P11), P11, 1.0 / denom)
+        _instance_regions(a, b, c, params), params, 1.0 / denom)
     assert result.best_value >= best64 - 1e-12
 
 
 @settings(deadline=None, max_examples=40)
 @given(AB_CLASS, AB_CLASS, C_CLASS, PARAMS)
-@example(monotone().intersect(lipschitz(2.9877632380693893)),
-         strongly_monotone(1.7029672198779768), cocoercive(1.970252280329724),
-         DysParams(2.853361751201259, 1.8396045106716754,
-                   -0.40942154484415216))
-def test_peak_seeds_lose_at_most_the_certificate_gap(a, b, c, params):
-    # The peak seeds can end below the 64 best pairs, by more than rounding.
-    # On the example B's resolvent boundary passes through 0, where zeta
-    # does not depend on z_C, so a grid row of 33 equal values are all
-    # peaks; the 8 first by index climb to 1.401303, while the rest of the
-    # row reaches 1.401406.  Both lie under the certificate.
+def test_peak_seeds_lose_little_to_the_64_best_grid_pairs(a, b, c, params):
+    # Eight seeds can end below the 64 best pairs by more than rounding:
+    # where the polish stops at its sweep cap while still climbing, or where
+    # only pairs that are not peaks lie in the basin of the highest
+    # coordinatewise maximum.  Over 15000 draws at eps 1/20 the loss stayed
+    # under 0.15 of the certificate gap; most draws lose nothing.
     result, best64 = _polish_from_best_grid_pairs(
         _instance_regions(a, b, c, params), params, 1.0 / 20.0)
-    assert best64 <= result.certified_upper
+    gap = result.certified_upper - result.best_value
+    assert best64 <= result.best_value + 1e-12 + 0.25 * gap
     assert result.certified_upper >= result.best_value \
         >= result.grid_best_value
 
