@@ -26,8 +26,8 @@ from .rates import (AveragednessReport, DominanceReport, ParameterRanges,
                     contraction_thm32, contraction_thm33, default_eps,
                     default_eta, dominance_check)
 # the search function is not re-exported: dysrates.search is its module
-from .search import (SearchConfig, SearchResult, coordinate_polish,
-                     grid_evaluate, search_regions)
+from .search import (SearchResult, coordinate_polish, grid_evaluate,
+                     search_regions)
 from .symbol import DysParams, shifted_modulus, zeta
 from .verify import (VerificationReport, class_membership, dys_matrix,
                      operator_from_resolvent_point, realize,

@@ -126,16 +126,13 @@ class OperatorClassSpec:
         object.__setattr__(self, "atoms", tuple(self.atoms))
         if not all(isinstance(a, ATOMS) for a in self.atoms):
             raise InvalidClassError(f"unknown class atom in {self.atoms!r}")
-        mus = [a.mu for a in self.atoms if isinstance(a, StronglyMonotone)]
-        lips = [a.L for a in self.atoms if isinstance(a, Lipschitz)]
-        betas = [a.beta for a in self.atoms if isinstance(a, Cocoercive)]
-        if mus and lips and max(mus) > min(lips):
+        lo, hi = real_extent(self.atoms)
+        # the allowance absorbs the rounding of a disk's ends, as in
+        # cocoercive 1/beta = 2 h against strongly monotone mu = 1/beta
+        if lo > hi + 1e-15:
             raise InvalidClassError(
-                f"inconsistent class: mu = {max(mus)} exceeds L = {min(lips)}")
-        if mus and betas and max(mus) > 1.0 / max(betas) + 1e-15:
-            raise InvalidClassError(
-                f"inconsistent class: mu = {max(mus)} exceeds 1/beta = "
-                f"{1.0 / max(betas)}")
+                f"inconsistent class: empty region, its real extent "
+                f"[lo, hi] has lo = {lo} > hi = {hi}")
 
     def intersect(self, other: "OperatorClassSpec") -> "OperatorClassSpec":
         return OperatorClassSpec(self.atoms + other.atoms)
@@ -199,10 +196,27 @@ def resolvent_srg(spec: OperatorClassSpec, alpha: float) -> Region:
     return srg(spec).scale(alpha).translate(1.0).invert()
 
 
+def real_extent(atoms) -> tuple:
+    """(lo, hi): the real interval that the region of a class with these
+    atoms meets, lo > hi when the region is empty.
+
+    Every atom's region is a half-plane Re z >= a or a real-centred disk,
+    so convex and symmetric about the real axis; so is their intersection,
+    and a point z of it puts Re z = (z + conj z)/2 in it too.  The region
+    is therefore empty exactly when the atoms' real intervals do not meet:
+    lo is the largest lower end and hi the smallest upper end."""
+    regions = [a.region() for a in atoms]
+    lo = max(r.threshold if isinstance(r, HalfPlane) else r.center - r.radius
+             for r in regions)
+    hi = min((r.center + r.radius for r in regions if isinstance(r, Disk)),
+             default=math.inf)
+    return lo, hi
+
+
 def is_monotone_class(spec: OperatorClassSpec) -> bool:
-    """True when the smallest Re z over some atom's region is >= 0."""
-    return max(r.threshold if isinstance(r, HalfPlane) else r.center - r.radius
-               for r in (a.region() for a in spec.atoms)) >= 0.0
+    """True when the class's region lies in Re z >= 0: lo >= 0 (see
+    real_extent)."""
+    return real_extent(spec.atoms)[0] >= 0.0
 
 
 # ---------------------------------------------------------------------------

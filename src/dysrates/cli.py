@@ -36,7 +36,7 @@ from . import rates
 from .errors import (DysRatesError, InvalidClassError, PreconditionError,
                      UnboundedRegionError)
 from .geometry import boundary_pieces
-from .search import SearchConfig, search
+from .search import EPS_GRID, search
 from .svgplot import SvgFigure, bounds_for
 from .symbol import DysParams, zeta
 from .verify import verify_averagedness, verify_contraction
@@ -158,7 +158,7 @@ class ProblemSpec:
         self.shift = _number(params, "s", "params", 0.0)
 
         self.eps_grid = _number(_section(raw, "search", {"eps_grid"}),
-                                "eps_grid", "search")
+                                "eps_grid", "search", EPS_GRID)
 
         enlargement = _section(raw, "enlargement", {"mode"})
         mode = enlargement.get("mode", "none")
@@ -199,7 +199,6 @@ def load_spec(path: str) -> ProblemSpec:
 
 
 _WRITE_CHARS = 1 << 18  # characters _write_text encodes per write
-_DUMP_CAP = 100_000  # symbol values --dump-grid writes at most (see _cloud)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -237,29 +236,13 @@ def cmd_maxmod(args) -> int:
     params = DysParams(spec.alpha, spec.lam, shift)
     eps = spec.eps_grid if args.eps is None else _positive(
         _finite_number(args.eps, "--eps"), "--eps")
-    config = SearchConfig() if eps is None else SearchConfig(eps_grid=eps)
-    effective_c = spec.effective_c()
-    result = search(spec.a, spec.b, effective_c, params, config)
-    if args.dump_grid is not None:
-        _dump_grid_csv(args.dump_grid, spec, effective_c, params,
-                       config.eps_grid)
+    result = search(spec.a, spec.b, spec.effective_c(), params, eps)
     payload = result.as_dict()
     payload["params"] = {"alpha": params.alpha, "lambda": params.lam,
                          "s": params.shift}
-    payload["eps_grid"] = config.eps_grid
+    payload["eps_grid"] = eps
     _emit(payload)
     return EXIT_OK
-
-
-def _dump_grid_csv(path: str, spec: ProblemSpec, c_spec, params: DysParams,
-                   eps: float) -> None:
-    """Decimated symbol values on the grid product (see _cloud), for
-    external plotting: CSV rows re,im,shifted_modulus with CRLF line ends."""
-    rows = ["re,im,shifted_modulus"]
-    cloud = _cloud(spec, c_spec, params, eps, cap=_DUMP_CAP)
-    rows.extend(f"{v.real!r},{v.imag!r},{abs(v - params.shift)!r}"
-                for v in cloud.tolist())
-    _write_text(path, "\r\n".join(rows) + "\r\n")
 
 
 def cmd_verify(args) -> int:
@@ -378,8 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="boundary grid spacing (overrides spec file)")
     p.add_argument("--shift", type=float, default=None,
                    help="shift s (overrides spec file)")
-    p.add_argument("--dump-grid", default=None, metavar="FILE",
-                   help="write decimated symbol samples as CSV")
     p.set_defaults(func=cmd_maxmod)
 
     p = sub.add_parser("verify", help="2x2 realization check of a factor")

@@ -48,15 +48,8 @@ PAIR_BUDGET = 1 << 23
 POLISH_SEEDS = 8
 POLISH_MAX_SWEEPS = 60
 POLISH_TOL = 1e-16
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    eps_grid: float = 1.0 / 120.0
-
-    def __post_init__(self):
-        if self.eps_grid <= 0:
-            raise ValueError("grid spacing must be positive")
+# Boundary grid spacing when neither the spec nor the caller gives one.
+EPS_GRID = 1.0 / 120.0
 
 
 @dataclass(frozen=True)
@@ -234,19 +227,18 @@ def coordinate_polish(starts, pieces_triple, params: DysParams):
 # ---------------------------------------------------------------------------
 
 def locate_maximum(region_a: Region, region_b: Region, region_c: Region,
-                   params: DysParams, config: SearchConfig = SearchConfig()):
+                   params: DysParams, eps: float = EPS_GRID):
     """The grid stage and the polish over three explicit regions, without a
-    certificate.  Only B and C are sampled, and an eps over the pair budget
-    is refused before either is.  Returns (best_value, best_point,
-    grid_best_value, grid_best_point, pieces_a, grids, values,
-    evaluations), with the boundary pieces of A, the boundary grids of B
-    and C and the grid stage's values array."""
+    certificate, on boundary grids of spacing eps.  Only B and C are
+    sampled, and an eps over the pair budget is refused before either is.
+    Returns (best_value, best_point, grid_best_value, grid_best_point,
+    pieces_a, grids, values, evaluations), with the boundary pieces of A,
+    the boundary grids of B and C and the grid stage's values array."""
     for name, region in (("A", region_a), ("B", region_b), ("C", region_c)):
         if not region.bounded:
             raise UnboundedRegionError(
                 f"search region {name} is unbounded; add a bounding atom or "
                 "an enlargement")
-    eps = config.eps_grid
     pieces_a = boundary_pieces(region_a)
     sizes = [sum(n + 1 for n in grid_intervals(boundary_pieces(r), eps))
              for r in (region_b, region_c)]
@@ -291,12 +283,12 @@ def _vertex_bound(pieces_a, grids, values, params: DysParams,
 
 
 def search_regions(region_a: Region, region_b: Region, region_c: Region,
-                   params: DysParams,
-                   config: SearchConfig = SearchConfig()) -> SearchResult:
-    """Search |zeta - s| over the boundaries of three explicit regions."""
+                   params: DysParams, eps: float = EPS_GRID) -> SearchResult:
+    """Search |zeta - s| over the boundaries of three explicit regions, on
+    boundary grids of spacing eps."""
     (best_value, best_point, grid_best, grid_point, pieces_a, (grid_b, grid_c),
      values, evals) = locate_maximum(region_a, region_b, region_c, params,
-                                     config)
+                                     eps)
 
     # The pruning bound.  Take any boundary triple (z_A, z_B, z_C) and the
     # grid points z_B', z_C' nearest to z_B, z_C, within r_B, r_C of them.
@@ -351,9 +343,10 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
 
 def search(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
            c_spec: OperatorClassSpec, params: DysParams,
-           config: SearchConfig = SearchConfig()) -> SearchResult:
-    """Search over the resolvent regions of A and B and the region of C."""
+           eps: float = EPS_GRID) -> SearchResult:
+    """Search over the resolvent regions of A and B and the region of C, on
+    boundary grids of spacing eps."""
     region_a = resolvent_srg(a_spec, params.alpha)
     region_b = resolvent_srg(b_spec, params.alpha)
     region_c = srg(c_spec)
-    return search_regions(region_a, region_b, region_c, params, config)
+    return search_regions(region_a, region_b, region_c, params, eps)

@@ -20,12 +20,16 @@ import numpy as np
 from .classes import (Averaged, Cocoercive, Lipschitz, Monotone,
                       OperatorClassSpec, ShiftedLipschitzBall,
                       StronglyMonotone, resolvent_srg, srg)
-from .errors import SingularResolventError
+from .errors import PreconditionError, SingularResolventError
 from .geometry import Region, boundary_pieces
-from .search import SearchConfig, locate_maximum
+from .search import locate_maximum
 from .symbol import DysParams
 
 I2 = np.eye(2)
+# Most random trials one verification draws.  A trial peaks at about 350
+# bytes (388 MB at 10^6 trials), so a run at this budget stays under
+# 0.8 GB.  A larger count is refused before any trial is drawn.
+TRIAL_BUDGET = 1 << 21
 
 
 def realize(z) -> np.ndarray:
@@ -161,6 +165,9 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
     gets lucky; with no random trials the probe is the whole check."""
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
+    if n_trials > TRIAL_BUDGET:
+        raise PreconditionError(f"at most {TRIAL_BUDGET} verify trials",
+                                f"{n_trials} requested")
     report = VerificationReport(trials=n_trials, rho=bound)
     if n_trials == 0:
         report.warnings.append("no random trials requested; only the "
@@ -178,9 +185,8 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
                                                       spectral_norm_2x2(m)))
     # the probe maximizes |zeta - center|, the quantity checked below,
     # whatever shift params carries
-    config = SearchConfig(eps_grid=1.0 / 40.0)
     probe = DysParams(params.alpha, params.lam, center)
-    best = locate_maximum(*regions, probe, config)[1]
+    best = locate_maximum(*regions, probe, 1.0 / 40.0)[1]
     zs = [np.append(z, p) for z, p in zip(zs, best)]
     member = np.append(member, True)
     t = dys_matrix(*(realize(z) for z in zs), params.alpha, params.lam)

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from dysrates import (Disk, DysParams, SearchConfig, averagedness_thm41,
+from dysrates import (Disk, DysParams, averagedness_thm41,
                       cocoercive, contraction_thm31, contraction_thm32,
                       contraction_thm33, dominance_check, dys_matrix,
                       enlarge_C, lipschitz, monotone, realize, resolvent_srg,
@@ -176,7 +176,7 @@ def test_criterion_05_theorem_bounds_dominate_symbol():
     ]
     worst_spot = -math.inf
     for rho, a, b, c, params in spots:
-        best = search(a, b, c, params, SearchConfig(eps_grid=1 / 40)).best_value
+        best = search(a, b, c, params, 1 / 40).best_value
         worst_spot = max(worst_spot, best - rho)
         spot_ok &= best <= rho + 1e-9
     report(5, worst_excess <= 1e-9 and spot_ok,

@@ -17,7 +17,7 @@ from dysrates import (Averaged, Cocoercive, Disk, DiskExterior,
                       dys_preflight, enlarge_C, is_monotone_class, lipschitz,
                       monotone, resolvent_srg, shifted_lipschitz_ball, srg,
                       strongly_monotone)
-from dysrates.classes import _disk_hull
+from dysrates.classes import _disk_hull, real_extent
 from dysrates.symbol import DysParams
 from oracles import atom_min_real, disk_hull_radius
 
@@ -105,6 +105,29 @@ def test_is_monotone_class_matches_reference_table(atoms):
         assume(False)
     expected = max(atom_min_real(a) for a in atoms) >= 0.0
     assert is_monotone_class(spec) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ATOM, min_size=1, max_size=4))
+def test_real_extent_decides_emptiness_as_the_geometry_does(atoms):
+    # every drawn atom's region meets Disk(0, 1e4) on the real axis, so the
+    # bounding disk leaves the emptiness of the class alone
+    lo, hi = real_extent(atoms)
+    # at tangency both sides carry their own tolerances
+    assume(abs(hi - lo) > 1e-9)
+    region = Region(tuple(a.region() for a in atoms) + (Disk(0.0, 1e4),))
+    try:
+        boundary_pieces(region)
+        empty = False
+    except EmptyRegionError:
+        empty = True
+    assert empty == (lo > hi)
+    try:
+        OperatorClassSpec(tuple(atoms))
+        refused = False
+    except InvalidClassError:
+        refused = True
+    assert refused == empty
 
 
 def test_averaged_near_half_monotone_iff_theta_at_most_half():

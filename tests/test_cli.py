@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import dysrates
 import dysrates.search as search_module
+import dysrates.verify as verify_module
 from dysrates import classes as cls
 from dysrates import geometry
 from dysrates.classes import resolvent_srg, srg
@@ -396,6 +397,7 @@ def test_four_atom_c_exits_ok(tmp_path, capsys, argv):
     (None, None, ["verify", "--rho", "-inf"], 2),
     ("enlargement", "thm33", ["maxmod", "--eps", "0.1"], 2),
     (None, None, ["maxmod", "--eps", "0.1", "--json-indent", "4"], 2),
+    (None, None, ["maxmod", "--eps", "0.1", "--dump-grid", "grid.csv"], 2),
     ("search", {"top_k": 8}, ["maxmod", "--eps", "0.1"], 2),
     ("enlargement", {"mode": "thm41", "mu": 0.5},
      ["maxmod", "--eps", "0.1"], 2),
@@ -411,7 +413,8 @@ def test_four_atom_c_exits_ok(tmp_path, capsys, argv):
         "rho_nan", "rho_inf", "trials_negative", "seed_negative", "eps_nan",
         "eps_inf", "shift_nan", "shift_inf", "trials_not_integer",
         "rho_minus_inf", "enlargement_string_removed",
-        "json_indent_removed", "top_k_removed", "enlargement_mu_removed",
+        "json_indent_removed", "dump_grid_removed", "top_k_removed",
+        "enlargement_mu_removed",
         "plot_circle_radius_negative", "plot_circle_radius_zero",
         "factor_eps_grid_negative", "verify_eps_grid_negative",
         "enlargement_mode_unknown", "rho_not_number", "thm41_without_l_c"])
@@ -422,7 +425,7 @@ def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
         payload[section] = value
     spec = write_spec(tmp_path, payload)
     args = [argv[0], spec] + argv[1:]
-    if "--out" in args:
+    if "--out" in args or "--dump-grid" in args:
         args[-1] = str(tmp_path / args[-1])
     code = main(args)
     captured = capsys.readouterr()
@@ -430,10 +433,12 @@ def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert not (tmp_path / "fig.svg").exists()
+    assert not (tmp_path / "grid.csv").exists()
 
 
 # ---------------------------------------------------------------------------
-# an eps too fine for the budgets: exit 3 before anything is allocated
+# an eps too fine or a trial count too large for the budgets: exit 3
+# before anything is allocated
 # ---------------------------------------------------------------------------
 
 def assert_refused(tmp_path, capsys, section, value, argv, needle):
@@ -441,19 +446,21 @@ def assert_refused(tmp_path, capsys, section, value, argv, needle):
     if section is not None:
         payload[section] = value
     spec = write_spec(tmp_path, payload)
-    args = [argv[0], spec] + argv[1:-1] + [str(tmp_path / argv[-1])]
+    args = [argv[0], spec] + argv[1:]
+    if "--out" in args:
+        args[-1] = str(tmp_path / args[-1])
     code = main(args)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and needle in lines[0], lines
-    assert not (tmp_path / argv[-1]).exists()
+    assert not (tmp_path / "out.file").exists()
 
 
 @pytest.mark.parametrize("section, value, argv", [
-    (None, None, ["maxmod", "--eps", "5e-324", "--dump-grid", "out.file"]),
-    ("search", {"eps_grid": 5e-324}, ["maxmod", "--dump-grid", "out.file"]),
+    (None, None, ["maxmod", "--eps", "5e-324"]),
+    ("search", {"eps_grid": 5e-324}, ["maxmod"]),
     ("plot", {"eps": 5e-324}, ["plot", "--out", "out.file"]),
 ], ids=["eps_flag", "search_eps_grid", "plot_eps"])
 def test_subnormal_eps_exits_precondition(tmp_path, capsys, section, value,
@@ -463,7 +470,7 @@ def test_subnormal_eps_exits_precondition(tmp_path, capsys, section, value,
 
 
 @pytest.mark.parametrize("section, value, argv", [
-    (None, None, ["maxmod", "--eps", "0.05", "--dump-grid", "out.file"]),
+    (None, None, ["maxmod", "--eps", "0.05"]),
     ("plot", {"eps": 0.05}, ["plot", "--out", "out.file"]),
 ], ids=["maxmod", "plot"])
 def test_eps_over_sample_budget_exits_precondition(tmp_path, capsys,
@@ -482,7 +489,7 @@ def test_eps_over_pair_budget_exits_before_evaluating(tmp_path, capsys,
     monkeypatch.setattr(search_module, "PAIR_BUDGET", 1000)
     monkeypatch.setattr(search_module, "_max_over_a", evaluated)
     assert_refused(tmp_path, capsys, None, None,
-                   ["maxmod", "--eps", "0.05", "--dump-grid", "out.file"],
+                   ["maxmod", "--eps", "0.05"],
                    "at most 1000 B x C grid pairs")
 
 
@@ -494,8 +501,24 @@ def test_eps_over_pair_budget_exits_before_sampling(tmp_path, capsys,
     monkeypatch.setattr(geometry.Arc, "sample", sampled)
     monkeypatch.setattr(geometry.Segment, "sample", sampled)
     assert_refused(tmp_path, capsys, None, None,
-                   ["maxmod", "--eps", "1e-6", "--dump-grid", "out.file"],
+                   ["maxmod", "--eps", "1e-6"],
                    f"at most {search_module.PAIR_BUDGET} B x C grid pairs")
+
+
+def test_trials_over_budget_exit_before_drawing(tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setattr(verify_module, "TRIAL_BUDGET", 10)
+    spec = write_spec(tmp_path, PUBLISHED)
+    code, report = run(capsys, ["verify", spec, "--rho", "0.9",
+                                "--trials", "10"])
+    assert code == 0 and report["trials"] == 10
+
+    def drawn(*args):
+        raise AssertionError("a trial was drawn")
+    monkeypatch.setattr(verify_module, "_random_boundary_points", drawn)
+    assert_refused(tmp_path, capsys, None, None,
+                   ["verify", "--rho", "0.9", "--trials", "11"],
+                   "at most 10 verify trials (11 requested)")
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +540,13 @@ def _enlarged(mode, edit=lambda payload: None):
 
 LEFT_A = _edited(lambda p: p["classes"].__setitem__("A", [
     {"kind": "shifted_lipschitz_ball", "center": -2.0, "radius": 1.0}]))
+# C = Disk(0.9, 0.1) and Disk(0, 0.5), which share no point; A and B admit
+# thm41, whose closed form reads only mu and L_C
+EMPTY_C = {"classes": {"A": [{"kind": "strongly_monotone", "mu": 1.0}],
+                       "B": [{"kind": "monotone"}],
+                       "C": [{"kind": "averaged", "theta": 0.1},
+                             {"kind": "lipschitz", "L": 0.5}]},
+           "params": {"alpha": 0.5, "lambda": 1.0}}
 
 REFUSALS = {
     "top_level_list": ([PUBLISHED], ["factor"], 2,
@@ -557,6 +587,10 @@ REFUSALS = {
         "nonpositive center gives a left half-plane")
        for argv in (["maxmod", "--eps", "0.1"], ["verify", "--rho", "0.9"],
                     ["plot", "--out", "fig.svg"])},
+    **{f"empty_class_{argv[0]}": (
+        EMPTY_C, argv, 3, "error: invalid class: inconsistent class: empty "
+        "region, its real extent [lo, hi] has lo = 0.8 > hi = 0.5")
+       for argv in (["factor"], ["verify"], ["maxmod", "--eps", "0.1"])},
 }
 
 
@@ -697,8 +731,6 @@ PLOT_GOLDEN = {
                          "1e72ca114699879beaa35bceeee9c60b", 29977, 29996,
                          "0.7732607663166762"),
 }
-DUMP_GRID_SHA256 = ("eb979f07b060e036a54e6ed2da3afdf2"
-                    "9c0aa9a7fe51df3504b7e57b8436e366")
 
 
 def sha256_of(path):
@@ -782,20 +814,6 @@ def test_verify_thm32_auto(tmp_path, capsys):
     assert payload["max_norm_seen"] <= math.sqrt(2.0 / 3.0) + 1e-9
 
 
-def test_maxmod_dump_grid_csv(tmp_path, capsys):
-    spec = write_spec(tmp_path, PUBLISHED)
-    csv_path = tmp_path / "grid.csv"
-    code, _ = run(capsys, ["maxmod", spec, "--eps", "0.05",
-                           "--dump-grid", str(csv_path)])
-    assert code == 0
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "re,im,shifted_modulus"
-    assert len(lines) > 1000
-    re_, im_, mod_ = lines[1].split(",")
-    assert abs(complex(float(re_), float(im_))) == pytest.approx(float(mod_))
-    assert sha256_of(csv_path) == DUMP_GRID_SHA256
-
-
 # ---------------------------------------------------------------------------
 # the decimated symbol cloud and the write paths
 # ---------------------------------------------------------------------------
@@ -859,8 +877,7 @@ def test_write_text_encodes_across_write_blocks(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["plot", "--out"],
-    ["maxmod", "--eps", "0.1", "--dump-grid"],
-], ids=["plot_out", "maxmod_dump_grid"])
+], ids=["plot_out"])
 def test_unwritable_output_exits_io(tmp_path, capsys, argv):
     spec = write_spec(tmp_path, PUBLISHED)
     target = tmp_path / "missing" / "out.file"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dysrates import (Disk, DiskExterior, DysParams, PreconditionError,
-                      Region, SearchConfig, UnboundedRegionError,
+                      Region, UnboundedRegionError,
                       boundary_pieces, cocoercive, coordinate_polish,
                       grid_evaluate, lipschitz, monotone,
                       shifted_lipschitz_ball, shifted_modulus,
@@ -84,7 +84,7 @@ def test_search_samples_only_b_and_c(monkeypatch):
     monkeypatch.setattr(search_module, "boundary_grid", recording)
     a, b, c = published_instance()
     regions = resolvent_srg(a, 1.0), resolvent_srg(b, 1.0), srg(c)
-    search_regions(*regions, P11, SearchConfig(eps_grid=1.0 / 30.0))
+    search_regions(*regions, P11, 1.0 / 30.0)
     assert sampled == list(regions[1:])
 
 
@@ -253,8 +253,7 @@ def test_grid_dominates_sampled_cubic_grid(a, b, c, params):
 def test_certified_upper_bounds_random_boundary_triples(a, b, c, params,
                                                         seed):
     regions = _instance_regions(a, b, c, params)
-    result = search_regions(*regions, params,
-                            SearchConfig(eps_grid=1.0 / 20.0))
+    result = search_regions(*regions, params, 1.0 / 20.0)
     rng = np.random.default_rng(seed)
     zs = [_random_boundary_points(r, 500, rng) for r in regions]
     assert shifted_modulus(*zs, params).max() <= result.certified_upper
@@ -264,9 +263,8 @@ def test_certified_upper_bounds_random_boundary_triples(a, b, c, params,
 @given(AB_CLASS, AB_CLASS, C_CLASS, PARAMS)
 def test_certified_upper_bounds_finer_polished_value(a, b, c, params):
     regions = _instance_regions(a, b, c, params)
-    coarse = search_regions(*regions, params,
-                            SearchConfig(eps_grid=1.0 / 20.0))
-    fine = search_regions(*regions, params, SearchConfig(eps_grid=1.0 / 80.0))
+    coarse = search_regions(*regions, params, 1.0 / 20.0)
+    fine = search_regions(*regions, params, 1.0 / 80.0)
     assert fine.best_value <= coarse.certified_upper
 
 
@@ -274,8 +272,7 @@ def test_certified_upper_bounds_finer_polished_value(a, b, c, params):
 @given(AB_CLASS, AB_CLASS, C_CLASS, PARAMS)
 def test_certified_upper_never_looser_than_enclosure_bound(a, b, c, params):
     regions = _instance_regions(a, b, c, params)
-    result = search_regions(*regions, params,
-                            SearchConfig(eps_grid=1.0 / 20.0))
+    result = search_regions(*regions, params, 1.0 / 20.0)
     enclosure = lipschitz_bound(*(r.smallest_disk_atom() for r in regions),
                                 params)
     assert result.certified_upper <= (result.grid_best_value + enclosure
@@ -285,7 +282,7 @@ def test_certified_upper_never_looser_than_enclosure_bound(a, b, c, params):
 def _polish_from_best_grid_pairs(regions, params, eps):
     """(search result, value of the polish started from the 64 largest
     grid values), those being the seeds the search took before the peaks."""
-    result = search_regions(*regions, params, SearchConfig(eps_grid=eps))
+    result = search_regions(*regions, params, eps)
     pieces = (boundary_pieces(regions[0]),) + tuple(
         boundary_grid(r, eps).pieces for r in regions[1:])
     zb, zc = (boundary_grid(r, eps).points for r in regions[1:])
@@ -363,7 +360,7 @@ def _slack_guard(centers, sampled, params):
     the maximum and lift the certificate to it whatever the slack."""
     regions = [Region((Disk(c, 1e-9),)) for c in centers]
     regions.insert(sampled, Region((Disk(1.0, 1.0),)))
-    result = search_regions(*regions, params, SearchConfig(eps_grid=1.0))
+    result = search_regions(*regions, params, 1.0)
     za, zb, zc = (_dense_boundary(r, 20001 if i == sampled else 3)
                   for i, r in enumerate(regions))
     dense = shifted_modulus(za[:, None, None], zb[None, :, None],
@@ -389,7 +386,7 @@ def _second_peak_guard(regions, params, eps, samples):
     """Search an instance whose grid peaks all lead the polish to the lower
     of two peaks, so that only the certificate can cover the higher one,
     which must lie between samples."""
-    result = search_regions(*regions, params, SearchConfig(eps_grid=eps))
+    result = search_regions(*regions, params, eps)
     dense = grid_evaluate(boundary_pieces(regions[0]),
                           *(_dense_boundary(r, n)
                             for r, n in zip(regions[1:], samples)),
@@ -421,8 +418,7 @@ def test_certificate_covers_second_peak_on_a_coarse_circle():
 @given(AB_CLASS, AB_CLASS, C_CLASS, PARAMS)
 def test_certified_upper_brackets_dense_boundary_maximum(a, b, c, params):
     regions = _instance_regions(a, b, c, params)
-    result = search_regions(*regions, params,
-                            SearchConfig(eps_grid=1.0 / 10.0))
+    result = search_regions(*regions, params, 1.0 / 10.0)
     # five B and C points per sample interval: most lie between samples
     dense = grid_evaluate(boundary_pieces(regions[0]),
                           *(boundary_grid(r, 1.0 / 50.0).points
@@ -486,7 +482,7 @@ def test_batched_polish_is_best_single_row(a, b, c, params, picks):
 
 def test_search_published_instance_coarse():
     a, b, c = published_instance()
-    result = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 40.0))
+    result = search(a, b, c, P11, 1.0 / 40.0)
     assert result.best_value == pytest.approx(0.7236067977, abs=1e-6)
 
 
@@ -494,13 +490,13 @@ def test_search_enlarged_instance_coarse():
     a, b, _ = published_instance()
     c_prime = cocoercive(1.0).intersect(
         shifted_lipschitz_ball(1.0, 1.0 / math.sqrt(2.0)))
-    result = search(a, b, c_prime, P11, SearchConfig(eps_grid=1.0 / 40.0))
+    result = search(a, b, c_prime, P11, 1.0 / 40.0)
     assert result.best_value == pytest.approx(0.7745966692, abs=1e-6)
 
 
 def test_search_invariant_chain():
     a, b, c = published_instance()
-    result = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 30.0))
+    result = search(a, b, c, P11, 1.0 / 30.0)
     assert result.grid_best_value <= result.best_value + 1e-15
     assert result.best_value <= result.certified_upper + 1e-15
     assert result.certified_upper <= (
@@ -510,9 +506,9 @@ def test_search_invariant_chain():
 
 def test_search_deterministic():
     a, b, c = published_instance()
-    r1 = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 30.0))
-    r2 = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 30.0))
-    r3 = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 30.0))
+    r1 = search(a, b, c, P11, 1.0 / 30.0)
+    r2 = search(a, b, c, P11, 1.0 / 30.0)
+    r3 = search(a, b, c, P11, 1.0 / 30.0)
     assert r1.grid_best_value == r2.grid_best_value == r3.grid_best_value
     assert abs(r1.best_value - r3.best_value) <= 1e-12
     assert r1.best_point == r3.best_point
@@ -523,8 +519,7 @@ def test_certified_upper_refinement_chain():
     for c_class in (c, enlarged_c()):
         results = {}
         for denom in (30, 60, 120):
-            results[denom] = search(a, b, c_class, P11,
-                                    SearchConfig(eps_grid=1.0 / denom))
+            results[denom] = search(a, b, c_class, P11, 1.0 / denom)
         lip = results[30].lipschitz_constant
         assert results[60].lipschitz_constant == lip
         assert results[120].lipschitz_constant == lip
@@ -542,14 +537,14 @@ def test_certified_upper_refinement_chain():
 def test_published_gap_at_eps_120():
     a, b, c = published_instance()
     for c_class in (c, enlarged_c()):
-        result = search(a, b, c_class, P11, SearchConfig(eps_grid=1.0 / 120))
+        result = search(a, b, c_class, P11, 1.0 / 120)
         assert result.certified_upper - result.best_value <= 1e-2
 
 
 def test_published_gap_at_eps_30():
     a, b, c = published_instance()
     for c_class in (c, enlarged_c()):
-        result = search(a, b, c_class, P11, SearchConfig(eps_grid=1.0 / 30))
+        result = search(a, b, c_class, P11, 1.0 / 30)
         assert result.certified_upper - result.best_value <= 1e-3
 
 
@@ -557,7 +552,7 @@ def test_enlarged_gap_falls_faster_than_eps():
     # a first-order certificate would shrink 4x from eps 1/30 to 1/120;
     # the hull-vertex certificate is second order in eps
     a, b, _ = published_instance()
-    gaps = [search(a, b, enlarged_c(), P11, SearchConfig(eps_grid=1.0 / d))
+    gaps = [search(a, b, enlarged_c(), P11, 1.0 / d)
             for d in (30, 120)]
     gaps = [r.certified_upper - r.best_value for r in gaps]
     assert 0.0 < gaps[1] <= gaps[0] / 12.0
@@ -565,8 +560,7 @@ def test_enlarged_gap_falls_faster_than_eps():
 
 def test_search_unbounded_domain_rejected():
     with pytest.raises(UnboundedRegionError):
-        search(monotone(), monotone(), strongly_monotone(0.5), P11,
-               SearchConfig(eps_grid=1.0 / 20.0))
+        search(monotone(), monotone(), strongly_monotone(0.5), P11, 1.0 / 20.0)
 
 
 def test_search_never_exceeds_closed_form():
@@ -576,7 +570,7 @@ def test_search_never_exceeds_closed_form():
     c = cocoercive(1.1)
     params = DysParams(0.9, 1.1)
     rho = contraction_thm32(0.9, 1.1, 1.1, 0.8, 0.6, role="A_lip_B_sm").rho
-    result = search(a, b, c, params, SearchConfig(eps_grid=1.0 / 40.0))
+    result = search(a, b, c, params, 1.0 / 40.0)
     assert result.best_value <= rho + 1e-9
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dysrates import (Averaged, Cocoercive, DysParams, InvalidClassError,
-                      Lipschitz, Monotone, OperatorClassSpec, SearchConfig,
+                      Lipschitz, Monotone, OperatorClassSpec,
                       ShiftedLipschitzBall, SingularResolventError,
                       StronglyMonotone, averagedness_thm41,
                       class_membership, cocoercive,
@@ -195,7 +195,7 @@ def test_verify_negative_control_finds_counterexample():
     a = monotone()
     b = monotone().intersect(lipschitz(0.5))
     c = cocoercive(1.0).intersect(strongly_monotone(0.5))
-    best = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 40.0)).best_value
+    best = search(a, b, c, P11, 1.0 / 40.0).best_value
     report = verify_contraction(a, b, c, P11, best - 0.01, n_trials=200,
                                 rng_seed=0)
     assert not report.passed
@@ -209,7 +209,7 @@ def test_verify_probe_ignores_the_shift(shift):
     a = monotone()
     b = monotone().intersect(lipschitz(0.5))
     c = cocoercive(1.0).intersect(strongly_monotone(0.5))
-    best = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 40.0)).best_value
+    best = search(a, b, c, P11, 1.0 / 40.0).best_value
     params = DysParams(1.0, 1.0, shift)
     for seed in range(5):
         report = verify_contraction(a, b, c, params, best - 0.005,
@@ -445,7 +445,7 @@ def _negative_control():
     a = monotone()
     b = monotone().intersect(lipschitz(0.5))
     c = cocoercive(1.0).intersect(strongly_monotone(0.5))
-    best = search(a, b, c, P11, SearchConfig(eps_grid=1.0 / 40.0)).best_value
+    best = search(a, b, c, P11, 1.0 / 40.0).best_value
     return verify_contraction(a, b, c, P11, best - 0.01, n_trials=200,
                               rng_seed=0)
 
