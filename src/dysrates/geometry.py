@@ -207,6 +207,12 @@ def _invert_atom(atom: RegionAtom) -> RegionAtom:
 
     new_c = c / d
     new_r = r / abs(d)
+    if not (math.isfinite(new_c) and math.isfinite(new_r) and new_r > 0.0):
+        # c*c or r*r overflows, or r/|d| underflows, for a circle far from 0
+        raise UnsupportedInversionError(
+            f"cannot invert the circle about {c!r} of radius {r!r}: its "
+            f"image (center {new_c!r}, radius {new_r!r}) is out of "
+            "floating-point range")
     if isinstance(atom, Disk):
         # 0 outside the disk keeps it a disk; 0 inside flips it inside out.
         return Disk(new_c, new_r) if d > 0 else DiskExterior(new_c, new_r)
@@ -518,12 +524,17 @@ def grid_intervals(pieces, eps: float) -> tuple:
     return intervals
 
 
-def boundary_grid(region: Region, eps: float) -> BoundaryGrid:
+def boundary_grid(region: Region, eps: float,
+                  pieces=None) -> BoundaryGrid:
+    """Samples of the region's boundary, spaced at most eps along each
+    piece.  pieces, when given, is boundary_pieces(region), for a caller
+    that has decomposed the boundary already."""
     if not region.bounded:
         raise UnboundedRegionError(
             "cannot sample the boundary of an unbounded region; intersect "
             "with a bounding atom first")
-    pieces = boundary_pieces(region)
+    if pieces is None:
+        pieces = boundary_pieces(region)
     intervals = grid_intervals(pieces, eps)
     points = np.concatenate([p.sample(n) for p, n in zip(pieces, intervals)])
     # samples are spaced <= max_gap along each piece, so every boundary

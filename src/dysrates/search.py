@@ -4,17 +4,21 @@ The pipeline: sample the boundaries of B and C on an eps-grid; for every
 grid pair (z_B, z_C) take the largest |zeta - s| over the boundary of A
 exactly, since zeta - s is affine in z_A and each arc or segment of A has
 a closed-form maximum value; locate the maximizing z_A only at the peaks
-of that grid, the pairs no array neighbour exceeds; polish those triples
-by exact cyclic coordinate maximization (the symbol is affine in each
-argument, so every coordinate step is solved in closed form); and certify
-a global upper bound, valid however far the polish got.
+of that grid, the pairs no array neighbour exceeds; certify a global upper
+bound from the grid values alone; and only when that bound leaves room
+above the grid best, polish the peak triples by exact cyclic coordinate
+maximization (the symbol is affine in each argument, so every coordinate
+step is solved in closed form).  The grid stage has already maximized z_A
+exactly at each peak, so the polish starts at z_B.
 
 The certificate evaluates the same exact-over-A value at the hull
 vertices of the B and C sample cells: a cell's two end samples and, on an
 arc, the point where their tangents meet.  That value is convex in z_B and
 in z_C separately, so its maximum over a pair of cells is reached at a
 pair of their vertices, and the gap certified_upper - best_value falls as
-eps^2.  The first-order bound
+eps^2.  When the bound, before its rounding allowance, is the grid best
+itself, no boundary triple lies above the grid best by more than rounding,
+and the polish is skipped.  The first-order bound
 
     grid_best + lipschitz_constant * covering_radius
 
@@ -179,7 +183,8 @@ def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams):
 # Local refinement
 # ---------------------------------------------------------------------------
 
-def coordinate_polish(starts, pieces_triple, params: DysParams):
+def coordinate_polish(starts, pieces_triple, params: DysParams,
+                      first: int = 0):
     """Exact cyclic per-coordinate maximization of |zeta - s| from every
     start at once.
 
@@ -187,10 +192,13 @@ def coordinate_polish(starts, pieces_triple, params: DysParams):
     row's maximizer on every piece comes from _max_on_piece in closed form;
     the piece with the largest |zeta - s| there (the first on a tie) gives
     the row's move, accepted only when it beats the row's value by more
-    than POLISH_TOL.  Steps cycle through the coordinates, for at most
-    POLISH_MAX_SWEEPS sweeps, until two in a row move no row, so no row
-    falls below its start.  Returns (best_value,
-    best_point, evaluations) for the best row, the first row winning a tie.
+    than POLISH_TOL.  Steps cycle through the coordinates from coordinate
+    first (0, 1, 2 for A, B, C), for at most POLISH_MAX_SWEEPS sweeps,
+    until two in a row move no row, so no row falls below its start.  The
+    coordinates before first must already be maximal at every start, as
+    z_A is at a grid seed: they count as run.
+    Returns (best_value, best_point, evaluations) for the best row, the
+    first row winning a tie.
     """
     x = np.array(starts, dtype=complex).reshape(-1, 3).T.copy()  # (3, k)
     rows = np.arange(x.shape[1])
@@ -198,7 +206,7 @@ def coordinate_polish(starts, pieces_triple, params: DysParams):
     evals = x.shape[1]
     idle = 0
     for step in range(3 * POLISH_MAX_SWEEPS):
-        idx = step % 3
+        idx = (first + step) % 3
         p_coef, q_coef = _affine_in(idx, *x, params)
         cand = np.stack([_max_on_piece(piece, p_coef, q_coef)
                          for piece in pieces_triple[idx]])
@@ -207,16 +215,17 @@ def coordinate_polish(starts, pieces_triple, params: DysParams):
         trial = [cand if i == idx else x[i:i + 1] for i in range(3)]
         vals = shifted_modulus(*trial, params)  # (pieces, k)
         evals += vals.size
-        first = np.argmax(vals, axis=0)
-        best = vals[first, rows]
+        piece = np.argmax(vals, axis=0)
+        best = vals[piece, rows]
         move = best > value + POLISH_TOL
         idle = 0 if move.any() else idle + 1
-        x[idx, move] = cand[first, rows][move]
+        x[idx, move] = cand[piece, rows][move]
         value = np.where(move, best, value)
-        # Two idle steps, once all three coordinates have run: every row was
-        # maximized over the coordinate before them and nothing has moved
-        # since, so its next step would find the same candidates, idle too.
-        if idle >= 2 and step >= 2:
+        # Two idle steps, once all three coordinates have run (or were
+        # maximal at the start): every row was maximized over the coordinate
+        # before them and nothing has moved since, so its next step would
+        # find the same candidates, idle too.
+        if idle >= 2 and step >= 2 - first:
             break
     i = int(np.argmax(value))
     return float(value[i]), tuple(complex(z) for z in x[:, i]), evals
@@ -226,33 +235,52 @@ def coordinate_polish(starts, pieces_triple, params: DysParams):
 # End-to-end search
 # ---------------------------------------------------------------------------
 
-def locate_maximum(region_a: Region, region_b: Region, region_c: Region,
-                   params: DysParams, eps: float = EPS_GRID):
-    """The grid stage and the polish over three explicit regions, without a
-    certificate, on boundary grids of spacing eps.  Only B and C are
+def _grid_stage(region_a: Region, region_b: Region, region_c: Region,
+                params: DysParams, eps: float):
+    """The grid stage over three explicit regions, on boundary grids of
+    spacing eps.  Each boundary is decomposed once; only B and C are
     sampled, and an eps over the pair budget is refused before either is.
-    Returns (best_value, best_point, grid_best_value, grid_best_point,
-    pieces_a, grids, values, evaluations), with the boundary pieces of A,
-    the boundary grids of B and C and the grid stage's values array."""
-    for name, region in (("A", region_a), ("B", region_b), ("C", region_c)):
+    Returns (pieces_a, grids, grid_best_value, grid_best_point, seeds,
+    evaluations, values), with the boundary pieces of A, the boundary grids
+    of B and C, the polish seeds and the values array of grid_evaluate."""
+    regions = region_a, region_b, region_c
+    for name, region in zip("ABC", regions):
         if not region.bounded:
             raise UnboundedRegionError(
                 f"search region {name} is unbounded; add a bounding atom or "
                 "an enlargement")
-    pieces_a = boundary_pieces(region_a)
-    sizes = [sum(n + 1 for n in grid_intervals(boundary_pieces(r), eps))
-             for r in (region_b, region_c)]
-    _check_pairs(*sizes)
-    grids = tuple(boundary_grid(r, eps) for r in (region_b, region_c))
-    grid_best, grid_point, seeds, grid_evals, values = grid_evaluate(
+    pieces_a, pieces_b, pieces_c = (boundary_pieces(r) for r in regions)
+    _check_pairs(*(sum(n + 1 for n in grid_intervals(p, eps))
+                   for p in (pieces_b, pieces_c)))
+    grids = (boundary_grid(region_b, eps, pieces_b),
+             boundary_grid(region_c, eps, pieces_c))
+    grid_best, grid_point, seeds, evals, values = grid_evaluate(
         pieces_a, grids[0].points, grids[1].points, params)
-    polished, polished_point, polish_evals = coordinate_polish(
-        seeds, (pieces_a,) + tuple(g.pieces for g in grids), params)
-    best_value, best_point = grid_best, grid_point
+    return pieces_a, grids, grid_best, grid_point, seeds, evals, values
+
+
+def _polish(seeds, pieces_a, grids, params: DysParams, grid_best: float,
+            grid_point: tuple):
+    """(best_value, best_point, evaluations) of the polish of the grid's
+    seeds, or the grid best where the polish does not beat it.  The grid
+    stage has maximized z_A exactly at every seed, so the polish starts at
+    z_B: a first step in z_A could not move a row."""
+    polished, point, evals = coordinate_polish(
+        seeds, (pieces_a,) + tuple(g.pieces for g in grids), params, first=1)
     if polished > grid_best:
-        best_value, best_point = polished, polished_point
-    return (best_value, best_point, grid_best, grid_point, pieces_a, grids,
-            values, grid_evals + polish_evals)
+        return polished, point, evals
+    return grid_best, grid_point, evals
+
+
+def locate_maximum(region_a: Region, region_b: Region, region_c: Region,
+                   params: DysParams, eps: float = EPS_GRID):
+    """The grid stage and the polish over three explicit regions, without a
+    certificate, on boundary grids of spacing eps.  Returns (best_value,
+    best_point)."""
+    pieces_a, grids, grid_best, grid_point, seeds, _, _ = _grid_stage(
+        region_a, region_b, region_c, params, eps)
+    return _polish(seeds, pieces_a, grids, params, grid_best,
+                   grid_point)[:2]
 
 
 def _vertex_bound(pieces_a, grids, values, params: DysParams,
@@ -285,10 +313,11 @@ def _vertex_bound(pieces_a, grids, values, params: DysParams,
 def search_regions(region_a: Region, region_b: Region, region_c: Region,
                    params: DysParams, eps: float = EPS_GRID) -> SearchResult:
     """Search |zeta - s| over the boundaries of three explicit regions, on
-    boundary grids of spacing eps."""
-    (best_value, best_point, grid_best, grid_point, pieces_a, (grid_b, grid_c),
-     values, evals) = locate_maximum(region_a, region_b, region_c, params,
-                                     eps)
+    boundary grids of spacing eps: the grid stage, then the certificate,
+    then the polish, only when the certificate leaves room above the grid
+    best."""
+    pieces_a, (grid_b, grid_c), grid_best, grid_point, seeds, evals, values = \
+        _grid_stage(region_a, region_b, region_c, params, eps)
 
     # The pruning bound.  Take any boundary triple (z_A, z_B, z_C) and the
     # grid points z_B', z_C' nearest to z_B, z_C, within r_B, r_C of them.
@@ -327,18 +356,31 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
     #    bound above (each of its points is within r_B, r_C of a corner).
     # _vertex_bound leaves out the pairs of two samples, whose largest value
     # is grid_best.  Both bounds are sound, so the certificate takes the
-    # smaller.  The vertex bound is tight enough for rounding to show:
-    # two evaluations of one maximum, at a point and at its mirror image,
-    # can differ by an ulp.  So it carries 16 ulps of the term scale of
-    # zeta - s; a proven rounding bound is still open.
+    # smaller.
     vertex, vertex_evals = _vertex_bound(pieces_a, (grid_b, grid_c), values,
                                          params, grid_best - slack)
+    vertex = max(vertex, grid_best)
+    evals += vertex_evals
+
+    # The polish.  It runs only when the bound leaves room above grid_best:
+    # where the bound is grid_best itself, no boundary triple beats the grid
+    # best by more than rounding, and the polish could gain nothing more.
+    best_value, best_point = grid_best, grid_point
+    if min(vertex, grid_best + slack) > grid_best:
+        best_value, best_point, polish_evals = _polish(
+            seeds, pieces_a, (grid_b, grid_c), params, grid_best, grid_point)
+        evals += polish_evals
+
+    # The vertex bound is tight enough for rounding to show: two evaluations
+    # of one maximum, at a point and at its mirror image, can differ by an
+    # ulp.  So it carries 16 ulps of the term scale of zeta - s; a proven
+    # rounding bound is still open.
     terms = 1.0 + abs(params.shift) + params.lam * (
         sup_a + sup_b + sup_a * sup_b * np.max(np.abs(w)))
-    vertex = max(vertex, grid_best) + 16.0 * np.finfo(float).eps * terms
+    vertex += 16.0 * np.finfo(float).eps * terms
     certified = float(max(min(vertex, grid_best + slack), best_value))
     return SearchResult(best_value, best_point, grid_best, grid_point,
-                        certified, lipschitz, covering, evals + vertex_evals)
+                        certified, lipschitz, covering, evals)
 
 
 def search(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,

@@ -587,6 +587,14 @@ REFUSALS = {
         "nonpositive center gives a left half-plane")
        for argv in (["maxmod", "--eps", "0.1"], ["verify", "--rho", "0.9"],
                     ["plot", "--out", "fig.svg"])},
+    # alpha 1e160: B's Lipschitz disk becomes Disk(1, 5e159), whose image
+    # under z -> 1/z has a radius that underflows to 0
+    **{f"huge_alpha_{argv[0]}": (
+        _edited(lambda p: p["params"].__setitem__("alpha", 1e160)), argv, 3,
+        "error: cannot invert the circle about 1.0 of radius 5e+159: its "
+        "image (center -0.0, radius 0.0) is out of floating-point range")
+       for argv in (["maxmod", "--eps", "0.1"], ["verify", "--rho", "0.9"],
+                    ["plot", "--out", "fig.svg"])},
     **{f"empty_class_{argv[0]}": (
         EMPTY_C, argv, 3, "error: invalid class: inconsistent class: empty "
         "region, its real extent [lo, hi] has lo = 0.8 > hi = 0.5")

@@ -230,6 +230,19 @@ def test_invert_rejects_zero_interior_half_plane():
         Region((HalfPlane(-0.2),)).invert()
 
 
+@pytest.mark.parametrize("far, near", [
+    (Disk(1.0, 5e159), Disk(1.0, 5e149)),
+    (DiskExterior(1.0, 5e159), DiskExterior(1.0, 5e149)),
+    (Disk(3e200, 1.0), Disk(3e150, 1.0))])
+def test_invert_rejects_an_image_out_of_float_range(far, near):
+    # c*c - r*r overflows, so the image's radius r/|d| underflows to 0; a
+    # circle at 1e150 still squares inside the float range
+    from dysrates import UnsupportedInversionError
+    with pytest.raises(UnsupportedInversionError, match="floating-point"):
+        Region((far,)).invert()
+    assert Region((near,)).invert().atoms[0].radius > 0.0
+
+
 # ---------------------------------------------------------------------------
 # boundary decomposition
 # ---------------------------------------------------------------------------

@@ -2,11 +2,16 @@
 bound."""
 
 import collections
+import contextlib
+import importlib.util
+import io
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dysrates import (Disk, DiskExterior, DysParams, PreconditionError,
@@ -15,7 +20,11 @@ from dysrates import (Disk, DiskExterior, DysParams, PreconditionError,
                       grid_evaluate, lipschitz, monotone,
                       shifted_lipschitz_ball, shifted_modulus,
                       strongly_monotone)
+import dysrates.geometry as geometry_module
+import dysrates.search as search_module
+from dysrates import rates
 from dysrates.classes import resolvent_srg, srg
+from dysrates.cli import ProblemSpec, main
 from dysrates.geometry import (Arc, Segment, _max_on_piece, _value_on_piece,
                                boundary_grid)
 from dysrates.search import POLISH_SEEDS, _peaks, search, search_regions
@@ -62,7 +71,6 @@ def test_grid_empty_boundary_rejected():
 
 
 def test_grid_pair_budget_checked_before_evaluating(monkeypatch):
-    import dysrates.search as search_module
     segment = [Segment(0.5 + 0j, 0.5 + 0j)]
     monkeypatch.setattr(search_module, "PAIR_BUDGET", 6)
     assert grid_evaluate(segment, [0.5 + 0j] * 2, [1 + 0j] * 3, P11)[3] == 6
@@ -75,17 +83,32 @@ def test_grid_pair_budget_checked_before_evaluating(monkeypatch):
 
 
 def test_search_samples_only_b_and_c(monkeypatch):
-    import dysrates.search as search_module
     sampled = []
 
-    def recording(region, eps):
+    def recording(region, eps, *pieces):
         sampled.append(region)
-        return boundary_grid(region, eps)
+        return boundary_grid(region, eps, *pieces)
     monkeypatch.setattr(search_module, "boundary_grid", recording)
     a, b, c = published_instance()
     regions = resolvent_srg(a, 1.0), resolvent_srg(b, 1.0), srg(c)
     search_regions(*regions, P11, 1.0 / 30.0)
     assert sampled == list(regions[1:])
+
+
+@pytest.mark.parametrize("stage", ["search_regions", "locate_maximum"])
+def test_search_decomposes_each_boundary_once(monkeypatch, stage):
+    decomposed = []
+
+    def recording(region):
+        decomposed.append(region)
+        return boundary_pieces(region)
+    # boundary_grid decomposes through the geometry module's attribute
+    monkeypatch.setattr(search_module, "boundary_pieces", recording)
+    monkeypatch.setattr(geometry_module, "boundary_pieces", recording)
+    a, b, c = published_instance()
+    regions = resolvent_srg(a, 1.0), resolvent_srg(b, 1.0), srg(c)
+    getattr(search_module, stage)(*regions, P11, 1.0 / 30.0)
+    assert decomposed == list(regions)
 
 
 def test_package_attribute_is_the_search_module():
@@ -582,3 +605,136 @@ def test_ascent_from_best_grid_point_reaches_published_value():
     pieces = tuple(g.pieces for g in grids)
     value, _, _ = coordinate_polish(triple, pieces, P11)
     assert value == pytest.approx(0.7236067977, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# certificate before polish
+# ---------------------------------------------------------------------------
+
+def _counting_polish(mp):
+    """Replace the search module's coordinate_polish by a wrapper that
+    records the keyword arguments of every call; returns that record."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return coordinate_polish(*args, **kwargs)
+    mp.setattr(search_module, "coordinate_polish", counting)
+    return calls
+
+
+def _rounding_allowance(pieces_a, grids, params):
+    """16 ulps of the term scale of zeta - s, restated from the search: the
+    most the certificate may lie above its vertex bound for rounding."""
+    sup_a, sup_b = (max(float(_value_on_piece(p, 1.0, 0.0)) for p in pieces)
+                    for pieces in (pieces_a, grids[0].pieces))
+    w = np.abs(2.0 - params.alpha * grids[1].points).max()
+    terms = 1.0 + abs(params.shift) + params.lam * (sup_a + sup_b
+                                                    + sup_a * sup_b * w)
+    return 16.0 * np.finfo(float).eps * terms
+
+
+def _maxmod_report(tmp_path, c_class, eps):
+    """The parsed maxmod report of a published instance, plain or
+    enlarged."""
+    c_atoms = ([{"kind": "cocoercive", "beta": 1.0},
+                {"kind": "strongly_monotone", "mu": 0.5}] if c_class == "plain"
+               else [{"kind": "cocoercive", "beta": 1.0},
+                     {"kind": "shifted_lipschitz_ball", "center": 1.0,
+                      "radius": 1.0 / math.sqrt(2.0)}])
+    raw = {"classes": {"A": [{"kind": "monotone"}],
+                       "B": [{"kind": "monotone"},
+                             {"kind": "lipschitz", "L": 0.5}],
+                       "C": c_atoms},
+           "params": {"alpha": 1.0, "lambda": 1.0, "s": 0.0}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["maxmod", str(path), "--eps", repr(eps)]) == 0
+    return json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("c_class, denom, polishes", [
+    ("plain", 30, 0), ("plain", 120, 0), ("enlarged", 30, 1)])
+def test_maxmod_polishes_only_where_the_bound_leaves_room(
+        tmp_path, monkeypatch, c_class, denom, polishes):
+    # on the plain instance the vertex bound is the grid best itself, so
+    # the polish could gain nothing; the enlarged one leaves a 9.2e-5 gap
+    calls = _counting_polish(monkeypatch)
+    report = _maxmod_report(tmp_path, c_class, 1.0 / denom)
+    assert len(calls) == polishes
+    assert all(call == {"first": 1} for call in calls)
+    if not polishes:
+        assert report["best_value"] == report["grid_best_value"]
+        assert report["best_point"] == report["grid_best_point"]
+
+
+@settings(deadline=None, max_examples=80)
+@given(AB_CLASS, AB_CLASS, C_CLASS, PARAMS)
+@example(*published_instance(), P11)
+def test_skipped_polish_could_gain_only_rounding(a, b, c, params):
+    # about one draw in ten skips the polish; the published plain instance
+    # always does
+    regions = _instance_regions(a, b, c, params)
+    eps = 1.0 / 20.0
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_polish(mp)
+        result = search_regions(*regions, params, eps)
+    assert result.certified_upper >= result.best_value \
+        >= result.grid_best_value
+    if calls:
+        return
+    assert result.best_value == result.grid_best_value
+    assert result.best_point == result.grid_best_point
+    pieces_a, grids, _, _, seeds, _, _ = search_module._grid_stage(
+        *regions, params, eps)
+    allowance = _rounding_allowance(pieces_a, grids, params)
+    polished = coordinate_polish(
+        seeds, (pieces_a,) + tuple(g.pieces for g in grids), params)[0]
+    assert polished <= result.best_value + allowance
+    assert result.certified_upper <= result.best_value + allowance
+
+
+def _bench_problems(seed, count=16):
+    """(params, regions) of the first count problems the benchmark's sweep
+    draws for seed, with the shift its maxmod call and verify probe use:
+    s = 1 - theta on thm41 problems, the spec's s on the others."""
+    path = pathlib.Path(__file__).parents[1] / "bench" / "specs.py"
+    loader = importlib.util.spec_from_file_location("bench_specs", path)
+    specs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(specs)
+    problems = []
+    for _, (theorem, raw) in zip(range(count), specs.sweep_problems(seed)):
+        spec = ProblemSpec(raw)
+        shift = spec.shift
+        if theorem == "thm41":
+            shift = 1.0 - rates.factor(spec.a, spec.b, spec.c, spec.alpha,
+                                       spec.lam).theta
+        params = DysParams(spec.alpha, spec.lam, shift)
+        problems.append((params, (resolvent_srg(spec.a, spec.alpha),
+                                  resolvent_srg(spec.b, spec.alpha),
+                                  srg(spec.effective_c()))))
+    return problems
+
+
+@pytest.mark.parametrize("case", ["published", 0, 1, 2, 3])
+def test_polish_from_b_matches_polish_from_a(case):
+    # grid_evaluate maximizes z_A exactly at every seed, so a first step in
+    # z_A moves no row: starting at z_B ends at the same bits, at the
+    # maxmod spacing 1/30 and the verify probe's 1/40
+    if case == "published":
+        a, b, c = published_instance()
+        problems = [(P11, _instance_regions(a, b, c_class, P11))
+                    for c_class in (c, enlarged_c())]
+    else:
+        problems = _bench_problems(case)
+    for params, regions in problems:
+        for eps in (1.0 / 30.0, 1.0 / 40.0):
+            pieces_a, grids, _, _, seeds, _, _ = search_module._grid_stage(
+                *regions, params, eps)
+            pieces = (pieces_a,) + tuple(g.pieces for g in grids)
+            from_a = coordinate_polish(seeds, pieces, params)
+            from_b = coordinate_polish(seeds, pieces, params, first=1)
+            assert from_b[:2] == from_a[:2]
+            assert from_b[2] <= from_a[2]
