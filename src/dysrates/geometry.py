@@ -524,8 +524,7 @@ def grid_intervals(pieces, eps: float) -> tuple:
     return intervals
 
 
-def boundary_grid(region: Region, eps: float,
-                  pieces=None) -> BoundaryGrid:
+def boundary_grid(region: Region, eps: float, pieces=None) -> BoundaryGrid:
     """Samples of the region's boundary, spaced at most eps along each
     piece.  pieces, when given, is boundary_pieces(region), for a caller
     that has decomposed the boundary already."""

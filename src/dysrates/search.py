@@ -316,8 +316,8 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
     boundary grids of spacing eps: the grid stage, then the certificate,
     then the polish, only when the certificate leaves room above the grid
     best."""
-    pieces_a, (grid_b, grid_c), grid_best, grid_point, seeds, evals, values = \
-        _grid_stage(region_a, region_b, region_c, params, eps)
+    (pieces_a, (grid_b, grid_c), grid_best, grid_point, seeds, evals,
+     values) = _grid_stage(region_a, region_b, region_c, params, eps)
 
     # The pruning bound.  Take any boundary triple (z_A, z_B, z_C) and the
     # grid points z_B', z_C' nearest to z_B, z_C, within r_B, r_C of them.
@@ -362,9 +362,10 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
     vertex = max(vertex, grid_best)
     evals += vertex_evals
 
-    # The polish.  It runs only when the bound leaves room above grid_best:
-    # where the bound is grid_best itself, no boundary triple beats the grid
-    # best by more than rounding, and the polish could gain nothing more.
+    # The polish.  It runs only when the bound, before the rounding allowance
+    # below, lies above grid_best.  Otherwise no boundary triple beats the
+    # grid best by more than that allowance, so the polish could gain no
+    # more, and best_value is the grid best.
     best_value, best_point = grid_best, grid_point
     if min(vertex, grid_best + slack) > grid_best:
         best_value, best_point, polish_evals = _polish(

@@ -634,35 +634,35 @@ def _rounding_allowance(pieces_a, grids, params):
     return 16.0 * np.finfo(float).eps * terms
 
 
-def _maxmod_report(tmp_path, c_class, eps):
-    """The parsed maxmod report of a published instance, plain or
-    enlarged."""
-    c_atoms = ([{"kind": "cocoercive", "beta": 1.0},
-                {"kind": "strongly_monotone", "mu": 0.5}] if c_class == "plain"
-               else [{"kind": "cocoercive", "beta": 1.0},
-                     {"kind": "shifted_lipschitz_ball", "center": 1.0,
-                      "radius": 1.0 / math.sqrt(2.0)}])
-    raw = {"classes": {"A": [{"kind": "monotone"}],
-                       "B": [{"kind": "monotone"},
-                             {"kind": "lipschitz", "L": 0.5}],
-                       "C": c_atoms},
-           "params": {"alpha": 1.0, "lambda": 1.0, "s": 0.0}}
+def _bench_specs():
+    """The benchmark's problem generator, bench/specs.py, which imports
+    nothing from the package."""
+    path = pathlib.Path(__file__).parents[1] / "bench" / "specs.py"
+    loader = importlib.util.spec_from_file_location("bench_specs", path)
+    specs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(specs)
+    return specs
+
+
+def _maxmod_report(tmp_path, name, eps):
+    """The parsed maxmod report of the published instance name, plain or
+    enlarged, as the benchmark writes it."""
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(_bench_specs().PUBLISHED[name]))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["maxmod", str(path), "--eps", repr(eps)]) == 0
     return json.loads(out.getvalue())
 
 
-@pytest.mark.parametrize("c_class, denom, polishes", [
+@pytest.mark.parametrize("name, denom, polishes", [
     ("plain", 30, 0), ("plain", 120, 0), ("enlarged", 30, 1)])
 def test_maxmod_polishes_only_where_the_bound_leaves_room(
-        tmp_path, monkeypatch, c_class, denom, polishes):
+        tmp_path, monkeypatch, name, denom, polishes):
     # on the plain instance the vertex bound is the grid best itself, so
     # the polish could gain nothing; the enlarged one leaves a 9.2e-5 gap
     calls = _counting_polish(monkeypatch)
-    report = _maxmod_report(tmp_path, c_class, 1.0 / denom)
+    report = _maxmod_report(tmp_path, name, 1.0 / denom)
     assert len(calls) == polishes
     assert all(call == {"first": 1} for call in calls)
     if not polishes:
@@ -700,12 +700,9 @@ def _bench_problems(seed, count=16):
     """(params, regions) of the first count problems the benchmark's sweep
     draws for seed, with the shift its maxmod call and verify probe use:
     s = 1 - theta on thm41 problems, the spec's s on the others."""
-    path = pathlib.Path(__file__).parents[1] / "bench" / "specs.py"
-    loader = importlib.util.spec_from_file_location("bench_specs", path)
-    specs = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(specs)
     problems = []
-    for _, (theorem, raw) in zip(range(count), specs.sweep_problems(seed)):
+    for _, (theorem, raw) in zip(range(count),
+                                 _bench_specs().sweep_problems(seed)):
         spec = ProblemSpec(raw)
         shift = spec.shift
         if theorem == "thm41":
