@@ -29,7 +29,8 @@ class InvalidClassError(DysRatesError):
 
 
 class SingularResolventError(DysRatesError):
-    """A resolvent value of 0 cannot be realized as an invertible map."""
+    """A resolvent value cannot be realized as a finite invertible map: it
+    is 0, or the operator (J^-1 - I)/alpha it gives overflows."""
 
 
 class PreconditionError(DysRatesError):

@@ -21,6 +21,7 @@ would need an unbounded boundary raise instead.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -611,6 +612,33 @@ def _max_on_piece(piece, p_coef, q_coef):
         far = np.where(on_arc, piece.center + piece.radius * np.exp(1j * ang),
                        np.where((p_coef == 0) | (w == 0), e0, far))
     return far
+
+
+def _piece_maximizer(piece):
+    """_max_on_piece for one piece as a function of complex scalars P and Q,
+    with the same rules: the endpoint of larger |P z + Q| (the first on a
+    tie), on an arc the crest at angle arg W - arg P when it lies on the
+    arc, and the first endpoint where P = 0 or W = 0.  Its constants are
+    taken from the piece once, so a loop over a few rows pays no array
+    overhead per call."""
+    e0, e1 = complex(piece.point_at(0.0)), complex(piece.point_at(1.0))
+
+    def endpoint(p, q):
+        return e1 if abs(p * e1 + q) > abs(p * e0 + q) else e0
+    if not isinstance(piece, Arc):
+        return endpoint
+    center, radius = piece.center, piece.radius
+    start, end = piece.angle_start, piece.angle_end
+
+    def on_arc(p, q):
+        w = p * center + q
+        if p == 0 or w == 0:
+            return e0
+        ang = start + (cmath.phase(w) - cmath.phase(p) - start) % TWO_PI
+        if ang <= end:
+            return center + radius * cmath.exp(1j * ang)
+        return endpoint(p, q)
+    return on_arc
 
 
 def _value_on_piece(piece, p_coef, q_coef):

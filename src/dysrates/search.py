@@ -9,7 +9,9 @@ bound from the grid values alone; and only when that bound leaves room
 above the grid best, polish the peak triples by exact cyclic coordinate
 maximization (the symbol is affine in each argument, so every coordinate
 step is solved in closed form).  The grid stage has already maximized z_A
-exactly at each peak, so the polish starts at z_B.
+exactly at each peak, so the polish starts at z_B.  The polish steps each
+triple on Python complex scalars: there are at most POLISH_SEEDS of them,
+and on so few rows numpy's per-call overhead outweighs its arithmetic.
 
 The certificate evaluates the same exact-over-A value at the hull
 vertices of the B and C sample cells: a cell's two end samples and, on an
@@ -38,9 +40,10 @@ import numpy as np
 
 from .classes import OperatorClassSpec, resolvent_srg, srg
 from .errors import PreconditionError, UnboundedRegionError
-from .geometry import (Region, _max_on_piece, _value_on_piece,
-                       boundary_grid, boundary_pieces, grid_intervals)
-from .symbol import DysParams, shifted_modulus
+from .geometry import (Region, _max_on_piece, _piece_maximizer,
+                       _value_on_piece, boundary_grid, boundary_pieces,
+                       grid_intervals)
+from .symbol import DysParams, zeta
 
 # Most (z_B, z_C) grid pairs grid_evaluate takes.  The grid stage and the
 # certificate peak at about 50-90 bytes per pair, so a search at this budget
@@ -167,7 +170,8 @@ def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams):
     js, ks = np.unravel_index(top, p_coef.shape)
     p_top, q_top = p_coef[js, ks], q_coef[js, 0]
     za = np.stack([_max_on_piece(piece, p_top, q_top) for piece in pieces_a])
-    # equal ranks, so one pair rounds as in a batch (see coordinate_polish)
+    # equal ranks: numpy rounds a complex (1,) * (1, 1) product on another
+    # path than a batch, so one pair would not score as in a batch
     scores = np.abs(q_top[None] + p_top[None] * za)
     first = np.argmax(scores, axis=0)  # the first piece wins a tie
     rows = np.arange(top.size)
@@ -186,49 +190,55 @@ def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams):
 def coordinate_polish(starts, pieces_triple, params: DysParams,
                       first: int = 0):
     """Exact cyclic per-coordinate maximization of |zeta - s| from every
-    start at once.
+    start, stepping each row on Python complex scalars: the rows number at
+    most POLISH_SEEDS, too few for numpy arrays to repay their per-call
+    overhead.
 
     starts is one triple or a (k, 3) array of them.  Per coordinate, each
-    row's maximizer on every piece comes from _max_on_piece in closed form;
-    the piece with the largest |zeta - s| there (the first on a tie) gives
-    the row's move, accepted only when it beats the row's value by more
-    than POLISH_TOL.  Steps cycle through the coordinates from coordinate
-    first (0, 1, 2 for A, B, C), for at most POLISH_MAX_SWEEPS sweeps,
-    until two in a row move no row, so no row falls below its start.  The
-    coordinates before first must already be maximal at every start, as
-    z_A is at a grid seed: they count as run.
+    row's maximizer on every piece comes in closed form from
+    _piece_maximizer, the scalar form of _max_on_piece; the piece with the
+    largest |zeta - s| there (the first on a tie) gives the row's move,
+    accepted only when it beats the row's value by more than POLISH_TOL.
+    Steps cycle through the coordinates from coordinate first (0, 1, 2 for
+    A, B, C), every row taking each step, for at most POLISH_MAX_SWEEPS
+    sweeps, until two steps in a row move no row, so no row falls below its
+    start.  The coordinates before first must already be maximal at every
+    start, as z_A is at a grid seed: they count as run.
     Returns (best_value, best_point, evaluations) for the best row, the
     first row winning a tie.
     """
-    x = np.array(starts, dtype=complex).reshape(-1, 3).T.copy()  # (3, k)
-    rows = np.arange(x.shape[1])
-    value = shifted_modulus(*x, params)
-    evals = x.shape[1]
+    rows = np.array(starts, dtype=complex).reshape(-1, 3).tolist()
+    maximizers = [[_piece_maximizer(piece) for piece in pieces]
+                  for pieces in pieces_triple]
+    shift = params.shift
+    values = [abs(zeta(*x, params) - shift) for x in rows]
+    evals = len(rows)
     idle = 0
     for step in range(3 * POLISH_MAX_SWEEPS):
         idx = (first + step) % 3
-        p_coef, q_coef = _affine_in(idx, *x, params)
-        cand = np.stack([_max_on_piece(piece, p_coef, q_coef)
-                         for piece in pieces_triple[idx]])
-        # equal ranks: numpy rounds a complex (1,) * (1, 1) product on
-        # another path than a batch, so one row would not match its batch
-        trial = [cand if i == idx else x[i:i + 1] for i in range(3)]
-        vals = shifted_modulus(*trial, params)  # (pieces, k)
-        evals += vals.size
-        piece = np.argmax(vals, axis=0)
-        best = vals[piece, rows]
-        move = best > value + POLISH_TOL
-        idle = 0 if move.any() else idle + 1
-        x[idx, move] = cand[piece, rows][move]
-        value = np.where(move, best, value)
+        moved = False
+        for i, x in enumerate(rows):
+            p_coef, q_coef = _affine_in(idx, *x, params)
+            best = -math.inf
+            for far in maximizers[idx]:
+                trial = x.copy()
+                trial[idx] = far(p_coef, q_coef)
+                value = abs(zeta(*trial, params) - shift)
+                if value > best:
+                    best, point = value, trial
+            if best > values[i] + POLISH_TOL:
+                rows[i], values[i] = point, best
+                moved = True
+        evals += len(rows) * len(maximizers[idx])
+        idle = 0 if moved else idle + 1
         # Two idle steps, once all three coordinates have run (or were
         # maximal at the start): every row was maximized over the coordinate
         # before them and nothing has moved since, so its next step would
         # find the same candidates, idle too.
         if idle >= 2 and step >= 2 - first:
             break
-    i = int(np.argmax(value))
-    return float(value[i]), tuple(complex(z) for z in x[:, i]), evals
+    i = max(range(len(rows)), key=values.__getitem__)
+    return values[i], tuple(rows[i]), evals
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,13 @@ def realize(z) -> np.ndarray:
                      np.stack([z.imag, z.real], -1)], -2)
 
 
+def _entries(m: np.ndarray):
+    """The entries (m00, m01, m10, m11) of a 2x2 matrix or of a stack of
+    them.  Formulas on the four entries cost a few numpy calls where
+    reductions over the last two axes cost many more."""
+    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+
+
 def spectral_norm_2x2(m: np.ndarray):
     """Largest singular value of a 2x2 matrix, in closed form.
 
@@ -47,32 +54,42 @@ def spectral_norm_2x2(m: np.ndarray):
     the power of two that brings its largest entry into [0.5, 1); that
     scaling is exact and keeps tiny and huge entries from underflowing or
     overflowing."""
-    e = np.frexp(np.max(np.abs(m), axis=(-2, -1)))[1]
-    m = np.ldexp(m, -e[..., None, None])
-    a = m[..., 0, 0] ** 2 + m[..., 1, 0] ** 2
-    d = m[..., 0, 1] ** 2 + m[..., 1, 1] ** 2
-    b = m[..., 0, 0] * m[..., 0, 1] + m[..., 1, 0] * m[..., 1, 1]
+    entries = _entries(m)
+    e = np.frexp(np.maximum(np.maximum(*map(np.abs, entries[:2])),
+                            np.maximum(*map(np.abs, entries[2:]))))[1]
+    m00, m01, m10, m11 = (np.ldexp(x, -e) for x in entries)
+    a = m00 ** 2 + m10 ** 2
+    d = m01 ** 2 + m11 ** 2
+    b = m00 * m01 + m10 * m11
     disc = np.sqrt(np.maximum((a - d) ** 2 + 4.0 * b * b, 0.0))
     return np.ldexp(np.sqrt(np.maximum(0.5 * (a + d + disc), 0.0)), e)
 
 
 def _sym_min_eig(m: np.ndarray):
-    s = 0.5 * (m + np.swapaxes(m, -1, -2))
-    tr = s[..., 0, 0] + s[..., 1, 1]
-    disc = np.sqrt(np.maximum(
-        (s[..., 0, 0] - s[..., 1, 1]) ** 2 + 4.0 * s[..., 0, 1] ** 2, 0.0))
-    return 0.5 * (tr - disc)
+    m00, m01, m10, m11 = _entries(m)
+    # the entries of (m + m^T)/2, rounded as that matrix sum rounds them
+    s00, s11, s01 = 0.5 * (m00 + m00), 0.5 * (m11 + m11), 0.5 * (m01 + m10)
+    disc = np.sqrt(np.maximum((s00 - s11) ** 2 + 4.0 * s01 ** 2, 0.0))
+    return 0.5 * ((s00 + s11) - disc)
 
 
 def operator_from_resolvent_point(z_j, alpha: float) -> np.ndarray:
-    """The operator A with resolvent value z_j: A = ((realize z_j)^{-1} - I)/alpha."""
+    """The operator A with resolvent value z_j: A = ((realize z_j)^{-1} - I)/alpha.
+    An A that overflows, as at a subnormal alpha, is refused: its class
+    checks would read inf and nan."""
     z_j = np.asarray(z_j, dtype=complex)
     if np.any(z_j == 0):
         raise SingularResolventError(
             "resolvent value 0 is not invertible as a map")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return (realize(1.0 / z_j) - I2) / alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = (realize(1.0 / z_j) - I2) / alpha
+    if not np.isfinite(op).all():
+        raise SingularResolventError(
+            "the operator (J^-1 - I)/alpha realized from a resolvent value "
+            f"J is not finite at alpha = {alpha!r}")
+    return op
 
 
 def dys_matrix(j_a: np.ndarray, j_b: np.ndarray, c: np.ndarray,

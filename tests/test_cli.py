@@ -595,6 +595,13 @@ REFUSALS = {
         "image (center -0.0, radius 0.0) is out of floating-point range")
        for argv in (["maxmod", "--eps", "0.1"], ["verify", "--rho", "0.9"],
                     ["plot", "--out", "fig.svg"])},
+    # alpha 1e-320: A = (J^-1 - I)/alpha overflows on a 2x2 realization,
+    # whose class checks would read inf and nan
+    "subnormal_alpha_verify": (
+        _edited(lambda p: p["params"].__setitem__("alpha", 1e-320)),
+        ["verify", "--rho", "0.9"], 3,
+        "error: the operator (J^-1 - I)/alpha realized from a resolvent "
+        "value J is not finite at alpha = 1e-320"),
     **{f"empty_class_{argv[0]}": (
         EMPTY_C, argv, 3, "error: invalid class: inconsistent class: empty "
         "region, its real extent [lo, hi] has lo = 0.8 > hi = 0.5")

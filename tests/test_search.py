@@ -25,8 +25,8 @@ import dysrates.search as search_module
 from dysrates import rates
 from dysrates.classes import resolvent_srg, srg
 from dysrates.cli import ProblemSpec, main
-from dysrates.geometry import (Arc, Segment, _max_on_piece, _value_on_piece,
-                               boundary_grid)
+from dysrates.geometry import (Arc, Segment, _max_on_piece, _piece_maximizer,
+                               _value_on_piece, boundary_grid)
 from dysrates.search import POLISH_SEEDS, _peaks, search, search_regions
 from dysrates.verify import _random_boundary_points
 from oracles import lipschitz_bound, project
@@ -214,6 +214,28 @@ def test_value_on_piece_is_value_at_max_on_piece(piece, pqs):
         scale = 1.0 + abs(p) * max(abs(z), np.abs(samples).max()) + abs(q)
         assert abs(v - abs(p * z + q)) <= 1e-13 * scale
         assert np.abs(p * samples + q).max() <= v + 1e-13 * scale
+
+
+@settings(deadline=None)
+@given(VALUE_PIECE, st.lists(st.tuples(COMPLEX, COMPLEX, PQ_KIND),
+                             min_size=1, max_size=8))
+def test_piece_maximizer_is_max_on_piece(piece, pqs):
+    # the polish's scalar maximizer and the grid stage's array one follow
+    # the same rules, so they cannot drift apart
+    anchor = piece.center if isinstance(piece, Arc) else piece.p0
+    p_coef = np.array([0j if kind == "p_zero" else p for p, _, kind in pqs])
+    q_coef = np.array([-p * anchor if kind == "w_zero" else q
+                       for (_, q, kind), p in zip(pqs, p_coef)])
+    far = _max_on_piece(piece, p_coef, q_coef)
+    maximizer = _piece_maximizer(piece)
+    samples = piece.point_at(np.linspace(0.0, 1.0, 200))
+    for p, q, z in zip(p_coef.tolist(), q_coef.tolist(), far):
+        point = maximizer(p, q)
+        assert type(point) is complex
+        assert abs(point - z) <= 1e-12 * (1.0 + abs(z))
+        scale = 1.0 + abs(p) * max(abs(point), np.abs(samples).max()) + abs(q)
+        assert np.abs(p * samples + q).max() <= abs(p * point + q) \
+            + 1e-13 * scale
 
 
 def _seed_positions(values):
