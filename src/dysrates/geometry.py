@@ -449,9 +449,15 @@ def boundary_pieces(region: Region) -> list:
             key=lambda z: (z.real, z.imag))
         if not feasible:
             raise EmptyRegionError(f"atoms have empty intersection: {atoms}")
-        # the region is symmetric about the real axis, so is its one point
+        # the region is symmetric about the real axis, so it is one real
+        # point or, where two circles cross and nothing else is feasible,
+        # a conjugate pair of points
         point = complex(feasible[0].real, 0.0)
-        return [Segment(point, point)]
+        if region.contains(point, DEGENERACY_TOL):
+            return [Segment(point, point)]
+        upper = complex(point.real, abs(feasible[0].imag))
+        return [Segment(upper, upper),
+                Segment(upper.conjugate(), upper.conjugate())]
     return pieces
 
 

@@ -91,7 +91,8 @@ class SearchResult:
 
 def _affine_in(idx: int, z_a, z_b, z_c, params: DysParams):
     """(P, Q) with zeta - s = P * z_idx + Q, the other two coordinates held
-    fixed; z_idx itself is not read.  Broadcasts over arrays."""
+    fixed; z_idx itself is not read.  Takes scalars or broadcasts over
+    arrays."""
     lam, alpha, s = params.lam, params.alpha, params.shift
     if idx == 2:
         return (-lam * alpha * z_a * z_b,

@@ -55,8 +55,8 @@ def spectral_norm_2x2(m: np.ndarray):
     scaling is exact and keeps tiny and huge entries from underflowing or
     overflowing."""
     entries = _entries(m)
-    e = np.frexp(np.maximum(np.maximum(*map(np.abs, entries[:2])),
-                            np.maximum(*map(np.abs, entries[2:]))))[1]
+    a00, a01, a10, a11 = map(np.abs, entries)
+    e = np.frexp(np.maximum(np.maximum(a00, a01), np.maximum(a10, a11)))[1]
     m00, m01, m10, m11 = (np.ldexp(x, -e) for x in entries)
     a = m00 ** 2 + m10 ** 2
     d = m01 ** 2 + m11 ** 2
@@ -67,7 +67,8 @@ def spectral_norm_2x2(m: np.ndarray):
 
 def _sym_min_eig(m: np.ndarray):
     m00, m01, m10, m11 = _entries(m)
-    # the entries of (m + m^T)/2, rounded as that matrix sum rounds them
+    # the entries of (m + m^T)/2, rounded and overflowing as that matrix
+    # sum would round and overflow them
     s00, s11, s01 = 0.5 * (m00 + m00), 0.5 * (m11 + m11), 0.5 * (m01 + m10)
     disc = np.sqrt(np.maximum((s00 - s11) ** 2 + 4.0 * s01 ** 2, 0.0))
     return 0.5 * ((s00 + s11) - disc)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dysrates import (Arc, Disk, DiskExterior, EmptyRegionError, HalfPlane,
@@ -343,6 +343,9 @@ def test_four_atom_region_pieces_on_boundary():
 @settings(deadline=None)
 @given(st.lists(ATOM, min_size=1, max_size=5),
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+# two unit circles whose region is the conjugate pair where they cross
+@example([Disk(0.0, 1.0), Disk(1.0, 1.0), DiskExterior(0.0, 1.0),
+          DiskExterior(1.0, 1.0)], [0.0])
 def test_pieces_lie_on_the_boundary(atoms, ts):
     region = Region(tuple(atoms))
     try:

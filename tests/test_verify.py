@@ -380,6 +380,16 @@ def test_realized_stack_symmetric_part_min_eigenvalue_is_real_part(zs):
 
 
 @settings(deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 16), st.just(2),
+                                    st.just(2)), elements=ENTRY))
+def test_stack_symmetric_part_min_eigenvalue(ms):
+    # general matrices, whose symmetric part has off-diagonal entries
+    for m, eig in zip(ms, _sym_min_eig(ms)):
+        expect = np.linalg.eigvalsh(0.5 * (m + m.T))[0]
+        assert abs(eig - expect) <= 1e-12 * max(1.0, np.abs(m).max())
+
+
+@settings(deadline=None)
 @given(st.lists(st.tuples(COMPLEX, COMPLEX, COMPLEX), min_size=1,
                 max_size=16),
        st.floats(0.01, 2.0), st.floats(0.01, 2.0))
