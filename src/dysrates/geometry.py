@@ -596,37 +596,18 @@ def has_left_arc_property(region: Region) -> bool:
 # Largest |P z + Q| over one piece
 # ---------------------------------------------------------------------------
 
-def _max_on_piece(piece, p_coef, q_coef):
-    """Point of one boundary piece maximizing |P z + Q|, elementwise over
-    arrays P and Q of one shape.
-
-    On a segment |P z + Q| is convex in the parameter, so an endpoint wins.
-    On an arc z = c + r e^{it}, P z + Q = W + P r e^{it} with W = P c + Q,
-    which reaches |W| + |P| r at t = arg W - arg P; off that angle the value
-    falls monotonically, so outside the arc an endpoint wins.  Where P = 0
-    or W = 0 the value is constant on the piece and its first endpoint is
-    taken.
-    """
-    e0, e1 = piece.point_at(0.0), piece.point_at(1.0)
-    far = np.where(np.abs(p_coef * e1 + q_coef) > np.abs(p_coef * e0 + q_coef),
-                   e1, e0)
-    if isinstance(piece, Arc):
-        w = p_coef * piece.center + q_coef
-        ang = piece.angle_start + (np.angle(w) - np.angle(p_coef)
-                                   - piece.angle_start) % TWO_PI
-        on_arc = (ang <= piece.angle_end) & (p_coef != 0) & (w != 0)
-        far = np.where(on_arc, piece.center + piece.radius * np.exp(1j * ang),
-                       np.where((p_coef == 0) | (w == 0), e0, far))
-    return far
-
-
 def _piece_maximizer(piece):
-    """_max_on_piece for one piece as a function of complex scalars P and Q,
-    with the same rules: the endpoint of larger |P z + Q| (the first on a
-    tie), on an arc the crest at angle arg W - arg P when it lies on the
-    arc, and the first endpoint where P = 0 or W = 0.  Its constants are
-    taken from the piece once, so a loop over a few rows pays no array
-    overhead per call."""
+    """The point of one boundary piece maximizing |P z + Q|, as a function
+    of complex scalars P and Q.
+
+    On a segment |P z + Q| is convex in the parameter, so an endpoint wins,
+    the first on a tie.  On an arc z = c + r e^{it}, P z + Q = W + P r e^{it}
+    with W = P c + Q, which reaches |W| + |P| r at t = arg W - arg P; off
+    that angle the value falls monotonically, so outside the arc an
+    endpoint wins.  Where P = 0 or W = 0 the value is constant on the piece
+    and its first endpoint is taken.  The constants are taken from the
+    piece once, so a loop over a few rows pays no array overhead per
+    call."""
     e0, e1 = complex(piece.point_at(0.0)), complex(piece.point_at(1.0))
 
     def endpoint(p, q):

@@ -9,9 +9,13 @@ bound from the grid values alone; and only when that bound leaves room
 above the grid best, polish the peak triples by exact cyclic coordinate
 maximization (the symbol is affine in each argument, so every coordinate
 step is solved in closed form).  The grid stage has already maximized z_A
-exactly at each peak, so the polish starts at z_B.  The polish steps each
-triple on Python complex scalars: there are at most POLISH_SEEDS of them,
-and on so few rows numpy's per-call overhead outweighs its arithmetic.
+exactly at each peak, so the polish starts at z_B.
+
+Values are computed on numpy arrays (the grid, the certificate, the
+Lipschitz sups) by geometry._value_on_piece; located points, the peaks'
+z_A and every polish step, on Python complex scalars by
+geometry._piece_maximizer: there are at most POLISH_SEEDS rows to
+locate, and on so few numpy's per-call overhead outweighs its arithmetic.
 
 The certificate evaluates the same exact-over-A value at the hull
 vertices of the B and C sample cells: a cell's two end samples and, on an
@@ -40,9 +44,8 @@ import numpy as np
 
 from .classes import OperatorClassSpec, resolvent_srg, srg
 from .errors import PreconditionError, UnboundedRegionError
-from .geometry import (Region, _max_on_piece, _piece_maximizer,
-                       _value_on_piece, boundary_grid, boundary_pieces,
-                       grid_intervals)
+from .geometry import (Region, _piece_maximizer, _value_on_piece,
+                       boundary_grid, boundary_pieces, grid_intervals)
 from .symbol import DysParams, zeta
 
 # Most (z_B, z_C) grid pairs grid_evaluate takes.  The grid stage and the
@@ -150,9 +153,10 @@ def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams):
 
     zeta - s = P z_A + Q is affine in z_A, so every piece of A gives each
     grid pair (z_B, z_C) its maximum value in closed form.  Only the peaks
-    of that (B, C) array (_peaks) get their maximizing z_A, from the piece
-    with the largest |P z_A + Q| at the point returned (the first piece
-    wins a tie), and are rescored there.  A pair with the largest value is
+    of that (B, C) array (_peaks) get their maximizing z_A, located on
+    Python complex scalars by _piece_maximizer, from the piece with the
+    largest |P z_A + Q| at the point returned (the first piece wins a tie),
+    and are rescored there.  A pair with the largest value is
     a peak and ranks first, so one always is a candidate.  Returns
     (best_value, best_triple, candidates, evaluations, values) where
     candidates holds those triples ordered by rescored value then (B, C)
@@ -167,21 +171,20 @@ def grid_evaluate(pieces_a, boundary_b, boundary_c, params: DysParams):
                                 "empty boundary sample")
     _check_pairs(zb.size, zc.size)
     values, p_coef, q_coef = _max_over_a(pieces_a, zb, zc, params)
-    top = _peaks(values)
-    js, ks = np.unravel_index(top, p_coef.shape)
-    p_top, q_top = p_coef[js, ks], q_coef[js, 0]
-    za = np.stack([_max_on_piece(piece, p_top, q_top) for piece in pieces_a])
-    # equal ranks: numpy rounds a complex (1,) * (1, 1) product on another
-    # path than a batch, so one pair would not score as in a batch
-    scores = np.abs(q_top[None] + p_top[None] * za)
-    first = np.argmax(scores, axis=0)  # the first piece wins a tie
-    rows = np.arange(top.size)
-    za, scores = za[first, rows], scores[first, rows]
-    order = np.lexsort((top, -scores))
-    triples = [(complex(za[i]), complex(zb[js[i], 0]), complex(zc[0, ks[i]]))
-               for i in order]
-    return (float(scores[order[0]]), triples[0], triples,
-            len(pieces_a) * values.size, values)
+    maximizers = [_piece_maximizer(piece) for piece in pieces_a]
+    ranked = []
+    for t in _peaks(values).tolist():
+        j, k = divmod(t, zc.size)
+        p, q = complex(p_coef[j, k]), complex(q_coef[j, 0])
+        # max keeps the first of equal scores: the first piece wins a tie
+        za = max((far(p, q) for far in maximizers),
+                 key=lambda z: abs(p * z + q))
+        ranked.append((abs(p * za + q), t,
+                       (za, complex(zb[j, 0]), complex(zc[0, k]))))
+    ranked.sort(key=lambda row: (-row[0], row[1]))
+    triples = [triple for _, _, triple in ranked]
+    return (ranked[0][0], triples[0], triples, len(pieces_a) * values.size,
+            values)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +200,7 @@ def coordinate_polish(starts, pieces_triple, params: DysParams,
 
     starts is one triple or a (k, 3) array of them.  Per coordinate, each
     row's maximizer on every piece comes in closed form from
-    _piece_maximizer, the scalar form of _max_on_piece; the piece with the
+    _piece_maximizer, as at the grid stage's peaks; the piece with the
     largest |zeta - s| there (the first on a tie) gives the row's move,
     accepted only when it beats the row's value by more than POLISH_TOL.
     Steps cycle through the coordinates from coordinate first (0, 1, 2 for

@@ -13,8 +13,8 @@ from dysrates import (Arc, Disk, DiskExterior, EmptyRegionError, HalfPlane,
                       PreconditionError, Region, Segment, UnboundedRegionError,
                       UnsupportedOrientationError, boundary_pieces,
                       has_left_arc_property, has_right_arc_property)
-from dysrates.geometry import (BoundaryGrid, _max_on_piece, _value_on_piece,
-                               boundary_grid)
+from dysrates.geometry import (BoundaryGrid, _piece_maximizer,
+                               _value_on_piece, boundary_grid)
 from oracles import arc_sampling_refuter, distance_to_hull, project
 
 
@@ -583,7 +583,7 @@ def test_regions_symmetric_about_real_axis():
 def farthest_on_piece(piece, anchor):
     """The maximizer and the value of |z - anchor| over the piece, checked
     to agree with each other."""
-    p = complex(_max_on_piece(piece, 1.0, -anchor))
+    p = _piece_maximizer(piece)(1.0, -anchor)
     value = float(_value_on_piece(piece, 1.0, -anchor))
     assert abs(abs(p - anchor) - value) <= 1e-14 * (1.0 + value)
     return p, value

@@ -25,8 +25,8 @@ import dysrates.search as search_module
 from dysrates import rates
 from dysrates.classes import resolvent_srg, srg
 from dysrates.cli import ProblemSpec, main
-from dysrates.geometry import (Arc, Segment, _max_on_piece, _piece_maximizer,
-                               _value_on_piece, boundary_grid)
+from dysrates.geometry import (Arc, Segment, _piece_maximizer, _value_on_piece,
+                               boundary_grid)
 from dysrates.search import POLISH_SEEDS, _peaks, search, search_regions
 from dysrates.verify import _random_boundary_points
 from oracles import lipschitz_bound, project
@@ -178,25 +178,13 @@ def _instance_regions(a, b, c, params):
             srg(c))
 
 
-@settings(deadline=None)
-@given(PIECE, st.lists(st.tuples(COMPLEX, COMPLEX), min_size=1,
-                       max_size=8))
-def test_max_on_piece_is_sound_and_lies_on_piece(piece, pq):
-    p_coef, q_coef = (np.array(v, dtype=complex) for v in zip(*pq))
-    far = _max_on_piece(piece, p_coef, q_coef)
-    samples = piece.point_at(np.linspace(0.0, 1.0, 200))
-    for p, q, z in zip(p_coef, q_coef, far):
-        scale = 1.0 + abs(p) * max(abs(z), np.abs(samples).max()) + abs(q)
-        assert np.abs(p * samples + q).max() <= abs(p * z + q) + 1e-13 * scale
-        assert abs(project(piece, z) - z) <= 1e-12 * (1.0 + abs(z))
-
-
 VALUE_PIECE = st.one_of(
     PIECE,
     st.builds(lambda c, r: Arc(c, r, -math.pi, math.pi),
               st.floats(-2.0, 2.0), st.floats(0.01, 2.0)))
 # P = 0 makes the piece's value constant; on an arc so does W = Pc + Q = 0
 PQ_KIND = st.sampled_from(["free", "p_zero", "w_zero"])
+PQS = st.lists(st.tuples(COMPLEX, COMPLEX, PQ_KIND), min_size=1, max_size=8)
 
 
 def _coefficients(piece, pqs):
@@ -210,47 +198,33 @@ def _coefficients(piece, pqs):
 
 
 @settings(deadline=None)
-@given(VALUE_PIECE, st.lists(st.tuples(COMPLEX, COMPLEX, PQ_KIND),
-                             min_size=1, max_size=8))
-def test_value_on_piece_is_value_at_max_on_piece(piece, pqs):
+@given(VALUE_PIECE, PQS)
+def test_piece_maximizer_is_sound_and_lies_on_piece(piece, pqs):
     p_coef, q_coef = _coefficients(piece, pqs)
-    value = _value_on_piece(piece, p_coef, q_coef)
-    far = _max_on_piece(piece, p_coef, q_coef)
+    maximizer = _piece_maximizer(piece)
     samples = piece.point_at(np.linspace(0.0, 1.0, 200))
-    for p, q, v, z in zip(p_coef, q_coef, value, far):
+    for (_, _, kind), p, q in zip(pqs, p_coef.tolist(), q_coef.tolist()):
+        z = maximizer(p, q)
+        assert type(z) is complex
+        if kind == "p_zero":  # a constant value: the first endpoint
+            assert z == piece.point_at(0.0)
         scale = 1.0 + abs(p) * max(abs(z), np.abs(samples).max()) + abs(q)
-        assert abs(v - abs(p * z + q)) <= 1e-13 * scale
-        assert np.abs(p * samples + q).max() <= v + 1e-13 * scale
+        assert np.abs(p * samples + q).max() <= abs(p * z + q) + 1e-13 * scale
+        assert abs(project(piece, z) - z) <= 1e-12 * (1.0 + abs(z))
 
 
 @settings(deadline=None)
-@given(VALUE_PIECE, st.lists(st.tuples(COMPLEX, COMPLEX, PQ_KIND),
-                             min_size=1, max_size=8))
-# |P e0 + Q| and |P e1 + Q| tie to an ulp, which numpy and Python round
-# apart
-@example(Arc(0.0, 1.5, 0.0, 1.0),
-         [(1 + 1j, 1.4890109233540647e-108 + 0j, "free")])
-def test_piece_maximizer_is_max_on_piece(piece, pqs):
-    # the polish's scalar maximizer and the grid stage's array one follow
-    # the same rules, so they cannot drift apart
+@given(VALUE_PIECE, PQS)
+def test_value_on_piece_is_value_at_piece_maximizer(piece, pqs):
     p_coef, q_coef = _coefficients(piece, pqs)
-    far = _max_on_piece(piece, p_coef, q_coef)
+    value = _value_on_piece(piece, p_coef, q_coef)
     maximizer = _piece_maximizer(piece)
     samples = piece.point_at(np.linspace(0.0, 1.0, 200))
-    for (_, _, kind), p, q, z in zip(pqs, p_coef.tolist(), q_coef.tolist(),
-                                     far):
-        point = maximizer(p, q)
-        assert type(point) is complex
-        scale = 1.0 + abs(p) * max(abs(point), np.abs(samples).max()) + abs(q)
-        if kind == "p_zero":  # a constant value: the first endpoint
-            assert point == z == piece.point_at(0.0)
-        elif abs(point - z) > 1e-12 * (1.0 + abs(z)):
-            # numpy and Python round a complex modulus an ulp apart, so at a
-            # near tie the two forms can take different endpoints, of one
-            # value
-            assert abs(abs(p * point + q) - abs(p * z + q)) <= 1e-13 * scale
-        assert np.abs(p * samples + q).max() <= abs(p * point + q) \
-            + 1e-13 * scale
+    for p, q, v in zip(p_coef.tolist(), q_coef.tolist(), value):
+        z = maximizer(p, q)
+        scale = 1.0 + abs(p) * max(abs(z), np.abs(samples).max()) + abs(q)
+        assert abs(v - abs(p * z + q)) <= 1e-13 * scale
+        assert np.abs(p * samples + q).max() <= v + 1e-13 * scale
 
 
 def _seed_positions(values):
