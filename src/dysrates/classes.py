@@ -52,6 +52,10 @@ class Cocoercive:
 
     def __post_init__(self):
         _positive("beta", self.beta)
+        if not math.isfinite(1.0 / (2.0 * self.beta)):
+            # a subnormal beta puts the disk's center past the largest float
+            raise InvalidClassError(
+                f"1/(2 beta) must be finite, got beta = {self.beta}")
 
     def region(self) -> RegionAtom:
         h = 1.0 / (2.0 * self.beta)

@@ -36,7 +36,7 @@ from . import rates
 from .errors import (DysRatesError, InvalidClassError, PreconditionError,
                      UnboundedRegionError)
 from .geometry import boundary_pieces
-from .search import EPS_GRID, search
+from .search import EPS_GRID, _check_scale, search
 from .svgplot import SvgFigure, bounds_for
 from .symbol import DysParams, zeta
 from .verify import verify_averagedness, verify_contraction
@@ -286,9 +286,12 @@ def _cloud(spec: ProblemSpec, c_spec, params: DysParams, eps: float,
     memory stays O(cap) however fine eps is."""
     from .classes import resolvent_srg, srg
     from .geometry import boundary_grid
-    za = boundary_grid(resolvent_srg(spec.a, params.alpha), eps).points
-    zb = boundary_grid(resolvent_srg(spec.b, params.alpha), eps).points
-    zc = boundary_grid(srg(c_spec), eps).points
+    grids = [boundary_grid(resolvent_srg(spec.a, params.alpha), eps),
+             boundary_grid(resolvent_srg(spec.b, params.alpha), eps),
+             boundary_grid(srg(c_spec), eps)]
+    # the symbol's terms must be in range, as for the search
+    _check_scale(params, *(grid.pieces for grid in grids))
+    za, zb, zc = (grid.points for grid in grids)
     shape = (za.size, zb.size, zc.size)
     size = za.size * zb.size * zc.size
     stride = size // cap + 1 if size > cap else 1
@@ -399,6 +402,13 @@ def main(argv=None) -> int:
         return EXIT_UNBOUNDED
     except DysRatesError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except ArithmeticError:
+        # Python floats raise where numpy would return inf or nan: ** on an
+        # overflow, / by a square that underflowed to 0.  The exception's
+        # text is the platform's errno string, so it is not printed.
+        print("error: the spec's numbers put a result out of floating-point "
+              "range", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -170,15 +170,27 @@ def _translate_atom(atom: RegionAtom, a: float) -> RegionAtom:
 
 
 def _scale_atom(atom: RegionAtom, a: float) -> RegionAtom:
-    if isinstance(atom, Disk):
-        return Disk(a * atom.center, abs(a) * atom.radius)
-    if isinstance(atom, DiskExterior):
-        return DiskExterior(a * atom.center, abs(a) * atom.radius)
-    if a < 0.0:
-        raise UnsupportedOrientationError(
-            "negative scale of a half-plane produces {Re z <= a}, which is "
-            "not representable")
-    return HalfPlane(a * atom.threshold)
+    if isinstance(atom, HalfPlane):
+        if a < 0.0:
+            raise UnsupportedOrientationError(
+                "negative scale of a half-plane produces {Re z <= a}, which "
+                "is not representable")
+        threshold = a * atom.threshold
+        if not math.isfinite(threshold):
+            raise PreconditionError(
+                "a scaled region in floating-point range",
+                f"the line Re z = {atom.threshold!r} scaled by {a!r} is at "
+                f"{threshold!r}")
+        return HalfPlane(threshold)
+    c, r = a * atom.center, abs(a) * atom.radius
+    if not (math.isfinite(c) and math.isfinite(r) and r > 0.0):
+        # the product overflows, or the radius underflows to 0, for a scale
+        # far from 1
+        raise PreconditionError(
+            "a scaled region in floating-point range",
+            f"the circle about {atom.center!r} of radius {atom.radius!r} "
+            f"scaled by {a!r} has center {c!r}, radius {r!r}")
+    return type(atom)(c, r)
 
 
 def _invert_atom(atom: RegionAtom) -> RegionAtom:

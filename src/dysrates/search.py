@@ -44,7 +44,7 @@ import numpy as np
 
 from .classes import OperatorClassSpec, resolvent_srg, srg
 from .errors import PreconditionError, UnboundedRegionError
-from .geometry import (Region, _piece_maximizer, _value_on_piece,
+from .geometry import (Arc, Region, _piece_maximizer, _value_on_piece,
                        boundary_grid, boundary_pieces, grid_intervals)
 from .symbol import DysParams, zeta
 
@@ -249,6 +249,39 @@ def coordinate_polish(starts, pieces_triple, params: DysParams,
 # End-to-end search
 # ---------------------------------------------------------------------------
 
+def _reach(piece) -> float:
+    """Radius of a disk about 0 that holds the piece and, for an arc, its
+    center, at least 1.  Python floats: an overflow gives inf, not a
+    warning."""
+    if isinstance(piece, Arc):
+        return max(1.0, abs(piece.center) + piece.radius)
+    return max(1.0, abs(piece.p0), abs(piece.p1))
+
+
+def _check_scale(params: DysParams, pieces_a, pieces_b, pieces_c) -> None:
+    """Refuse boundaries, given as pieces, on which the evaluation of
+    zeta - s could overflow.
+
+    With every |z| and arc center on boundary X at most R_X >= 1, each
+    factor the evaluations form, from lam alpha and 2 - alpha z_C (the
+    certificate's Lipschitz sup takes it without lam) to P, Q and the
+    terms of zeta - s, is at most about
+
+        scale = 1 + |s| + max(1, lam) R_A R_B (2 + alpha R_C),
+
+    and every value is a sum of a few products of two of them: W conj(P)
+    in _value_on_piece, for one.  So 4 scale^2 must be finite; past that
+    the crests and the certificate would come from overflowed
+    arithmetic."""
+    r_a, r_b, r_c = (max(map(_reach, pieces))
+                     for pieces in (pieces_a, pieces_b, pieces_c))
+    scale = 1.0 + abs(params.shift) + max(1.0, params.lam) * r_a * r_b * (
+        2.0 + params.alpha * r_c)
+    if not math.isfinite(4.0 * scale * scale):
+        raise PreconditionError("a symbol scale whose square is finite",
+                                f"scale {scale!r}")
+
+
 def _grid_stage(region_a: Region, region_b: Region, region_c: Region,
                 params: DysParams, eps: float):
     """The grid stage over three explicit regions, on boundary grids of
@@ -266,6 +299,7 @@ def _grid_stage(region_a: Region, region_b: Region, region_c: Region,
     pieces_a, pieces_b, pieces_c = (boundary_pieces(r) for r in regions)
     _check_pairs(*(sum(n + 1 for n in grid_intervals(p, eps))
                    for p in (pieces_b, pieces_c)))
+    _check_scale(params, pieces_a, pieces_b, pieces_c)
     grids = (boundary_grid(region_b, eps, pieces_b),
              boundary_grid(region_c, eps, pieces_c))
     grid_best, grid_point, seeds, evals, values = grid_evaluate(

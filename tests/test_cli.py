@@ -7,11 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dysrates
@@ -547,6 +548,25 @@ EMPTY_C = {"classes": {"A": [{"kind": "strongly_monotone", "mu": 1.0}],
                        "C": [{"kind": "averaged", "theta": 0.1},
                              {"kind": "lipschitz", "L": 0.5}]},
            "params": {"alpha": 0.5, "lambda": 1.0}}
+THM32_HUGE_L = {"classes": {"A": [{"kind": "monotone"},
+                                  {"kind": "lipschitz", "L": 1e200}],
+                            "B": [{"kind": "strongly_monotone", "mu": 1.0}],
+                            "C": [{"kind": "cocoercive", "beta": 1.0}]},
+                "params": {"alpha": 1.0, "lambda": 0.5}}
+THM41_HUGE_L = {"classes": {"A": [{"kind": "strongly_monotone", "mu": 1.0}],
+                            "B": [{"kind": "monotone"}],
+                            "C": [{"kind": "monotone"},
+                                  {"kind": "lipschitz", "L": 1e300}]},
+                "params": {"alpha": 1e-300, "lambda": 1.0},
+                "enlargement": {"mode": "thm41"}}
+HUGE_LAMBDA = {"classes": {"A": [{"kind": "monotone"},
+                                 {"kind": "lipschitz", "L": 1.0}],
+                           "B": [{"kind": "monotone"},
+                                 {"kind": "lipschitz", "L": 1.0}],
+                           "C": [{"kind": "lipschitz", "L": 0.1}]},
+               "params": {"alpha": 1.0, "lambda": 1e300, "s": 0.5}}
+OUT_OF_RANGE = ("error: the spec's numbers put a result out of floating-point "
+                "range")
 
 REFUSALS = {
     "top_level_list": ([PUBLISHED], ["factor"], 2,
@@ -606,6 +626,62 @@ REFUSALS = {
         EMPTY_C, argv, 3, "error: invalid class: inconsistent class: empty "
         "region, its real extent [lo, hi] has lo = 0.8 > hi = 0.5")
        for argv in (["factor"], ["verify"], ["maxmod", "--eps", "0.1"])},
+    # alpha 5e-324: B's 0.5-Lipschitz disk scales to radius 0
+    **{f"smallest_alpha_{argv[0]}": (
+        _edited(lambda p: p["params"].__setitem__("alpha", 5e-324)), argv, 3,
+        "error: violated precondition: a scaled region in floating-point "
+        "range (the circle about 0.0 of radius 0.5 scaled by 5e-324 has "
+        "center 0.0, radius 0.0)")
+       for argv in (["maxmod"], ["verify", "--rho", "0.9"],
+                    ["plot", "--out", "fig.svg"])},
+    # alpha 1e300: B's 1e10-Lipschitz disk scales to an infinite radius
+    "huge_scaled_disk_maxmod": (
+        {"classes": {**PUBLISHED["classes"], "B": [
+            {"kind": "monotone"}, {"kind": "lipschitz", "L": 1e10}]},
+         "params": {"alpha": 1e300, "lambda": 1.0}}, ["maxmod"], 3,
+        "error: violated precondition: a scaled region in floating-point "
+        "range (the circle about 0.0 of radius 10000000000.0 scaled by "
+        "1e+300 has center 0.0, radius inf)"),
+    # beta 1e-309: the cocoercive disk's center 1/(2 beta) is infinite
+    **{f"subnormal_beta_{argv[0]}": (
+        _edited(lambda p: p["classes"].__setitem__("C", [
+            {"kind": "cocoercive", "beta": 1e-309}])), argv, 3,
+        "error: invalid class: 1/(2 beta) must be finite, got beta = 1e-309")
+       for argv in (["factor"], ["compare"], ["maxmod", "--eps", "0.1"],
+                    ["verify", "--rho", "0.9"], ["plot", "--out", "fig.svg"])},
+    # Python's float ** overflows in the closed forms and in a boundary
+    "overflow_thm32_factor": (THM32_HUGE_L, ["factor"], 3, OUT_OF_RANGE),
+    **{f"overflow_thm41_{argv[0]}": (THM41_HUGE_L, argv, 3, OUT_OF_RANGE)
+       for argv in (["factor"], ["maxmod", "--eps", "0.1"])},
+    **{f"overflow_boundary_{argv[0]}": (
+        _edited(lambda p: p["classes"].__setitem__("C", [
+            {"kind": "monotone"}, {"kind": "cocoercive", "beta": 1e-300}])),
+        argv, 3, OUT_OF_RANGE)
+       for argv in (["maxmod", "--eps", "0.1"], ["verify", "--rho", "0.9"])},
+    # thm41 with L_C 1e-300: L_C ** 2 underflows to 0 and 2 mu / L_C^2
+    # divides by it
+    **{f"underflow_thm41_{argv[0]}": (
+        {"classes": {"A": [{"kind": "strongly_monotone", "mu": 1.0}],
+                     "B": [{"kind": "monotone"}],
+                     "C": [{"kind": "monotone"},
+                           {"kind": "lipschitz", "L": 1e-300}]},
+         "params": {"alpha": 0.5, "lambda": 1.0}}, argv, 3, OUT_OF_RANGE)
+       for argv in (["factor"], ["verify"])},
+    # lambda 1e300: W conj(P) would overflow in every grid evaluation
+    **{f"huge_lambda_{argv[0]}": (
+        HUGE_LAMBDA, argv, 3, "error: violated precondition: a symbol scale "
+        "whose square is finite (scale 3e+300)")
+       for argv in (["maxmod", "--eps", "0.1"], ["verify", "--rho", "0.9"])},
+    # alpha = lambda = 1e200: lam alpha overflows, though the resolvent
+    # regions shrink to ~1e-200 and the terms of zeta do not
+    **{f"huge_alpha_lambda_{argv[0]}": (
+        {"classes": {"A": [{"kind": "strongly_monotone", "mu": 0.25}],
+                     "B": [{"kind": "strongly_monotone", "mu": 0.25}],
+                     "C": [{"kind": "cocoercive", "beta": 2.0}]},
+         "params": {"alpha": 1e200, "lambda": 1e200}}, argv, 3,
+        "error: violated precondition: a symbol scale whose square is "
+        "finite (scale inf)")
+       for argv in (["maxmod", "--eps", "0.1"], ["plot", "--out", "fig.svg"])},
 }
 
 
@@ -672,6 +748,56 @@ def test_unknown_atom_kind_exits_2(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith("error: classes.A[0]: unknown kind")
     assert len(err.strip().splitlines()) == 1
+
+
+# Ordinary numbers and the extremes of a float, subnormal to near overflow:
+# whatever a spec holds, every command ends in a documented exit code.
+NUMBER = st.sampled_from(3 * [1.0, 0.5, 2.0, 0.25, 0.75, 1.5]
+                         + [5e-324, 1e-309, 1e-300, 1e200, 1e300])
+SPEC_ATOM = {kind: st.fixed_dictionaries({"kind": st.just(kind), **{
+    f.name: NUMBER | NUMBER.map(lambda x: -x) if f.name == "center"
+    else NUMBER for f in dataclasses.fields(ctor)}})
+    for kind, ctor in SPEC_KINDS}
+
+
+def _atoms(*kinds):
+    return st.tuples(*(SPEC_ATOM[kind] for kind in kinds)).map(list)
+
+
+# Half the classes take a placement the theorems know, so that a good share
+# of the specs reach a factor, a verify and a search.
+PLACED = {"AB": st.one_of(_atoms("monotone"), _atoms("strongly_monotone"),
+                          _atoms("monotone", "lipschitz"),
+                          _atoms("strongly_monotone", "lipschitz")),
+          "C": st.one_of(_atoms("cocoercive"),
+                         _atoms("cocoercive", "strongly_monotone"),
+                         _atoms("monotone", "lipschitz"))}
+ANY_SPEC = st.fixed_dictionaries({
+    "classes": st.fixed_dictionaries({k: st.lists(
+        st.one_of(*SPEC_ATOM.values()), min_size=1, max_size=3)
+        | PLACED["C" if k == "C" else "AB"] for k in "ABC"}),
+    "params": st.fixed_dictionaries({"alpha": NUMBER, "lambda": NUMBER}),
+    "plot": st.just({"eps": 0.25})})
+
+
+@settings(deadline=None, derandomize=True, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ANY_SPEC)
+def test_every_command_ends_in_a_documented_exit_code(tmp_path, capsys,
+                                                       payload):
+    spec = write_spec(tmp_path, payload)
+    for argv in (["factor"], ["compare"], ["maxmod", "--eps", "0.25"],
+                 ["verify", "--trials", "10"],
+                 ["plot", "--out", str(tmp_path / "fig.svg")]):
+        # an exception, or a numpy warning, escaping main fails the test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([argv[0], spec] + argv[1:])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2, 3, 4), (argv, payload)
+        if code >= 2:
+            assert captured.out == "", (argv, payload)
+            assert len(captured.err.splitlines()) == 1, (argv, payload)
 
 
 def test_parser_is_reused_after_an_argparse_error(tmp_path, capsys):
