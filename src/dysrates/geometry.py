@@ -633,7 +633,10 @@ def _piece_maximizer(piece):
         w = p * center + q
         if p == 0 or w == 0:
             return e0
-        ang = start + (cmath.phase(w) - cmath.phase(p) - start) % TWO_PI
+        # math.atan2, not cmath.phase: the latter raises OverflowError when
+        # atan2 underflows, as for W = 2 + 5e-324j
+        ang = start + (math.atan2(w.imag, w.real)
+                       - math.atan2(p.imag, p.real) - start) % TWO_PI
         if ang <= end:
             return center + radius * cmath.exp(1j * ang)
         return endpoint(p, q)

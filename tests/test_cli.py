@@ -642,6 +642,13 @@ REFUSALS = {
         "error: violated precondition: a scaled region in floating-point "
         "range (the circle about 0.0 of radius 10000000000.0 scaled by "
         "1e+300 has center 0.0, radius inf)"),
+    # alpha 1e300: A's strongly monotone line Re z = 1e300 scales to inf
+    "huge_scaled_line_maxmod": (
+        {"classes": {**PUBLISHED["classes"], "A": [
+            {"kind": "strongly_monotone", "mu": 1e300}]},
+         "params": {"alpha": 1e300, "lambda": 1.0}}, ["maxmod"], 3,
+        "error: violated precondition: a scaled region in floating-point "
+        "range (the line Re z = 1e+300 scaled by 1e+300 is at inf)"),
     # beta 1e-309: the cocoercive disk's center 1/(2 beta) is infinite
     **{f"subnormal_beta_{argv[0]}": (
         _edited(lambda p: p["classes"].__setitem__("C", [

@@ -199,6 +199,8 @@ def _coefficients(piece, pqs):
 
 @settings(deadline=None)
 @given(VALUE_PIECE, PQS)
+# arg W underflows: cmath.phase(2 + 5e-324j) raises OverflowError
+@example(Arc(1.0, 1.0, -math.pi, math.pi), [(1 + 0j, 1 + 5e-324j, "free")])
 def test_piece_maximizer_is_sound_and_lies_on_piece(piece, pqs):
     p_coef, q_coef = _coefficients(piece, pqs)
     maximizer = _piece_maximizer(piece)
