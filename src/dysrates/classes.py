@@ -16,7 +16,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from . import geometry
-from .errors import InvalidClassError, PreconditionError
+from .errors import InvalidClassError, UnboundedRegionError
 from .geometry import Disk, HalfPlane, Region, RegionAtom
 from .symbol import DysParams
 
@@ -252,8 +252,7 @@ def c_side_mirror_region(c_spec: OperatorClassSpec,
     on this representable region decides whether sigma*I - alpha*C has an
     arc property (left half-planes never need to be materialized).
     """
-    sigma = 2.0 - 1.0 / params.t  # = 2 - lambda/(1-s), the C-side shift
-    return srg(c_spec).scale(params.alpha).translate(-sigma)
+    return srg(c_spec).scale(params.alpha).translate(-params.sigma)
 
 
 def dys_preflight(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
@@ -286,6 +285,14 @@ def dys_preflight(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
 # Class enlargement
 # ---------------------------------------------------------------------------
 
+def _farthest_distance(pieces, m):
+    """Distance from the real m (or each of an array of them) to the
+    farthest point of the pieces: the piece maximum of |z - m|, in closed
+    form."""
+    return np.max([geometry._value_on_piece(p, 1.0, -m) for p in pieces],
+                  axis=0)
+
+
 def _disk_hull(region: Region) -> Optional[ShiftedLipschitzBall]:
     """Smallest real-centered disk containing a bounded region.
 
@@ -293,81 +300,49 @@ def _disk_hull(region: Region) -> Optional[ShiftedLipschitzBall]:
     lies within one grid step of the grid point with the smallest value.
     Each round keeps those two steps of a 16-step grid, shrinking the span
     of the smallest disk atom 8-fold; 20 rounds reach float resolution.
-    The distance from m to the farthest point of a piece is the piece
-    maximum of |z - m|, in closed form.  None for a one-point region, which
-    is its own hull.
+    None for a one-point region, which is its own hull.
     """
     pieces = geometry.boundary_pieces(region)
-
-    def radius_for(m):
-        return np.max([geometry._value_on_piece(p, 1.0, -m) for p in pieces],
-                      axis=0)
-
     disk = region.smallest_disk_atom()
     lo, hi = disk.center - disk.radius, disk.center + disk.radius
     for _ in range(20):
         ms = np.linspace(lo, hi, 17)
-        k = int(np.argmin(radius_for(ms)))
+        k = int(np.argmin(_farthest_distance(pieces, ms)))
         lo, hi = ms[max(k - 1, 0)], ms[min(k + 1, 16)]
-    m = float(0.5 * (lo + hi))
-    radius = float(radius_for(m))
-    return ShiftedLipschitzBall(m, radius) if radius > 0.0 else None
+    return _ball(pieces, float(0.5 * (lo + hi)))
 
 
-def enlarge_C(c_spec: OperatorClassSpec, params: DysParams, mode: str,
-              mu: Optional[float] = None) -> OperatorClassSpec:
-    """Replace C by a larger class C' whose shifted-and-negated region is a
-    real-centered disk, restoring an arc property.
+def _ball(pieces, center: float) -> Optional[ShiftedLipschitzBall]:
+    """The smallest disk about center containing the pieces; None when
+    they are the one point center."""
+    radius = float(_farthest_distance(pieces, center))
+    return ShiftedLipschitzBall(center, radius) if radius > 0.0 else None
 
-    Modes: 'disk_hull' (smallest real-centered disk over srg(C), always
-    applicable to bounded C), 'thm33' (the cocoercive-and-strongly-monotone
-    construction with R = sqrt((2-lam)(2-lam - 2(1-eta) alpha mu_C)) and
-    eta = alpha/(2 beta_C (2-lam))), and 'thm41' (the Lipschitz-C
-    construction with R = sqrt((2 - 1/theta)^2 + alpha^2 L_C^2) and
-    theta = 2/(4 - alpha L_C^2 / mu), mu taken from A or B).
+
+def enlarge_C(c_spec: OperatorClassSpec, params: DysParams,
+              mode: str) -> OperatorClassSpec:
+    """Replace a bounded C by a larger class C' whose shifted-and-negated
+    region is a real-centered disk, restoring an arc property.
+
+    Modes: 'disk_hull', the smallest real-centered disk over srg(C); and
+    'thm33' and 'thm41', both the smallest disk about the C-side shift
+    sigma/alpha, sigma = 2 - lambda/(1 - s), which makes the mirror region
+    alpha*C' - sigma a disk about 0.  At s = 0 it is Theorem 3.3's ball,
+    center (2 - lambda)/alpha; at lambda = 1 and s = 1 - theta, Theorem
+    4.1's, center (2 - 1/theta)/alpha.  A C whose region is the one point
+    at the ball's center is returned unchanged.
     """
-    alpha, lam = params.alpha, params.lam
+    region = srg(c_spec)
+    if not region.bounded:
+        raise UnboundedRegionError(
+            "C's region is unbounded, so no ball contains it")
     if mode == "disk_hull":
-        region = srg(c_spec)
         if len(region.atoms) == 1 and isinstance(region.atoms[0], Disk):
             return c_spec  # already a real-centered disk
         ball = _disk_hull(region)
-        return c_spec if ball is None else OperatorClassSpec((ball,))
-
-    if mode == "thm33":
-        mu_c = c_spec.mu
-        beta_c = c_spec.beta
-        if mu_c is None or beta_c is None:
-            raise PreconditionError(
-                "C carries mu_C and beta_C",
-                "thm33 enlargement needs StronglyMonotone and Cocoercive atoms")
-        if not lam < 2.0 - alpha / (2.0 * beta_c):
-            raise PreconditionError("lambda < 2 - alpha/(2 beta_C)")
-        if not 0.0 < mu_c <= 1.0 / beta_c:
-            raise PreconditionError("0 < mu_C <= 1/beta_C")
-        eta = alpha / (2.0 * beta_c * (2.0 - lam))
-        r_sq = (2.0 - lam) * (2.0 - lam - 2.0 * (1.0 - eta) * alpha * mu_c)
-        if r_sq <= 0.0:
-            raise PreconditionError(
-                "enlargement radius R > 0",
-                "degenerate thm33 enlargement: R = 0")
-        ball = ShiftedLipschitzBall((2.0 - lam) / alpha,
-                                    math.sqrt(r_sq) / alpha)
-        return OperatorClassSpec((ball,))
-
-    if mode == "thm41":
-        l_c = c_spec.L
-        if l_c is None:
-            raise PreconditionError(
-                "C carries L_C", "thm41 enlargement needs a Lipschitz atom")
-        if mu is None:
-            raise PreconditionError(
-                "mu of A or B supplied", "thm41 enlargement needs mu")
-        from .rates import averagedness_thm41  # rates imports this module
-        theta = averagedness_thm41(alpha, mu, l_c).theta
-        base = 2.0 - 1.0 / theta
-        radius = math.sqrt(base ** 2 + (alpha * l_c) ** 2)
-        ball = ShiftedLipschitzBall(base / alpha, radius / alpha)
-        return OperatorClassSpec((ball,))
-
-    raise ValueError(f"unknown enlargement mode {mode!r}")
+    elif mode in ("thm33", "thm41"):
+        ball = _ball(geometry.boundary_pieces(region),
+                     params.sigma / params.alpha)
+    else:
+        raise ValueError(f"unknown enlargement mode {mode!r}")
+    return c_spec if ball is None else OperatorClassSpec((ball,))

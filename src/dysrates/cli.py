@@ -178,13 +178,11 @@ class ProblemSpec:
     def params(self) -> DysParams:
         return DysParams(self.alpha, self.lam, self.shift)
 
-    def effective_c(self) -> cls.OperatorClassSpec:
+    def effective_c(self, params: DysParams) -> cls.OperatorClassSpec:
+        """C, or its enlargement for a run at params."""
         if self.enlargement_mode == "none":
             return self.c
-        # only thm41 reads mu
-        mu = self.a.mu if self.a.mu is not None else self.b.mu
-        return cls.enlarge_C(self.c, self.params(), self.enlargement_mode,
-                             mu=mu)
+        return cls.enlarge_C(self.c, params, self.enlargement_mode)
 
 
 def load_spec(path: str) -> ProblemSpec:
@@ -236,7 +234,7 @@ def cmd_maxmod(args) -> int:
     params = DysParams(spec.alpha, spec.lam, shift)
     eps = spec.eps_grid if args.eps is None else _positive(
         _finite_number(args.eps, "--eps"), "--eps")
-    result = search(spec.a, spec.b, spec.effective_c(), params, eps)
+    result = search(spec.a, spec.b, spec.effective_c(params), params, eps)
     payload = result.as_dict()
     payload["params"] = {"alpha": params.alpha, "lambda": params.lam,
                          "s": params.shift}
@@ -308,7 +306,7 @@ def cmd_plot(args) -> int:
     if spec.c_prime is not None:
         light = _cloud(spec, spec.c_prime, params, eps)
     elif spec.enlargement_mode != "none":
-        light = _cloud(spec, spec.effective_c(), params, eps)
+        light = _cloud(spec, spec.effective_c(params), params, eps)
 
     circle = spec.plot_circle
     if circle is None:

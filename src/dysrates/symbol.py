@@ -38,6 +38,11 @@ class DysParams:
         """The substituted shift parameter t = (1 - s)/lambda."""
         return (1.0 - self.shift) / self.lam
 
+    @property
+    def sigma(self) -> float:
+        """The C-side shift sigma = 2 - lambda/(1 - s) = 2 - 1/t."""
+        return 2.0 - 1.0 / self.t
+
 
 def zeta(z_a, z_b, z_c, params: DysParams):
     """Symbol value; accepts scalars or broadcastable numpy arrays."""

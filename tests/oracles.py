@@ -143,6 +143,29 @@ def disk_hull_radius(region: Region) -> float:
     return radius_for(0.5 * (lo + hi))
 
 
+def thm33_ball(alpha, lam, beta_c, mu_c):
+    """(center, radius) of Theorem 3.3's enlargement ball for a cocoercive
+    and strongly monotone C: (2 - lam)/alpha and R/alpha, with
+    R^2 = (2 - lam)(2 - lam - 2 (1 - eta) alpha mu_C) and
+    eta = alpha/(2 beta_C (2 - lam))."""
+    eta = alpha / (2.0 * beta_c * (2.0 - lam))
+    r_sq = (2.0 - lam) * (2.0 - lam - 2.0 * (1.0 - eta) * alpha * mu_c)
+    return (2.0 - lam) / alpha, math.sqrt(r_sq) / alpha
+
+
+def thm41_theta(alpha, mu, l_c):
+    """Theorem 4.1's averagedness theta = 2/(4 - alpha L_C^2/mu)."""
+    return 2.0 / (4.0 - alpha * l_c ** 2 / mu)
+
+
+def thm41_ball(alpha, mu, l_c):
+    """(center, radius) of Theorem 4.1's enlargement ball for a monotone
+    and L_C-Lipschitz C: b/alpha and sqrt(b^2 + alpha^2 L_C^2)/alpha, with
+    b = 2 - 1/theta."""
+    base = 2.0 - 1.0 / thm41_theta(alpha, mu, l_c)
+    return base / alpha, math.sqrt(base ** 2 + (alpha * l_c) ** 2) / alpha
+
+
 def atom_min_real(atom) -> float:
     """Smallest Re z over a class atom's region, from each class's own
     definition rather than from its region atom: the class is certainly

@@ -195,7 +195,7 @@ def test_criterion_06_averagedness():
         theta = averagedness_thm41(alpha, mu, l_c).theta
         params = DysParams(alpha, 1.0, 1.0 - theta)
         c_spec = monotone().intersect(lipschitz(l_c))
-        c_prime = enlarge_C(c_spec, params, "thm41", mu=mu)
+        c_prime = enlarge_C(c_spec, params, "thm41")
         regions = [resolvent_srg(strongly_monotone(mu), alpha),
                    resolvent_srg(monotone(), alpha), srg(c_prime)]
         worst = max(worst, _max_symbol_on_boundaries(

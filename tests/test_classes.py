@@ -13,13 +13,15 @@ from dysrates import (Averaged, Cocoercive, Disk, DiskExterior,
                       Lipschitz, Monotone, OperatorClassSpec,
                       PreconditionError, Region, Segment,
                       ShiftedLipschitzBall, StronglyMonotone, averaged,
-                      boundary_grid, boundary_pieces, cocoercive,
-                      dys_preflight, enlarge_C, is_monotone_class, lipschitz,
-                      monotone, resolvent_srg, shifted_lipschitz_ball, srg,
-                      strongly_monotone)
-from dysrates.classes import _disk_hull, real_extent
+                      UnboundedRegionError, boundary_grid, boundary_pieces,
+                      cocoercive, dys_preflight, enlarge_C,
+                      has_left_arc_property, has_right_arc_property,
+                      is_monotone_class, lipschitz, monotone, resolvent_srg,
+                      shifted_lipschitz_ball, srg, strongly_monotone)
+from dysrates.classes import _disk_hull, c_side_mirror_region, real_extent
 from dysrates.symbol import DysParams
-from oracles import atom_min_real, disk_hull_radius
+from oracles import (atom_min_real, disk_hull_radius, thm33_ball, thm41_ball,
+                     thm41_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +279,21 @@ def test_c_side_arc_true_for_single_disk_classes():
 # ---------------------------------------------------------------------------
 
 def test_enlarge_thm41_all_ones():
+    # Theorem 4.1's s = 1 - theta, theta = 2/3: its ball
     c_spec = monotone().intersect(lipschitz(1.0))
-    out = enlarge_C(c_spec, DysParams(1.0, 1.0), "thm41", mu=1.0)
+    out = enlarge_C(c_spec, DysParams(1.0, 1.0, 1.0 / 3.0), "thm41")
     (ball,) = out.atoms
     assert isinstance(ball, ShiftedLipschitzBall)
     assert math.isclose(ball.center, 0.5, rel_tol=1e-14)
     assert math.isclose(ball.radius, math.sqrt(5.0) / 2.0, rel_tol=1e-14)
 
 
-def test_enlarge_thm41_alpha_window_is_the_theorems():
+def test_enlarge_thm41_all_ones_at_zero_shift():
+    # s = 0: sigma = 1, and the farthest points of the half disk are +-i
     c_spec = monotone().intersect(lipschitz(1.0))
-    with pytest.raises(PreconditionError) as err:
-        enlarge_C(c_spec, DysParams(2.5, 1.0), "thm41", mu=1.0)
-    assert str(err.value) == "0 < alpha < 2 mu / L_C^2 (alpha=2.5, bound=2.0)"
+    (ball,) = enlarge_C(c_spec, DysParams(1.0, 1.0), "thm41").atoms
+    assert math.isclose(ball.center, 1.0, rel_tol=1e-14)
+    assert math.isclose(ball.radius, math.sqrt(2.0), rel_tol=1e-14)
 
 
 def test_enlarge_thm33_values():
@@ -301,10 +305,17 @@ def test_enlarge_thm33_values():
     assert math.isclose(ball.radius, math.sqrt(0.5), rel_tol=1e-14)
 
 
-def test_enlarge_thm33_degenerate_radius_rejected():
+def test_enlarge_thm33_point_region_at_center_unchanged():
+    # the region is the one point 1 = sigma/alpha, where Theorem 3.3's R is
+    # 0: the class is its own enlargement
     c_spec = cocoercive(1.0).intersect(strongly_monotone(1.0))
-    with pytest.raises(PreconditionError):
-        enlarge_C(c_spec, DysParams(1.0, 1.0), "thm33")
+    assert enlarge_C(c_spec, DysParams(1.0, 1.0), "thm33") is c_spec
+
+
+@pytest.mark.parametrize("mode", ["disk_hull", "thm33", "thm41"])
+def test_enlarge_unbounded_c_rejected(mode):
+    with pytest.raises(UnboundedRegionError):
+        enlarge_C(strongly_monotone(0.5), DysParams(1.0, 1.0), mode)
 
 
 def test_disk_hull_of_plain_disk_unchanged():
@@ -353,13 +364,14 @@ def test_disk_hull_radius_matches_ternary_reference():
      lambda: cocoercive(1.0).intersect(strongly_monotone(0.5)), {}),
     ("thm33",
      lambda: cocoercive(1.0).intersect(strongly_monotone(0.5)), {}),
-    ("thm41", lambda: monotone().intersect(lipschitz(1.0)), {"mu": 1.0}),
+    ("thm41", lambda: monotone().intersect(lipschitz(1.0)),
+     {"shift": 1.0 / 3.0}),
 ])
 def test_enlargement_contains_original(mode, c_builder, kwargs):
     rng = np.random.default_rng(2)
     c_spec = c_builder()
-    params = DysParams(1.0, 1.0)
-    bigger = srg(enlarge_C(c_spec, params, mode, **kwargs))
+    params = DysParams(1.0, 1.0, **kwargs)
+    bigger = srg(enlarge_C(c_spec, params, mode))
     region = srg(c_spec)
     zs = rng.uniform(-2, 2, 100_000) + 1j * rng.uniform(-2, 2, 100_000)
     inside = zs[region.contains(zs)]
@@ -380,52 +392,98 @@ def test_enlarged_c_side_region_is_real_centered_disk():
 def test_thm41_enlargement_restores_arc_property():
     # the shifted-and-negated region of the enlarged class is a disk
     # centered at the origin, so both arc properties hold exactly
-    from dysrates.classes import c_side_mirror_region
-    import dysrates.geometry as geom
     mu, l_c, alpha = 1.0, 1.0, 1.0
-    from dysrates import averagedness_thm41
-    theta = averagedness_thm41(alpha, mu, l_c).theta
-    params = DysParams(alpha, 1.0, 1.0 - theta)
+    params = DysParams(alpha, 1.0, 1.0 - thm41_theta(alpha, mu, l_c))
     c_prime = enlarge_C(monotone().intersect(lipschitz(l_c)), params,
-                        "thm41", mu=mu)
+                        "thm41")
     mirror = c_side_mirror_region(c_prime, params)
     (atom,) = mirror.atoms
     assert isinstance(atom, Disk)
     assert abs(atom.center) < 1e-12
-    assert geom.has_right_arc_property(mirror)
-    assert geom.has_left_arc_property(mirror)
+    assert has_right_arc_property(mirror)
+    assert has_left_arc_property(mirror)
     report = dys_preflight(strongly_monotone(mu), monotone(), c_prime, params)
     assert report.applicable
 
 
+def _assert_ball(c_prime, center, radius, where):
+    (ball,) = c_prime.atoms
+    assert ball.center == pytest.approx(center, rel=4.4e-15, abs=0.0), where
+    assert ball.radius == pytest.approx(radius, rel=4.4e-15, abs=0.0), where
+
+
 def test_thm33_enlargement_containment_randomized():
+    # over Theorem 3.3's window (lambda < 2 - alpha/(2 beta_C),
+    # 0 < mu_C < 1/beta_C) at s = 0, the ball about sigma/alpha is the
+    # theorem's, and it contains C
     rng = np.random.default_rng(9)
-    for _ in range(100):
+    for _ in range(2000):
         beta = float(rng.uniform(0.3, 2.5))
         alpha = float(rng.uniform(0.05, 3.9 * beta))
         lam = float(rng.uniform(0.05, 0.98) * (2.0 - alpha / (2.0 * beta)))
         mu_c = float(rng.uniform(0.05, 0.98) / beta)
         params = DysParams(alpha, lam)
         c_spec = cocoercive(beta).intersect(strongly_monotone(mu_c))
-        big = srg(enlarge_C(c_spec, params, "thm33"))
-        region = srg(c_spec)
-        zs = rng.uniform(0, 1.2 / beta, 400) + \
-            1j * rng.uniform(-0.6 / beta, 0.6 / beta, 400)
-        inside = zs[region.contains(zs)]
-        assert big.contains(inside, 1e-12).all(), (alpha, lam, beta, mu_c)
+        c_prime = enlarge_C(c_spec, params, "thm33")
+        where = (alpha, lam, beta, mu_c)
+        _assert_ball(c_prime, *thm33_ball(alpha, lam, beta, mu_c), where)
+        zs = rng.uniform(0, 1.2 / beta, 40) + \
+            1j * rng.uniform(-0.6 / beta, 0.6 / beta, 40)
+        inside = zs[srg(c_spec).contains(zs)]
+        assert srg(c_prime).contains(inside, 1e-12).all(), where
 
 
 def test_thm41_enlargement_containment_randomized():
+    # over Theorem 4.1's window (alpha < 2 mu/L_C^2) at lambda = 1 and
+    # s = 1 - theta, the ball about sigma/alpha is the theorem's, and it
+    # contains C
     rng = np.random.default_rng(10)
-    for _ in range(100):
+    for _ in range(2000):
         mu = float(rng.uniform(0.2, 2.0))
         l_c = float(rng.uniform(0.2, 2.0))
         alpha = float(rng.uniform(0.05, 0.95) * 2.0 * mu / l_c ** 2)
-        params = DysParams(alpha, 1.0)
+        params = DysParams(alpha, 1.0, 1.0 - thm41_theta(alpha, mu, l_c))
         c_spec = monotone().intersect(lipschitz(l_c))
-        big = srg(enlarge_C(c_spec, params, "thm41", mu=mu))
-        region = srg(c_spec)
-        zs = rng.uniform(0, 1.1 * l_c, 400) + \
-            1j * rng.uniform(-1.1 * l_c, 1.1 * l_c, 400)
-        inside = zs[region.contains(zs)]
-        assert big.contains(inside, 1e-12).all(), (alpha, mu, l_c)
+        c_prime = enlarge_C(c_spec, params, "thm41")
+        where = (alpha, mu, l_c)
+        _assert_ball(c_prime, *thm41_ball(alpha, mu, l_c), where)
+        zs = rng.uniform(0, 1.1 * l_c, 40) + \
+            1j * rng.uniform(-1.1 * l_c, 1.1 * l_c, 40)
+        inside = zs[srg(c_spec).contains(zs)]
+        assert srg(c_prime).contains(inside, 1e-12).all(), where
+
+
+_MODERATE = st.floats(0.05, 5.0)
+_BOUNDED_ATOM = st.one_of(
+    _MODERATE.map(Cocoercive), _MODERATE.map(Lipschitz),
+    st.floats(0.05, 0.95).map(Averaged),
+    st.builds(ShiftedLipschitzBall, st.floats(-5.0, 5.0), _MODERATE))
+_ANY_ATOM = st.one_of(st.just(Monotone()), _MODERATE.map(StronglyMonotone),
+                      _BOUNDED_ATOM)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BOUNDED_ATOM, st.lists(_ANY_ATOM, max_size=2),
+       st.floats(0.05, 2.0), st.floats(0.05, 2.0), st.floats(-1.0, 0.9),
+       st.sampled_from(["thm33", "thm41"]))
+def test_enlargement_ball_restores_the_c_side_arc(bounded, others, alpha,
+                                                  lam, shift, mode):
+    # any bounded C, in or out of the theorems' windows: the ball about
+    # sigma/alpha holds C's boundary, and its mirror region alpha C' - sigma
+    # is a disk about 0, which has both arc properties
+    try:
+        c_spec = OperatorClassSpec((bounded, *others))
+    except InvalidClassError:
+        assume(False)
+    params = DysParams(alpha, lam, shift)
+    c_prime = enlarge_C(c_spec, params, mode)
+    assume(c_prime is not c_spec)  # C is the one point sigma/alpha
+    (ball,) = c_prime.atoms
+    center = params.sigma / alpha
+    assert ball.center == center
+    points = boundary_grid(srg(c_spec), 0.05).points
+    assert (np.abs(points - center) <= ball.radius * (1.0 + 1e-12)).all()
+    (mirror,) = c_side_mirror_region(c_prime, params).atoms
+    assert isinstance(mirror, Disk) and abs(mirror.center) <= 1e-12
+    report = dys_preflight(monotone(), monotone(), c_prime, params)
+    assert report.c_side_arc

@@ -408,7 +408,6 @@ def test_four_atom_c_exits_ok(tmp_path, capsys, argv):
     ("search", {"eps_grid": -1}, ["verify"], 2),
     ("enlargement", {"mode": "bogus"}, ["maxmod"], 2),
     (None, None, ["verify", "--rho", "abc"], 2),
-    ("enlargement", {"mode": "thm41"}, ["maxmod", "--eps", "0.1"], 3),
 ], ids=["top_k_fraction", "max_iters_fraction", "ascent_step_removed",
         "parallel_removed", "eps_grid_zero", "eps_negative", "plot_eps_zero",
         "rho_nan", "rho_inf", "trials_negative", "seed_negative", "eps_nan",
@@ -418,7 +417,7 @@ def test_four_atom_c_exits_ok(tmp_path, capsys, argv):
         "enlargement_mu_removed",
         "plot_circle_radius_negative", "plot_circle_radius_zero",
         "factor_eps_grid_negative", "verify_eps_grid_negative",
-        "enlargement_mode_unknown", "rho_not_number", "thm41_without_l_c"])
+        "enlargement_mode_unknown", "rho_not_number"])
 def test_bad_settings_exit_without_traceback(tmp_path, capsys, section,
                                              value, argv, expected):
     payload = json.loads(json.dumps(PUBLISHED))
@@ -586,21 +585,13 @@ REFUSALS = {
     "atom_field_not_number": (
         _edited(lambda p: p["classes"]["B"][1].__setitem__("L", "0.5")),
         ["factor"], 2, "error: classes.B[1].L: expected a number, got '0.5'"),
-    "thm33_without_mu_c": (
-        _enlarged("thm33", lambda p: p["classes"]["C"].pop()),
-        ["maxmod", "--eps", "0.1"], 3,
-        "error: violated precondition: C carries mu_C and beta_C (thm33 "
-        "enlargement needs StronglyMonotone and Cocoercive atoms)"),
-    "thm41_without_mu": (
-        _enlarged("thm41", lambda p: p["classes"].__setitem__("C", [
-            {"kind": "monotone"}, {"kind": "lipschitz", "L": 1.0}])),
-        ["maxmod", "--eps", "0.1"], 3,
-        "error: violated precondition: mu of A or B supplied (thm41 "
-        "enlargement needs mu)"),
-    "thm33_lambda_too_large": (
-        _enlarged("thm33", lambda p: p["params"].__setitem__("lambda", 1.5)),
-        ["maxmod", "--eps", "0.1"], 3,
-        "error: violated precondition: lambda < 2 - alpha/(2 beta_C)"),
+    # an unbounded C has no enlargement ball
+    **{f"unbounded_c_{mode}": (
+        _enlarged(mode, lambda p: p["classes"].__setitem__("C", [
+            {"kind": "strongly_monotone", "mu": 0.5}])),
+        ["maxmod", "--eps", "0.1"], 4, "error: unbounded search domain: "
+        "C's region is unbounded, so no ball contains it")
+       for mode in ("thm33", "thm41")},
     # J_A's region would be a left half-plane, which regions do not model
     **{f"left_half_plane_resolvent_{argv[0]}": (
         LEFT_A, argv, 3, "error: inverting a disk through 0 with "
@@ -705,6 +696,56 @@ def test_refusal_exit_code_and_line(tmp_path, capsys, name):
     assert captured.out == ""
     assert captured.err == line + "\n"
     assert not (tmp_path / "fig.svg").exists()
+
+
+# specs the theorem enlargements once refused: C without mu_C, beta_C or
+# L_C, lambda outside Theorem 3.3's window, no mu on A or B
+@pytest.mark.parametrize("payload", [
+    _enlarged("thm33", lambda p: p["classes"]["C"].pop()),
+    _enlarged("thm33", lambda p: p["params"].__setitem__("lambda", 1.5)),
+    _enlarged("thm41"),
+    _enlarged("thm41", lambda p: p["classes"].__setitem__("C", [
+        {"kind": "monotone"}, {"kind": "lipschitz", "L": 1.0}]))],
+    ids=["thm33_without_mu_c", "thm33_lambda_1.5", "thm41_without_l_c",
+         "thm41_without_mu"])
+def test_theorem_enlargement_of_any_bounded_c(tmp_path, capsys, payload):
+    spec = ProblemSpec(payload)
+    params = spec.params()
+    report = cls.dys_preflight(spec.a, spec.b, spec.effective_c(params),
+                               params)
+    assert report.c_side_arc
+    code, out = run(capsys, ["maxmod", write_spec(tmp_path, payload),
+                             "--eps", "0.1"])
+    assert code == 0
+    assert out["best_value"] <= out["certified_upper"]
+
+
+THM41_UNIT = {"classes": {"A": [{"kind": "strongly_monotone", "mu": 1.0}],
+                          "B": [{"kind": "monotone"}],
+                          "C": [{"kind": "monotone"},
+                                {"kind": "lipschitz", "L": 1.0}]},
+              "params": {"alpha": 1.0, "lambda": 1.0},
+              "enlargement": {"mode": "thm41"}}
+
+
+@pytest.mark.parametrize("payload, shift, best, upper", [
+    # Theorem 3.3's ball at s = 0 on the published instance: sqrt(3/5)
+    (_enlarged("thm33"), None, 0.7745966692414835, 0.774691323235624),
+    # Theorem 4.1's ball at s = 1 - theta: theta = 2/3
+    (THM41_UNIT, 1.0 - dysrates.averagedness_thm41(1.0, 1.0, 1.0).theta,
+     0.6666666666666666, 0.6669955783466545)], ids=["thm33", "thm41"])
+def test_maxmod_theorem_enlargement_at_its_own_shift(tmp_path, capsys,
+                                                     payload, shift, best,
+                                                     upper):
+    # the values the theorems' closed-form balls gave, at eps 1/30
+    argv = ["maxmod", write_spec(tmp_path, payload), "--eps",
+            repr(1.0 / 30.0)]
+    if shift is not None:
+        argv += ["--shift", repr(shift)]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out["best_value"] == pytest.approx(best, rel=1e-15, abs=0.0)
+    assert out["certified_upper"] == pytest.approx(upper, rel=1e-15, abs=0.0)
 
 
 # the spec-file names of the atoms, as the README documents them
@@ -983,7 +1024,7 @@ def test_cloud_is_the_strided_cube_bit_for_bit(which, eps, data):
     spec = ProblemSpec(payload)
     params = spec.params()
     c_spec = {"C": spec.c, "Cprime": spec.c_prime,
-              "thm33": spec.effective_c()}[which]
+              "thm33": spec.effective_c(params)}[which]
     cube = full_cube(spec, c_spec, params, eps)
     size = cube.size
     cap = data.draw(st.one_of(st.sampled_from([1, size - 1, size, size + 1]),

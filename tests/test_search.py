@@ -724,7 +724,7 @@ def _bench_problems(seed, count=16):
         params = DysParams(spec.alpha, spec.lam, shift)
         problems.append((params, (resolvent_srg(spec.a, spec.alpha),
                                   resolvent_srg(spec.b, spec.alpha),
-                                  srg(spec.effective_c()))))
+                                  srg(spec.effective_c(params)))))
     return problems
 
 
