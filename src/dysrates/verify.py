@@ -19,7 +19,7 @@ import numpy as np
 
 from .classes import (Averaged, Cocoercive, Lipschitz, Monotone,
                       OperatorClassSpec, ShiftedLipschitzBall,
-                      StronglyMonotone, resolvent_srg, srg)
+                      StronglyMonotone, dys_preflight, resolvent_srg, srg)
 from .errors import PreconditionError, SingularResolventError
 from .geometry import Region, boundary_pieces
 from .search import locate_maximum
@@ -30,6 +30,10 @@ I2 = np.eye(2)
 # bytes (388 MB at 10^6 trials), so a run at this budget stays under
 # 0.8 GB.  A larger count is refused before any trial is drawn.
 TRIAL_BUDGET = 1 << 21
+# the hypotheses of the SRG theorem, in dys_preflight's triple order
+_HYPOTHESES = ("(i) I + alpha A has the right-arc property",
+              "(ii) A and B are monotone",
+              "(iii) (2 - lambda/(1 - s)) I - alpha C has an arc property")
 
 
 def realize(z) -> np.ndarray:
@@ -180,7 +184,9 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
     and report in trial order.  The maximizer of a coarse search for
     |zeta - center| is probed last, without class checks, so an undersized
     bound fails deterministically rather than only when random sampling
-    gets lucky; with no random trials the probe is the whole check."""
+    gets lucky; with no random trials the probe is the whole check.  When
+    the SRG theorem's hypotheses fail at s = center, a warning says that a
+    pass bounds only the 2x2 realizations."""
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
     if n_trials > TRIAL_BUDGET:
@@ -204,6 +210,14 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
     # the probe maximizes |zeta - center|, the quantity checked below,
     # whatever shift params carries
     probe = DysParams(params.alpha, params.lam, center)
+    preflight = dys_preflight(*specs, probe)
+    if not preflight.applicable:
+        failed = "; ".join(h for h, holds in zip(_HYPOTHESES, preflight.triple)
+                           if not holds)
+        report.warnings.append(
+            f"the SRG theorem does not apply at s = {center!r} (false: "
+            f"{failed}); a pass shows no 2x2 counterexample, not a bound for "
+            "every operator in the classes")
     best = locate_maximum(*regions, probe, 1.0 / 40.0)[1]
     zs = [np.append(z, p) for z, p in zip(zs, best)]
     member = np.append(member, True)

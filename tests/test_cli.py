@@ -336,11 +336,40 @@ def test_verify_zero_trials_is_a_probe_only_check(tmp_path, capsys):
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
     assert code == 1
-    assert captured.err == ("warning: no random trials requested; only the "
-                            "probe was checked\n")
+    # the published C fails hypothesis (iii), so the preflight warns too
+    assert captured.err == (
+        "warning: no random trials requested; only the probe was checked\n"
+        "warning: the SRG theorem does not apply at s = 0.0 (false: (iii) "
+        "(2 - lambda/(1 - s)) I - alpha C has an arc property); a pass shows "
+        "no 2x2 counterexample, not a bound for every operator in the "
+        "classes\n")
     assert payload["passed"] is False and payload["trials"] == 0
     assert [v["kind"] for v in payload["violations"]] == ["norm_bound"]
     assert payload["max_norm_seen"] == pytest.approx(0.7236067977, abs=1e-6)
+
+
+@pytest.mark.parametrize("c_class, rho, warned", [
+    (PUBLISHED["classes"]["C"], "0.73", True),
+    ([{"kind": "cocoercive", "beta": 1.0},
+      {"kind": "shifted_lipschitz_ball", "center": 1.0,
+       "radius": 1.0 / math.sqrt(2.0)}], "0.78", False)],
+    ids=["published", "published_enlarged"])
+def test_verify_warns_where_the_srg_theorem_does_not_apply(
+        tmp_path, capsys, c_class, rho, warned):
+    # the published C fails hypothesis (iii), and a 3x3 instance in its
+    # classes reaches sqrt(3/5) > 0.73; the pass over 2x2 realizations
+    # stands, with one warning
+    payload = _edited(lambda p: p["classes"].__setitem__("C", c_class))
+    spec = write_spec(tmp_path, payload)
+    code = main(["verify", spec, "--rho", rho])
+    captured = capsys.readouterr()
+    assert code == 0 and json.loads(captured.out)["passed"] is True
+    lines = captured.err.splitlines()
+    if warned:
+        assert len(lines) == 1 and lines[0].startswith("warning: ")
+        assert "(iii)" in lines[0]
+    else:
+        assert lines == []
 
 
 # ---------------------------------------------------------------------------
