@@ -476,19 +476,29 @@ GOLDEN_RUNS = {
     "negative_control": _negative_control,
 }
 
+def _srg_warning(shift):
+    return [f"the SRG theorem does not apply at s = {shift!r} (false: (iii) "
+            "(2 - lambda/(1 - s)) I - alpha C has an arc property); a pass "
+            "shows no 2x2 counterexample, not a bound for every operator in "
+            "the classes"]
+
+
+# C is not enlarged, so hypothesis (iii) fails for thm33, thm41 and the
+# published C of the negative control
 GOLDEN = {
     "thm31": {"max_norm_seen": 0.5773502691896258, "passed": True,
               "rho": 0.6666666666666666, "trials": 1000, "violations": [],
               "warnings": []},
     "thm33": {"max_norm_seen": 0.8090169943749473, "passed": True,
               "rho": 0.8660254037844386, "trials": 1000, "violations": [],
-              "warnings": []},
+              "warnings": _srg_warning(0.0)},
     "thm41": {"max_norm_seen": 0.6666666666666666, "passed": True,
               "rho": 0.6666666666666666, "trials": 1000, "violations": [],
-              "warnings": []},
+              "warnings": _srg_warning(1.0 - 2.0 / 3.0)},
     "negative_control": {
         "max_norm_seen": 0.723606797749979, "passed": False,
-        "rho": 0.713606797749979, "trials": 200, "warnings": [],
+        "rho": 0.713606797749979, "trials": 200,
+        "warnings": _srg_warning(0.0),
         "violations": [
             {"kind": "norm_bound", "norm": 0.723606797749979,
              "bound": 0.713606797749979,
