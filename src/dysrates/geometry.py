@@ -282,9 +282,6 @@ class Segment:
         return (1.0 - ts) * self.p0 + ts * self.p1
 
 
-BoundaryPiece = Union[Arc, Segment]
-
-
 def _cos_bounds_on_circle(c: float, r: float,
                           others: Sequence[RegionAtom]):
     """Feasible set of angles t on the circle z = c + r e^{it} subject to

@@ -19,7 +19,7 @@ from dysrates import (Disk, DiskExterior, DysParams, PreconditionError,
                       boundary_pieces, cocoercive, coordinate_polish,
                       grid_evaluate, lipschitz, monotone,
                       shifted_lipschitz_ball, shifted_modulus,
-                      strongly_monotone)
+                      strongly_monotone, zeta)
 import dysrates.geometry as geometry_module
 import dysrates.search as search_module
 from dysrates import rates
@@ -149,6 +149,26 @@ def test_grid_close_to_published_value_within_certificate_slack():
     best, _, _, _, _ = grid_evaluate(grids[0].pieces, grids[1].points,
                                      grids[2].points, P11)
     assert abs(best - 0.7236067977) <= 6.0 / 120.0
+
+
+# ---------------------------------------------------------------------------
+# the symbol as an affine function of one coordinate
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([0, 1, 2]),
+       st.tuples(*[st.complex_numbers(max_magnitude=4.0)] * 3),
+       st.floats(0.05, 2.0), st.floats(0.05, 2.0), st.floats(-1.0, 0.9))
+def test_affine_in_is_the_symbol(idx, zs, alpha, lam, shift):
+    # P z_idx + Q, which the grid, the certificate and the polish read,
+    # equals zeta - s to a few roundings of the largest term
+    params = DysParams(alpha, lam, shift)
+    p_coef, q_coef = search_module._affine_in(idx, *zs, params)
+    z_a, z_b, z_c = zs
+    scale = 1.0 + abs(shift) + lam * (abs(z_a) + abs(z_b) + abs(z_a * z_b)
+                                      * (2.0 + alpha * abs(z_c)))
+    assert abs(p_coef * zs[idx] + q_coef - (zeta(*zs, params) - shift)) \
+        <= 8.0 * math.ulp(scale)
 
 
 # ---------------------------------------------------------------------------
