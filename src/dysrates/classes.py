@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -227,21 +227,25 @@ def is_monotone_class(spec: OperatorClassSpec) -> bool:
 # Applicability preflight
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PreflightReport:
+class PreflightReport(NamedTuple):
+    """The SRG theorem's three hypotheses, in the order of STATEMENTS."""
+
     resolvent_a_right_arc: bool
     operands_monotone: bool
     c_side_arc: bool
-    search_domain_bounded: bool
 
-    @property
-    def triple(self):
-        return (self.resolvent_a_right_arc, self.operands_monotone,
-                self.c_side_arc)
+    STATEMENTS = ("(i) I + alpha A has the right-arc property",
+                  "(ii) A and B are monotone",
+                  "(iii) (2 - lambda/(1 - s)) I - alpha C has an arc property")
 
     @property
     def applicable(self) -> bool:
-        return all(self.triple)
+        return all(self)
+
+    @property
+    def failed(self) -> tuple:
+        """The statements of the false hypotheses, in order."""
+        return tuple(h for h, holds in zip(self.STATEMENTS, self) if not holds)
 
 
 def c_side_mirror_region(c_spec: OperatorClassSpec,
@@ -262,9 +266,9 @@ def dys_preflight(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
 
     (i)  I + alpha*A has the right-arc property,
     (ii) A and B are monotone classes,
-    (iii) (2 - lambda/(1-s))*I - alpha*C has an arc property,
-    plus boundedness of the three boundary-search regions.  A false (iii)
-    means only the enlarged-class upper-bound route applies.
+    (iii) (2 - lambda/(1-s))*I - alpha*C has an arc property.
+    A false (iii) means only the enlarged-class upper-bound route applies.
+    The search and enlarge_C refuse an unbounded region themselves.
     """
     shifted_a = srg(a_spec).scale(params.alpha).translate(1.0)
     right_arc = geometry.has_right_arc_property(shifted_a)
@@ -272,13 +276,7 @@ def dys_preflight(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
     mirror = c_side_mirror_region(c_spec, params)
     c_arc = geometry.has_left_arc_property(mirror) or \
         geometry.has_right_arc_property(mirror)
-    try:
-        bounded = (resolvent_srg(a_spec, params.alpha).bounded
-                   and resolvent_srg(b_spec, params.alpha).bounded
-                   and srg(c_spec).bounded)
-    except geometry.UnsupportedInversionError:
-        bounded = False
-    return PreflightReport(right_arc, monotone_ok, c_arc, bounded)
+    return PreflightReport(right_arc, monotone_ok, c_arc)
 
 
 # ---------------------------------------------------------------------------

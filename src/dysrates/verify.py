@@ -30,10 +30,6 @@ I2 = np.eye(2)
 # bytes (388 MB at 10^6 trials), so a run at this budget stays under
 # 0.8 GB.  A larger count is refused before any trial is drawn.
 TRIAL_BUDGET = 1 << 21
-# the hypotheses of the SRG theorem, in dys_preflight's triple order
-_HYPOTHESES = ("(i) I + alpha A has the right-arc property",
-              "(ii) A and B are monotone",
-              "(iii) (2 - lambda/(1 - s)) I - alpha C has an arc property")
 
 
 def realize(z) -> np.ndarray:
@@ -103,17 +99,12 @@ def dys_matrix(j_a: np.ndarray, j_b: np.ndarray, c: np.ndarray,
     return I2 - lam * j_b + lam * j_a @ (2.0 * j_b - I2 - alpha * c @ j_b)
 
 
-def class_membership(m: np.ndarray, spec: OperatorClassSpec,
-                     tol: float = 0.0) -> bool:
-    """Check each atom's defining inequality for the linear map m."""
-    if tol < 0:
+def class_membership(m: np.ndarray, spec: OperatorClassSpec, tol=0.0):
+    """Check each atom's defining inequality for the linear map m within
+    tol, a scalar or one tolerance per matrix: a bool for one matrix, a
+    mask for a stack."""
+    if np.any(np.asarray(tol) < 0):
         raise ValueError("tol must be nonnegative")
-    return bool(_members(m, spec, tol))
-
-
-def _members(m: np.ndarray, spec: OperatorClassSpec, tol) -> np.ndarray:
-    """Mask of the matrices in m that satisfy every atom of spec within tol,
-    a scalar or one tolerance per matrix."""
     ok = np.ones(m.shape[:-2], dtype=bool)
     for atom in spec.atoms:
         if isinstance(atom, Monotone):
@@ -133,7 +124,7 @@ def _members(m: np.ndarray, spec: OperatorClassSpec, tol) -> np.ndarray:
             ok &= spectral_norm_2x2(m - atom.center * I2) <= atom.radius + tol
         else:
             raise ValueError(f"unknown atom {atom!r}")
-    return ok
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +196,17 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
                         realize(zs[2])), specs):
         # A = (J^{-1} - I)/alpha carries rounding relative to its norm,
         # which grows without bound as the resolvent value J nears 0
-        member &= _members(m, spec, 1e-9 * np.maximum(1.0,
-                                                      spectral_norm_2x2(m)))
+        member &= class_membership(
+            m, spec, 1e-9 * np.maximum(1.0, spectral_norm_2x2(m)))
     # the probe maximizes |zeta - center|, the quantity checked below,
     # whatever shift params carries
     probe = DysParams(params.alpha, params.lam, center)
     preflight = dys_preflight(*specs, probe)
     if not preflight.applicable:
-        failed = "; ".join(h for h, holds in zip(_HYPOTHESES, preflight.triple)
-                           if not holds)
         report.warnings.append(
             f"the SRG theorem does not apply at s = {center!r} (false: "
-            f"{failed}); a pass shows no 2x2 counterexample, not a bound for "
-            "every operator in the classes")
+            f"{'; '.join(preflight.failed)}); a pass shows no 2x2 "
+            "counterexample, not a bound for every operator in the classes")
     best = locate_maximum(*regions, probe, 1.0 / 40.0)[1]
     zs = [np.append(z, p) for z, p in zip(zs, best)]
     member = np.append(member, True)

@@ -18,7 +18,9 @@ from dysrates import (Averaged, Cocoercive, Disk, DiskExterior,
                       has_left_arc_property, has_right_arc_property,
                       is_monotone_class, lipschitz, monotone, resolvent_srg,
                       shifted_lipschitz_ball, srg, strongly_monotone)
-from dysrates.classes import _disk_hull, c_side_mirror_region, real_extent
+from dysrates import classes as classes_module
+from dysrates.classes import (PreflightReport, _disk_hull,
+                              c_side_mirror_region, real_extent)
 from dysrates.symbol import DysParams
 from oracles import (atom_min_real, disk_hull_radius, thm33_ball, thm41_ball,
                      thm41_theta)
@@ -227,8 +229,9 @@ def test_preflight_published_failing_instance():
     report = dys_preflight(monotone(), monotone().intersect(lipschitz(0.5)),
                            cocoercive(1.0).intersect(strongly_monotone(0.5)),
                            DysParams(1.0, 1.0, 0.0))
-    assert report.triple == (True, True, False)
-    assert report.search_domain_bounded
+    assert report == (True, True, False)
+    assert report.failed == (
+        "(iii) (2 - lambda/(1 - s)) I - alpha C has an arc property",)
 
 
 def test_preflight_published_passing_instance():
@@ -236,13 +239,14 @@ def test_preflight_published_passing_instance():
         shifted_lipschitz_ball(1.0, 1.0 / math.sqrt(2.0)))
     report = dys_preflight(monotone(), monotone().intersect(lipschitz(0.5)),
                            c_prime, DysParams(1.0, 1.0, 0.0))
-    assert report.triple == (True, True, True)
+    assert report == (True, True, True)
+    assert report.failed == ()
 
 
 def test_preflight_simple_cocoercive_c():
     report = dys_preflight(strongly_monotone(1.0), monotone(),
                            cocoercive(1.0), DysParams(1.0, 1.0, 0.0))
-    assert report.triple == (True, True, True)
+    assert report == (True, True, True)
 
 
 def test_preflight_detects_nonmonotone_operand():
@@ -252,9 +256,36 @@ def test_preflight_detects_nonmonotone_operand():
 
 
 def test_preflight_unbounded_c():
+    # an unbounded C fails no hypothesis: the search and enlarge_C refuse
+    # its region themselves (exit 4), the preflight only reports the triple
     report = dys_preflight(monotone(), monotone(), strongly_monotone(0.5),
                            DysParams(1.0, 1.0, 0.0))
-    assert not report.search_domain_bounded
+    assert report == (True, True, True)
+    assert report.applicable
+
+
+def test_preflight_builds_no_resolvent_region(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dys_preflight built a resolvent region")
+
+    monkeypatch.setattr(classes_module, "resolvent_srg", refuse)
+    report = dys_preflight(monotone(), monotone().intersect(lipschitz(0.5)),
+                           cocoercive(1.0).intersect(strongly_monotone(0.5)),
+                           DysParams(1.0, 1.0, 0.0))
+    assert report == (True, True, False)
+
+
+_STATEMENTS = ("(i) I + alpha A has the right-arc property",
+               "(ii) A and B are monotone",
+               "(iii) (2 - lambda/(1 - s)) I - alpha C has an arc property")
+
+
+@given(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+def test_preflight_failed_names_the_false_hypotheses(bits):
+    report = PreflightReport(*bits)
+    assert report.failed == tuple(h for h, b in zip(_STATEMENTS, bits)
+                                  if not b)
+    assert report.applicable == (not report.failed)
 
 
 def test_preflight_shift_one_rejected():

@@ -23,7 +23,7 @@ import dysrates.verify as verify_module
 from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import boundary_grid
 from dysrates.search import search
-from dysrates.verify import _members, _random_boundary_points, _sym_min_eig
+from dysrates.verify import _random_boundary_points, _sym_min_eig
 from oracles import assert_matches, rotation_value
 
 P11 = DysParams(1.0, 1.0)
@@ -441,10 +441,18 @@ def test_batched_membership_matches_scalar(stack_and_tols, atoms):
         spec = OperatorClassSpec(tuple(atoms))
     except InvalidClassError:
         assume(False)
-    mask = _members(ms, spec, tols)
+    mask = class_membership(ms, spec, tols)
     assert mask.shape == tols.shape
-    assert list(mask) == [class_membership(m, spec, float(t))
-                          for m, t in zip(ms, tols)]
+    scalar = [class_membership(m, spec, float(t)) for m, t in zip(ms, tols)]
+    assert all(type(ok) is bool for ok in scalar)
+    assert list(mask) == scalar
+
+
+def test_membership_refuses_a_negative_tolerance():
+    ms = realize(np.array([1.0, 2.0j]))
+    for tol in (-1e-3, np.array([0.0, -1e-3])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            class_membership(ms, monotone(), tol)
 
 
 # ---------------------------------------------------------------------------
