@@ -28,7 +28,7 @@ from .rates import (AveragednessReport, DominanceReport, ParameterRanges,
 # the search function is not re-exported: dysrates.search is its module
 from .search import (SearchResult, coordinate_polish, grid_evaluate,
                      search_regions)
-from .symbol import DysParams, shifted_modulus, zeta
+from .symbol import DysParams, zeta
 from .verify import (VerificationReport, class_membership, dys_matrix,
                      operator_from_resolvent_point, realize,
                      spectral_norm_2x2, verify_averagedness,

@@ -16,8 +16,6 @@ import numpy as np
 from .classes import is_monotone_class
 from .errors import PreconditionError
 
-_REL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class RateReport:
@@ -84,15 +82,6 @@ def contraction_thm31(alpha: float, lam: float, beta_c: float, mu: float,
                       tuple(checked))
 
 
-def _thm32_second_numerator(alpha, lam, mu, L):
-    # the displayed grouping and the proof's grouping must agree
-    a = (2.0 - lam) * (mu + L) + 2.0 * alpha * mu * L
-    b = mu * (2.0 - lam) + L * (2.0 - lam + 2.0 * alpha * mu)
-    if abs(a - b) > _REL_TOL * max(1.0, abs(a)):
-        raise AssertionError("renderings of the second min numerator diverge")
-    return a
-
-
 def contraction_thm32(alpha: float, lam: float, beta_c: float, l_lip: float,
                       mu_sm: float, role: str = "A_lip_B_sm") -> RateReport:
     """Factor when one of the first two operators is Lipschitz and the
@@ -105,7 +94,8 @@ def contraction_thm32(alpha: float, lam: float, beta_c: float, l_lip: float,
     denom_tail = 2.0 - lam + 2.0 * alpha * mu_sm
     first = (2.0 * alpha * mu_sm * lam * (2.0 - lam)
              / ((1.0 + alpha ** 2 * l_lip ** 2) * denom_tail))
-    second = (2.0 * alpha * lam * _thm32_second_numerator(alpha, lam, mu_sm, l_lip)
+    second = (2.0 * alpha * lam
+              * ((2.0 - lam) * (mu_sm + l_lip) + 2.0 * alpha * mu_sm * l_lip)
               / ((1.0 + alpha * l_lip) ** 2 * denom_tail))
     rho = math.sqrt(1.0 - min(first, second))
     return RateReport(rho, "thm32",
@@ -456,13 +446,6 @@ class DominanceReport:
     def all_strict(self) -> bool:
         return all(not p.violations and p.min_margin > 0
                    for p in self.pairings)
-
-    def as_dict(self) -> dict:
-        return {"pairings": [
-            {"new": p.new_label, "prior": p.prior_label,
-             "samples": p.samples, "min_margin": p.min_margin,
-             "violations": p.violations}
-            for p in self.pairings], "all_strict": self.all_strict}
 
 
 def dominance_check(sample_count: int = 1000,

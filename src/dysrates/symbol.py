@@ -1,4 +1,4 @@
-"""The three-operator splitting symbol and its shifted modulus.
+"""The three-operator splitting parameters and symbol.
 
 zeta(z_A, z_B, z_C) = 1 - lam*z_A - lam*z_B + lam*(2 - alpha*z_C)*z_A*z_B
 
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import PreconditionError
 
@@ -49,6 +47,3 @@ def zeta(z_a, z_b, z_c, params: DysParams):
     lam, alpha = params.lam, params.alpha
     return 1.0 - lam * z_a - lam * z_b + lam * (2.0 - alpha * z_c) * z_a * z_b
 
-
-def shifted_modulus(z_a, z_b, z_c, params: DysParams):
-    return np.abs(zeta(z_a, z_b, z_c, params) - params.shift)

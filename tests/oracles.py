@@ -5,6 +5,7 @@ vectorized kernels.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -153,6 +154,18 @@ def thm33_ball(alpha, lam, beta_c, mu_c):
     return (2.0 - lam) / alpha, math.sqrt(r_sq) / alpha
 
 
+def thm32_rho(alpha, lam, l_lip, mu_sm):
+    """Theorem 3.2's factor with the second min numerator in the proof's
+    grouping, mu (2 - lam) + L (2 - lam + 2 alpha mu), where the statement
+    displays (2 - lam)(mu + L) + 2 alpha mu L."""
+    tail = 2.0 - lam + 2.0 * alpha * mu_sm
+    first = (2.0 * alpha * mu_sm * lam * (2.0 - lam)
+             / ((1.0 + alpha ** 2 * l_lip ** 2) * tail))
+    second = (2.0 * alpha * lam * (mu_sm * (2.0 - lam) + l_lip * tail)
+              / ((1.0 + alpha * l_lip) ** 2 * tail))
+    return math.sqrt(1.0 - min(first, second))
+
+
 def thm41_theta(alpha, mu, l_c):
     """Theorem 4.1's averagedness theta = 2/(4 - alpha L_C^2/mu)."""
     return 2.0 / (4.0 - alpha * l_c ** 2 / mu)
@@ -190,6 +203,11 @@ def zeta_partials(z_a, z_b, z_c, params):
     return (-lam + lam * w * z_b,
             -lam + lam * w * z_a,
             -lam * alpha * z_a * z_b)
+
+
+def shifted_modulus(z_a, z_b, z_c, params):
+    """|zeta - s|, the quantity the search maximizes."""
+    return np.abs(zeta(z_a, z_b, z_c, params) - params.shift)
 
 
 def shifted_modulus_sq(z_a, z_b, z_c, params):
@@ -278,6 +296,21 @@ def assert_matches(got, expected, where):
             assert_matches(g, e, f"{where}[{i}]")
     else:
         assert type(got) is type(expected) and got == expected, where
+
+
+def rerecorded(fresh, committed):
+    """The entry a golden re-record writes: the committed one while the
+    fresh one, read back from JSON, still passes assert_matches against it,
+    so an entry that moved by an ulp stays as committed; otherwise the
+    fresh one."""
+    fresh = json.loads(json.dumps(fresh))
+    if committed is None:
+        return fresh
+    try:
+        assert_matches(fresh, committed, "")
+    except AssertionError:
+        return fresh
+    return committed
 
 
 def svg_points_reference(fig, zs, color: str, radius: float = 0.8) -> str:

@@ -10,6 +10,7 @@ from dysrates import (ParameterRanges, PreconditionError, averagedness_thm41,
                       default_eps, default_eta, dominance_check, rates)
 from dysrates.rates import (PLACEMENTS, prior_d61, prior_d62, prior_d63,
                             prior_d64, prior_d65, prior_d66)
+from oracles import thm32_rho
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +235,17 @@ def test_compare_names_one_operator_priors_after_it(op):
 
 
 def test_thm32_numerator_renderings_agree():
-    # the two displayed groupings of the second min numerator are equal
+    # the statement's grouping of the second min numerator, which the
+    # package computes, against the proof's, across Theorem 3.2's window;
+    # the numerator's term is the min at small L (24 of these 200 draws)
     rng = np.random.default_rng(8)
     for _ in range(200):
-        alpha, lam, mu, L = rng.uniform(0.1, 2.0, size=4)
-        a = (2 - lam) * (mu + L) + 2 * alpha * mu * L
-        b = mu * (2 - lam) + L * (2 - lam + 2 * alpha * mu)
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+        alpha, mu = rng.uniform(0.1, 2.0, size=2)
+        L = rng.uniform(0.01, 0.5)
+        beta_c = rng.uniform(alpha / 4.0, 2.0) * 1.01
+        lam = rng.uniform(0.01, 1.0) * (2.0 - alpha / (2.0 * beta_c))
+        rho = contraction_thm32(alpha, lam, beta_c, L, mu).rho
+        assert rho == pytest.approx(thm32_rho(alpha, lam, L, mu), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

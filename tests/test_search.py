@@ -18,8 +18,7 @@ from dysrates import (Disk, DiskExterior, DysParams, PreconditionError,
                       Region, UnboundedRegionError,
                       boundary_pieces, cocoercive, coordinate_polish,
                       grid_evaluate, lipschitz, monotone,
-                      shifted_lipschitz_ball, shifted_modulus,
-                      strongly_monotone, zeta)
+                      shifted_lipschitz_ball, strongly_monotone, zeta)
 import dysrates.geometry as geometry_module
 import dysrates.search as search_module
 from dysrates import rates
@@ -29,7 +28,7 @@ from dysrates.geometry import (Arc, Segment, _piece_maximizer, _value_on_piece,
                                boundary_grid)
 from dysrates.search import POLISH_SEEDS, _peaks, search, search_regions
 from dysrates.verify import _random_boundary_points
-from oracles import lipschitz_bound, project
+from oracles import lipschitz_bound, project, shifted_modulus
 
 P11 = DysParams(1.0, 1.0)
 

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from dysrates import Disk, DysParams, PreconditionError, shifted_modulus, zeta
+from dysrates import Disk, DysParams, PreconditionError, zeta
 from oracles import (grad_shifted_modulus_sq, lipschitz_bound,
-                     lipschitz_bound_coarse, shifted_modulus_sq,
-                     zeta_partials)
+                     lipschitz_bound_coarse, shifted_modulus,
+                     shifted_modulus_sq, zeta_partials)
 
 P11 = DysParams(1.0, 1.0)
 
