@@ -372,6 +372,25 @@ def test_verify_warns_where_the_srg_theorem_does_not_apply(
         assert lines == []
 
 
+def test_verify_names_hypotheses_i_and_ii(tmp_path, capsys):
+    # I + alpha A = Disk(-2, 1) lies in the left half-plane, so A is not
+    # monotone and I + alpha A has no right-arc property; C's side holds
+    payload = {"classes": {"A": [{"kind": "shifted_lipschitz_ball",
+                                  "center": -3.0, "radius": 1.0}],
+                           "B": [{"kind": "monotone"}],
+                           "C": [{"kind": "cocoercive", "beta": 1.0}]},
+               "params": {"alpha": 1.0, "lambda": 1.0}}
+    spec = write_spec(tmp_path, payload)
+    code = main(["verify", spec, "--rho", "5", "--trials", "50"])
+    captured = capsys.readouterr()
+    assert code == 0 and json.loads(captured.out)["passed"] is True
+    assert captured.err == (
+        "warning: the SRG theorem does not apply at s = 0.0 (false: (i) I + "
+        "alpha A has the right-arc property; (ii) A and B are monotone); a "
+        "pass shows no 2x2 counterexample, not a bound for every operator "
+        "in the classes\n")
+
+
 # ---------------------------------------------------------------------------
 # a class of four atoms
 # ---------------------------------------------------------------------------
