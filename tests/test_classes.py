@@ -261,7 +261,6 @@ def test_preflight_unbounded_c():
     report = dys_preflight(monotone(), monotone(), strongly_monotone(0.5),
                            DysParams(1.0, 1.0, 0.0))
     assert report == (True, True, True)
-    assert report.applicable
 
 
 def test_preflight_builds_no_resolvent_region(monkeypatch):
