@@ -470,6 +470,38 @@ def boundary_pieces(region: Region) -> list:
     return pieces
 
 
+def upper_half(pieces) -> list:
+    """The parts of boundary pieces with Im z >= 0, in order.
+
+    An arc keeps its angles in [0, pi] mod 2 pi: a full circle [-pi, pi]
+    keeps [0, pi], an arc through pi keeps the part up to pi.  A segment is
+    cut at Im z = 0.  A part of zero length is dropped, since a grid would
+    divide by its length, but a zero-length piece (a point) is kept when it
+    lies in the closed upper half, so a point, or a conjugate pair of
+    points, keeps its upper point."""
+    out = []
+    for piece in pieces:
+        if isinstance(piece, Arc):
+            k = math.floor(piece.angle_start / TWO_PI)
+            while TWO_PI * k < piece.angle_end:
+                lo = max(piece.angle_start, TWO_PI * k)
+                hi = min(piece.angle_end, TWO_PI * k + math.pi)
+                if hi > lo:
+                    out.append(Arc(piece.center, piece.radius, lo, hi))
+                k += 1
+            continue
+        p0, p1 = piece.p0, piece.p1
+        if p0 == p1 or (p0.imag >= 0.0 and p1.imag >= 0.0):
+            if p0.imag >= 0.0:
+                out.append(piece)
+        elif p0.imag > 0.0 or p1.imag > 0.0:
+            t = p0.imag / (p0.imag - p1.imag)
+            cut = complex(p0.real + t * (p1.real - p0.real), 0.0)
+            out.append(Segment(cut, p1) if p1.imag > 0.0 else
+                       Segment(p0, cut))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Boundary sampling
 # ---------------------------------------------------------------------------
@@ -640,9 +672,10 @@ def _piece_maximizer(piece):
     return on_arc
 
 
-def _value_on_piece(piece, p_coef, q_coef):
+def _value_on_piece(piece, p_coef, q_coef, p_abs=None):
     """Largest |P z + Q| over one boundary piece, elementwise over arrays P
-    and Q, without locating the maximizer.
+    and Q, without locating the maximizer; p_abs, when given, is |P|, for a
+    caller that takes it over several pieces.
 
     The value |W| + |P| r of an arc (W = P c + Q) is reached when the angle
     arg(W conj P) lies on the arc, and always on a full circle; otherwise,
@@ -653,7 +686,9 @@ def _value_on_piece(piece, p_coef, q_coef):
     """
     if isinstance(piece, Arc):
         w = p_coef * piece.center + q_coef
-        crest = np.abs(w) + np.abs(p_coef) * piece.radius
+        if p_abs is None:
+            p_abs = np.abs(p_coef)
+        crest = np.abs(w) + p_abs * piece.radius
         span = piece.angle_end - piece.angle_start
         if span >= TWO_PI:
             return crest

@@ -1,9 +1,11 @@
 """Maximization of |zeta - s| over the boundary product of three regions.
 
-The pipeline: sample the boundaries of B and C on an eps-grid; for every
-grid pair (z_B, z_C) take the largest |zeta - s| over the boundary of A
-exactly, since zeta - s is affine in z_A and each arc or segment of A has
-a closed-form maximum value; locate the maximizing z_A only at the peaks
+The pipeline: sample the boundary of C and the upper half, Im z_B >= 0,
+of the boundary of B on an eps-grid (every region is symmetric about the
+real axis and zeta has real coefficients, so a conjugate triple has the
+same |zeta - s|); for every grid pair (z_B, z_C) take the largest
+|zeta - s| over the boundary of A exactly, since zeta - s is affine in z_A
+and each arc or segment of A has a closed-form maximum value; locate the maximizing z_A only at the peaks
 of that grid, the pairs no array neighbour exceeds; certify a global upper
 bound from the grid values alone; and only when that bound leaves room
 above the grid best, polish the peak triples by exact cyclic coordinate
@@ -45,7 +47,8 @@ import numpy as np
 from .classes import OperatorClassSpec, resolvent_srg, srg
 from .errors import PreconditionError, UnboundedRegionError
 from .geometry import (Arc, Region, _piece_maximizer, _value_on_piece,
-                       boundary_grid, boundary_pieces, grid_intervals)
+                       boundary_grid, boundary_pieces, grid_intervals,
+                       upper_half)
 from .symbol import DysParams, zeta
 
 # Most (z_B, z_C) grid pairs grid_evaluate takes.  The grid stage and the
@@ -122,9 +125,10 @@ def _max_over_a(pieces_a, zb, zc, params: DysParams):
     column zb of B points and a row zc of C points, with the coefficients
     of zeta - s = P z_A + Q it was taken from."""
     p_coef, q_coef = _affine_in(0, None, zb, zc, params)
-    vals = _value_on_piece(pieces_a[0], p_coef, q_coef)
+    p_abs = np.abs(p_coef)
+    vals = _value_on_piece(pieces_a[0], p_coef, q_coef, p_abs)
     for piece in pieces_a[1:]:
-        vals = np.maximum(vals, _value_on_piece(piece, p_coef, q_coef))
+        vals = np.maximum(vals, _value_on_piece(piece, p_coef, q_coef, p_abs))
     return vals, p_coef, q_coef
 
 
@@ -139,11 +143,19 @@ def _peaks(values):
     moves z_B, climbs best where the row's neighbours fall off least, and
     by index alone the first POLISH_SEEDS entries of the row would take
     every seed."""
-    padded = np.pad(values, 1, mode="edge")
-    around = (padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2],
-              padded[1:-1, 2:])
-    top = np.flatnonzero(np.logical_and.reduce([values >= n for n in around]))
-    near = sum(n[np.unravel_index(top, values.shape)] for n in around)
+    peak = np.ones(values.shape, dtype=bool)
+    peak[1:] &= values[1:] >= values[:-1]
+    peak[:-1] &= values[:-1] >= values[1:]
+    peak[:, 1:] &= values[:, 1:] >= values[:, :-1]
+    peak[:, :-1] &= values[:, :-1] >= values[:, 1:]
+    top = np.flatnonzero(peak)
+    rows, cols = np.unravel_index(top, values.shape)
+    up, down = np.maximum(rows - 1, 0), np.minimum(rows + 1, len(values) - 1)
+    left = np.maximum(cols - 1, 0)
+    right = np.minimum(cols + 1, values.shape[1] - 1)
+    # summed in the order up, down, left, right, from 0, as ties break on it
+    near = sum((values[up, cols], values[down, cols], values[rows, left],
+                values[rows, right]))
     return top[np.lexsort((top, -near, -values.ravel()[top]))[:POLISH_SEEDS]]
 
 
@@ -204,8 +216,8 @@ def coordinate_polish(starts, pieces_triple, params: DysParams,
     largest |zeta - s| there (the first on a tie) gives the row's move,
     accepted only when it beats the row's value by more than POLISH_TOL.
     Steps cycle through the coordinates from coordinate first (0, 1, 2 for
-    A, B, C), every row taking each step, for at most POLISH_MAX_SWEEPS
-    sweeps, until two steps in a row move no row, so no row falls below its
+    A, B, C), for at most POLISH_MAX_SWEEPS sweeps; a row takes every step
+    until two steps in a row leave it in place, so no row falls below its
     start.  The coordinates before first must already be maximal at every
     start, as z_A is at a grid seed: they count as run.
     Returns (best_value, best_point, evaluations) for the best row, the
@@ -217,11 +229,12 @@ def coordinate_polish(starts, pieces_triple, params: DysParams,
     shift = params.shift
     values = [abs(zeta(*x, params) - shift) for x in rows]
     evals = len(rows)
-    idle = 0
+    live = list(range(len(rows)))
+    idle = [0] * len(rows)
     for step in range(3 * POLISH_MAX_SWEEPS):
         idx = (first + step) % 3
-        moved = False
-        for i, x in enumerate(rows):
+        for i in live:
+            x = rows[i]
             p_coef, q_coef = _affine_in(idx, *x, params)
             best = -math.inf
             for far in maximizers[idx]:
@@ -231,16 +244,18 @@ def coordinate_polish(starts, pieces_triple, params: DysParams,
                 if value > best:
                     best, point = value, trial
             if best > values[i] + POLISH_TOL:
-                rows[i], values[i] = point, best
-                moved = True
-        evals += len(rows) * len(maximizers[idx])
-        idle = 0 if moved else idle + 1
-        # Two idle steps, once all three coordinates have run (or were
-        # maximal at the start): every row was maximized over the coordinate
-        # before them and nothing has moved since, so its next step would
-        # find the same candidates, idle too.
-        if idle >= 2 and step >= 2 - first:
-            break
+                rows[i], values[i], idle[i] = point, best, 0
+            else:
+                idle[i] += 1
+        evals += len(live) * len(maximizers[idx])
+        # A row idle for two steps, once all three coordinates have run (or
+        # were maximal at the start), was maximized over the coordinate
+        # before them and has not moved since, so each later step would
+        # find the same candidates and leave it idle too: it stops.
+        if step >= 2 - first:
+            live = [i for i in live if idle[i] < 2]
+            if not live:
+                break
     i = max(range(len(rows)), key=values.__getitem__)
     return values[i], tuple(rows[i]), evals
 
@@ -283,52 +298,71 @@ def _check_scale(params: DysParams, pieces_a, pieces_b, pieces_c) -> None:
 
 
 def _grid_stage(region_a: Region, region_b: Region, region_c: Region,
-                params: DysParams, eps: float):
+                params: DysParams, eps: float, pieces=None):
     """The grid stage over three explicit regions, on boundary grids of
-    spacing eps.  Each boundary is decomposed once; only B and C are
+    spacing eps.  Each boundary is decomposed once, or taken from pieces,
+    the three regions' boundary_pieces; only C and the upper half of B are
     sampled, and an eps over the pair budget is refused before either is.
-    Returns (pieces_a, grids, grid_best_value, grid_best_point, seeds,
-    evaluations, values), with the boundary pieces of A, the boundary grids
-    of B and C, the polish seeds and the values array of grid_evaluate."""
+    Returns (pieces, grids, grid_best_value, grid_best_point, seeds,
+    evaluations, values), with the boundary pieces of A, B and C, the
+    boundary grids of B's upper half and of C, the polish seeds and the
+    values array of grid_evaluate."""
     regions = region_a, region_b, region_c
     for name, region in zip("ABC", regions):
         if not region.bounded:
             raise UnboundedRegionError(
                 f"search region {name} is unbounded; add a bounding atom or "
                 "an enlargement")
-    pieces_a, pieces_b, pieces_c = (boundary_pieces(r) for r in regions)
+    if pieces is None:
+        pieces = tuple(boundary_pieces(r) for r in regions)
+    # Every region is symmetric about the real axis and zeta has real
+    # coefficients, so the conjugate of a boundary triple is a boundary
+    # triple whose zeta is the conjugate, and s is real: |zeta - s| is the
+    # same at both.  Every triple with Im z_B < 0 has its mirror with
+    # Im z_B > 0, so the grid and the certificate lose nothing on the
+    # upper half of B.  The polish alone keeps all of B (_polish).
+    halves = upper_half(pieces[1]), pieces[2]
     _check_pairs(*(sum(n + 1 for n in grid_intervals(p, eps))
-                   for p in (pieces_b, pieces_c)))
-    _check_scale(params, pieces_a, pieces_b, pieces_c)
-    grids = (boundary_grid(region_b, eps, pieces_b),
-             boundary_grid(region_c, eps, pieces_c))
+                   for p in halves))
+    _check_scale(params, *pieces)
+    grids = tuple(boundary_grid(r, eps, p)
+                  for r, p in zip(regions[1:], halves))
     grid_best, grid_point, seeds, evals, values = grid_evaluate(
-        pieces_a, grids[0].points, grids[1].points, params)
-    return pieces_a, grids, grid_best, grid_point, seeds, evals, values
+        pieces[0], grids[0].points, grids[1].points, params)
+    return pieces, grids, grid_best, grid_point, seeds, evals, values
 
 
-def _polish(seeds, pieces_a, grids, params: DysParams, grid_best: float,
+def _polish(seeds, pieces, params: DysParams, grid_best: float,
             grid_point: tuple):
     """(best_value, best_point, evaluations) of the polish of the grid's
     seeds, or the grid best where the polish does not beat it.  The grid
     stage has maximized z_A exactly at every seed, so the polish starts at
-    z_B: a first step in z_A could not move a row."""
-    polished, point, evals = coordinate_polish(
-        seeds, (pieces_a,) + tuple(g.pieces for g in grids), params, first=1)
-    if polished > grid_best:
-        return polished, point, evals
-    return grid_best, grid_point, evals
+    z_B: a first step in z_A could not move a row.
+
+    The polish steps over all of B.  Mirror symmetry holds for whole
+    triples, not for one coordinate: with z_A and z_C fixed off the real
+    axis, the best z_B can lie below it, and a polish held to the upper
+    half stops at the axis (up to 3e-3 lower, measured on instances whose
+    grid rows tie).  A best point with Im z_B < 0 is reported as its mirror,
+    whose value is the same bits: conjugating the inputs conjugates every
+    rounded complex product and sum."""
+    polished, point, evals = coordinate_polish(seeds, pieces, params,
+                                               first=1)
+    if polished <= grid_best:
+        return grid_best, grid_point, evals
+    if point[1].imag < 0.0:
+        point = tuple(z.conjugate() for z in point)
+    return polished, point, evals
 
 
 def locate_maximum(region_a: Region, region_b: Region, region_c: Region,
-                   params: DysParams, eps: float = EPS_GRID):
+                   params: DysParams, eps: float = EPS_GRID, pieces=None):
     """The grid stage and the polish over three explicit regions, without a
-    certificate, on boundary grids of spacing eps.  Returns (best_value,
-    best_point)."""
-    pieces_a, grids, grid_best, grid_point, seeds, _, _ = _grid_stage(
-        region_a, region_b, region_c, params, eps)
-    return _polish(seeds, pieces_a, grids, params, grid_best,
-                   grid_point)[:2]
+    certificate, on boundary grids of spacing eps; pieces, when given, are
+    the regions' boundary_pieces.  Returns (best_value, best_point)."""
+    pieces, _, grid_best, grid_point, seeds, _, _ = _grid_stage(
+        region_a, region_b, region_c, params, eps, pieces)
+    return _polish(seeds, pieces, params, grid_best, grid_point)[:2]
 
 
 def _vertex_bound(pieces_a, grids, values, params: DysParams,
@@ -364,10 +398,12 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
     boundary grids of spacing eps: the grid stage, then the certificate,
     then the polish, only when the certificate leaves room above the grid
     best."""
-    (pieces_a, (grid_b, grid_c), grid_best, grid_point, seeds, evals,
+    (pieces, (grid_b, grid_c), grid_best, grid_point, seeds, evals,
      values) = _grid_stage(region_a, region_b, region_c, params, eps)
+    pieces_a = pieces[0]
 
-    # The pruning bound.  Take any boundary triple (z_A, z_B, z_C) and the
+    # The pruning bound.  Take any boundary triple (z_A, z_B, z_C) with
+    # Im z_B >= 0 (any other has a mirror there of the same value) and the
     # grid points z_B', z_C' nearest to z_B, z_C, within r_B, r_C of them.
     # 1. zeta is affine in z_C with slope -lam alpha z_A z_B, so moving z_C
     #    to z_C' changes |zeta - s| by at most M_C r_C, where
@@ -417,7 +453,7 @@ def search_regions(region_a: Region, region_b: Region, region_c: Region,
     best_value, best_point = grid_best, grid_point
     if min(vertex, grid_best + slack) > grid_best:
         best_value, best_point, polish_evals = _polish(
-            seeds, pieces_a, (grid_b, grid_c), params, grid_best, grid_point)
+            seeds, pieces, params, grid_best, grid_point)
         evals += polish_evals
 
     # The vertex bound is tight enough for rounding to show: two evaluations

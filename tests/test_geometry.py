@@ -14,7 +14,7 @@ from dysrates import (Arc, Disk, DiskExterior, EmptyRegionError, HalfPlane,
                       UnsupportedOrientationError, boundary_pieces,
                       has_left_arc_property, has_right_arc_property)
 from dysrates.geometry import (BoundaryGrid, _piece_maximizer,
-                               _value_on_piece, boundary_grid)
+                               _value_on_piece, boundary_grid, upper_half)
 from oracles import arc_sampling_refuter, distance_to_hull, project
 
 
@@ -443,6 +443,89 @@ def test_sample_budget_is_checked_before_sampling(monkeypatch):
     monkeypatch.setattr(geometry, "SAMPLE_BUDGET", n - 1)
     with pytest.raises(PreconditionError, match=f"needs {n}"):
         boundary_grid(region, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# the upper half of a boundary
+# ---------------------------------------------------------------------------
+
+def _check_upper_half(pieces, eps):
+    """Every piece upper_half keeps lies on the given boundary with
+    Im z >= 0 and has positive length unless the boundary piece was a point,
+    and every point of a dense sample of the whole boundary lies within the
+    covering radius of the kept pieces' grid of one of its samples or of the
+    conjugate of one."""
+    kept = upper_half(pieces)
+    assert kept
+    for piece in kept:
+        assert piece.length > 0.0 or (
+            isinstance(piece, Segment) and piece in pieces)
+        zs = piece.point_at(np.linspace(0.0, 1.0, 101))
+        assert zs.imag.min() >= -1e-12
+        for z in zs.tolist():
+            gap = min(abs(project(p, z) - z) for p in pieces)
+            assert gap <= 1e-12 * (1.0 + abs(z))
+    # boundary_grid reads the region only to refuse an unbounded one; the
+    # pieces it samples are the ones given
+    grid = boundary_grid(Region((Disk(0.0, 1.0),)), eps, kept)
+    dense = np.concatenate([p.point_at(np.linspace(0.0, 1.0, 2001))
+                            for p in pieces])
+    near = np.minimum(
+        np.abs(dense[:, None] - grid.points[None, :]).min(axis=1),
+        np.abs(dense.conj()[:, None] - grid.points[None, :]).min(axis=1))
+    assert near.max() <= grid.covering_radius + 1e-12 * (
+        1.0 + np.abs(dense).max())
+    return kept
+
+
+POINT = 0.5 + 0.5j
+UPPER_HALF_CASES = {
+    "full circle": ([Arc(0.5, 0.5, -math.pi, math.pi)],
+                    [Arc(0.5, 0.5, 0.0, math.pi)]),
+    "arc through pi": ([Arc(1.0, 1.0, 0.75 * math.pi, 1.25 * math.pi)],
+                       [Arc(1.0, 1.0, 0.75 * math.pi, math.pi)]),
+    "arc through 0": ([Arc(1.0, 1.0, -1.0, 1.0)], [Arc(1.0, 1.0, 0.0, 1.0)]),
+    "conjugate arcs": ([Arc(0.0, 1.0, 0.5, 2.0), Arc(0.0, 1.0, -2.0, -0.5)],
+                       [Arc(0.0, 1.0, 0.5, 2.0)]),
+    "arc ending on the axis": ([Arc(0.0, 1.0, 0.0, 1.0),
+                                Arc(0.0, 1.0, -1.0, 0.0)],
+                               [Arc(0.0, 1.0, 0.0, 1.0)]),
+    "vertical segment across the axis": (
+        [Segment(0.3 - 0.7j, 0.3 + 0.7j)], [Segment(0.3 + 0j, 0.3 + 0.7j)]),
+    "downward segment across the axis": (
+        [Segment(0.3 + 0.7j, 0.3 - 0.7j)], [Segment(0.3 + 0.7j, 0.3 + 0j)]),
+    "segment on the axis": ([Segment(-0.5 + 0j, 1.5 + 0j)],
+                            [Segment(-0.5 + 0j, 1.5 + 0j)]),
+    "segment ending on the axis": (
+        [Segment(0.3 + 0j, 0.3 + 0.7j), Segment(0.3 - 0.7j, 0.3 + 0j)],
+        [Segment(0.3 + 0j, 0.3 + 0.7j)]),
+    "point": ([Segment(0.25 + 0j, 0.25 + 0j)],
+              [Segment(0.25 + 0j, 0.25 + 0j)]),
+    "conjugate pair of points": (
+        [Segment(POINT, POINT), Segment(POINT.conjugate(), POINT.conjugate())],
+        [Segment(POINT, POINT)]),
+}
+
+
+@pytest.mark.parametrize("case", list(UPPER_HALF_CASES))
+def test_upper_half_cases(case):
+    pieces, expected = UPPER_HALF_CASES[case]
+    assert _check_upper_half(pieces, 0.1) == expected
+
+
+BOUNDED_REGION = st.builds(lambda disk, others: Region((disk,) + tuple(others)),
+                           st.builds(Disk, CENTER, RADIUS),
+                           st.lists(ATOM, max_size=2))
+
+
+@settings(deadline=None, max_examples=60)
+@given(BOUNDED_REGION, st.sampled_from([0.05, 0.2, 1.0]))
+def test_upper_half_of_a_region_boundary(region, eps):
+    try:
+        pieces = boundary_pieces(region)
+    except EmptyRegionError:
+        assume(False)
+    _check_upper_half(pieces, eps)
 
 
 PIECE = st.one_of(

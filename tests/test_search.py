@@ -142,6 +142,21 @@ def test_plateau_seeds_go_where_the_neighbours_fall_off_least():
     assert set(seeds) < set(range(10))
 
 
+@pytest.mark.parametrize("denom", [30, 60])
+@pytest.mark.parametrize("c", [published_instance()[2], enlarged_c()],
+                         ids=["plain", "enlarged"])
+def test_grid_candidates_are_upper_half_and_not_mirrors(c, denom):
+    # a conjugate triple has the same value, so B is searched on
+    # Im z_B >= 0 only and no polish seed is spent on a mirror image
+    a, b, _ = published_instance()
+    regions = _instance_regions(a, b, c, P11)
+    seeds = search_module._grid_stage(*regions, P11, 1.0 / denom)[4]
+    assert all(z_b.imag >= 0.0 for _, z_b, _ in seeds)
+    for i, x in enumerate(seeds):
+        for y in seeds[i + 1:]:
+            assert max(abs(u.conjugate() - v) for u, v in zip(x, y)) > 1e-12
+
+
 def test_grid_close_to_published_value_within_certificate_slack():
     a, b, c = published_instance()
     grids = instance_pieces(a, b, c, 1.0 / 120.0)
@@ -334,6 +349,20 @@ def test_certified_upper_never_looser_than_enclosure_bound(a, b, c, params):
                                       * result.covering_radius + 1e-12)
 
 
+@settings(deadline=None, max_examples=40)
+@given(AB_CLASS, AB_CLASS, C_CLASS, PARAMS)
+def test_reported_points_lie_on_the_upper_half_of_b(a, b, c, params):
+    # the polish steps over all of B and reports a best point below the
+    # axis as its mirror, which has the same value to the bit
+    regions = _instance_regions(a, b, c, params)
+    result = search_regions(*regions, params, 1.0 / 20.0)
+    assert result.grid_best_point[1].imag >= 0.0
+    assert result.best_point[1].imag >= 0.0
+    if result.best_value > result.grid_best_value:
+        assert result.best_value == abs(zeta(*result.best_point, params)
+                                        - params.shift)
+
+
 def _polish_from_best_grid_pairs(regions, params, eps):
     """(search result, value of the polish started from the 64 largest
     grid values), those being the seeds the search took before the peaks."""
@@ -406,20 +435,19 @@ def _dense_boundary(region, n):
                            for p in boundary_pieces(region)])
 
 
-def _slack_guard(centers, sampled, params):
-    """Search over tiny disks about the two given centers and a unit circle
-    in the remaining coordinate, sampled at 7 points so that the real
-    maximizer falls halfway between two of them; the certificate must
-    still cover the maximum found on a dense sample, and so must the
-    first-order bound that prunes and caps it, since the polish can reach
-    the maximum and lift the certificate to it whatever the slack."""
-    regions = [Region((Disk(c, 1e-9),)) for c in centers]
-    regions.insert(sampled, Region((Disk(1.0, 1.0),)))
-    result = search_regions(*regions, params, 1.0)
-    za, zb, zc = (_dense_boundary(r, 20001 if i == sampled else 3)
-                  for i, r in enumerate(regions))
-    dense = shifted_modulus(za[:, None, None], zb[None, :, None],
-                            zc[None, None, :], params).max()
+def _slack_guard(regions, params, eps, samples):
+    """Search an instance whose one sampled boundary, a unit circle, puts
+    the maximizer well between two of its samples, the other two regions
+    being a tiny disk and A; the certificate must still cover the maximum
+    found on a dense sample (samples points per piece, A exactly), and so
+    must the first-order bound that prunes and caps it, since the polish
+    can reach the maximum and lift the certificate to it whatever the
+    slack."""
+    result = search_regions(*regions, params, eps)
+    dense = grid_evaluate(boundary_pieces(regions[0]),
+                          *(_dense_boundary(r, n)
+                            for r, n in zip(regions[1:], samples)),
+                          params)[0]
     # the instance puts the maximum well between samples
     assert dense > result.grid_best_value + 0.25
     assert dense <= result.certified_upper
@@ -428,13 +456,24 @@ def _slack_guard(centers, sampled, params):
 
 
 def test_certificate_covers_maximum_between_c_samples():
-    # z_A = 1, z_B = -20: zeta - s = 20 z_C - 1, M_C = 20 and M_B = 1
-    _slack_guard((1.0, -20.0), 2, DysParams(1.0, 1.0, -19.0))
+    # z_A = 1, z_B = -20: zeta - s = 20 z_C - 1, M_C = 20 and M_B = 1; C's
+    # 7 intervals leave its maximizer 2 halfway between two samples
+    regions = [Region((Disk(c, 1e-9),)) for c in (1.0, -20.0)]
+    regions.append(Region((Disk(1.0, 1.0),)))
+    _slack_guard(regions, DysParams(1.0, 1.0, -19.0), 1.0, (3, 20001))
 
 
 def test_certificate_covers_maximum_between_b_samples():
-    # z_A = 1/2, z_C = -40: zeta - s = 20 z_B + 1/2, M_B = 20 and M_C = 1
-    _slack_guard((0.5, -40.0), 1, P11)
+    # B is searched on its upper half, whose ends lie on the real axis, so
+    # the maximizer must lie off it, which takes a nonreal z_A.  With
+    # z_C = 100 and alpha = 0.01, 2 - alpha z_C = 1, and A the circle about
+    # 21 of radius 20 gives max_A |zeta - s| = 20 (|z_B + 1| + |z_B - 1|)
+    # at s = -40: on the unit circle it peaks at z_B = i, halfway along a
+    # cell of the upper half's 5 intervals.  M_B = 40 and M_C = 0.41, so
+    # neither r_B nor M_B can be dropped from the bound.
+    regions = [Region((Disk(21.0, 20.0),)), Region((Disk(0.0, 1.0),)),
+               Region((Disk(100.0, 1e-9),))]
+    _slack_guard(regions, DysParams(0.01, 1.0, -40.0), 0.7, (20001, 3))
 
 
 def _second_peak_guard(regions, params, eps, samples):
@@ -719,11 +758,10 @@ def test_skipped_polish_could_gain_only_rounding(a, b, c, params):
         return
     assert result.best_value == result.grid_best_value
     assert result.best_point == result.grid_best_point
-    pieces_a, grids, _, _, seeds, _, _ = search_module._grid_stage(
+    pieces, grids, _, _, seeds, _, _ = search_module._grid_stage(
         *regions, params, eps)
-    allowance = _rounding_allowance(pieces_a, grids, params)
-    polished = coordinate_polish(
-        seeds, (pieces_a,) + tuple(g.pieces for g in grids), params)[0]
+    allowance = _rounding_allowance(pieces[0], grids, params)
+    polished = coordinate_polish(seeds, pieces, params)[0]
     assert polished <= result.best_value + allowance
     assert result.certified_upper <= result.best_value + allowance
 
@@ -760,9 +798,8 @@ def test_polish_from_b_matches_polish_from_a(case):
         problems = _bench_problems(case)
     for params, regions in problems:
         for eps in (1.0 / 30.0, 1.0 / 40.0):
-            pieces_a, grids, _, _, seeds, _, _ = search_module._grid_stage(
+            pieces, _, _, _, seeds, _, _ = search_module._grid_stage(
                 *regions, params, eps)
-            pieces = (pieces_a,) + tuple(g.pieces for g in grids)
             from_a = coordinate_polish(seeds, pieces, params)
             from_b = coordinate_polish(seeds, pieces, params, first=1)
             assert from_b[:2] == from_a[:2]
