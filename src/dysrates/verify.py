@@ -7,8 +7,11 @@ spectral norm equals the symbol modulus exactly.  This gives a check on
 every claimed contraction or averagedness factor that shares no code path
 with the region geometry or the closed forms.
 
-Each function below takes one 2x2 matrix or an (n, 2, 2) stack of them, so
-a verification run checks all of its trials in one batched pass.
+Each public function below takes one 2x2 matrix or an (n, 2, 2) stack of
+them, so a verification run checks all of its trials in one batched pass.
+The algebra itself runs on the four entry arrays (m00, m01, m10, m11) of a
+matrix or stack: a product, a shift or a norm is then a few elementwise
+numpy calls, where (n, 2, 2) stacks and @ cost many more.
 """
 
 from __future__ import annotations
@@ -21,57 +24,86 @@ from .classes import (Averaged, Cocoercive, Lipschitz, Monotone,
                       OperatorClassSpec, ShiftedLipschitzBall,
                       StronglyMonotone, dys_preflight, resolvent_srg, srg)
 from .errors import PreconditionError, SingularResolventError
-from .geometry import Region, boundary_pieces
+from .geometry import boundary_pieces
 from .search import locate_maximum
 from .symbol import DysParams
 
-I2 = np.eye(2)
 # Most random trials one verification draws.  A trial peaks at about 350
 # bytes (388 MB at 10^6 trials), so a run at this budget stays under
 # 0.8 GB.  A larger count is refused before any trial is drawn.
 TRIAL_BUDGET = 1 << 21
 
 
-def realize(z) -> np.ndarray:
-    """The scaled-rotation matrix acting on R^2 as multiplication by z; an
-    array of n values gives an (n, 2, 2) stack."""
-    z = np.asarray(z, dtype=complex)
-    return np.stack([np.stack([z.real, -z.imag], -1),
-                     np.stack([z.imag, z.real], -1)], -2)
-
+# ---------------------------------------------------------------------------
+# 2x2 algebra on entry arrays
+# ---------------------------------------------------------------------------
 
 def _entries(m: np.ndarray):
     """The entries (m00, m01, m10, m11) of a 2x2 matrix or of a stack of
-    them.  Formulas on the four entries cost a few numpy calls where
-    reductions over the last two axes cost many more."""
+    them."""
     return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
 
 
-def spectral_norm_2x2(m: np.ndarray):
-    """Largest singular value of a 2x2 matrix, in closed form.
+def _matrix(e) -> np.ndarray:
+    """The 2x2 matrix, or (n, 2, 2) stack, with entries e."""
+    return np.stack(e, -1).reshape(np.shape(e[0]) + (2, 2))
+
+
+def _rotation(z):
+    """Entries of the scaled rotation that multiplies by z."""
+    return z.real, -z.imag, z.imag, z.real
+
+
+def _shift(e, c):
+    """Entries of m - c I."""
+    m00, m01, m10, m11 = e
+    return m00 - c, m01, m10, m11 - c
+
+
+def _product(a, b):
+    """Entries of the product a b."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _norm(e):
+    """Largest singular value, in closed form.
 
     The formula squares squared entries, so each matrix is first scaled by
     the power of two that brings its largest entry into [0.5, 1); that
     scaling is exact and keeps tiny and huge entries from underflowing or
     overflowing."""
-    entries = _entries(m)
-    a00, a01, a10, a11 = map(np.abs, entries)
-    e = np.frexp(np.maximum(np.maximum(a00, a01), np.maximum(a10, a11)))[1]
-    m00, m01, m10, m11 = (np.ldexp(x, -e) for x in entries)
+    a00, a01, a10, a11 = map(np.abs, e)
+    k = np.frexp(np.maximum(np.maximum(a00, a01), np.maximum(a10, a11)))[1]
+    m00, m01, m10, m11 = (np.ldexp(x, -k) for x in e)
     a = m00 ** 2 + m10 ** 2
     d = m01 ** 2 + m11 ** 2
     b = m00 * m01 + m10 * m11
     disc = np.sqrt(np.maximum((a - d) ** 2 + 4.0 * b * b, 0.0))
-    return np.ldexp(np.sqrt(np.maximum(0.5 * (a + d + disc), 0.0)), e)
+    return np.ldexp(np.sqrt(np.maximum(0.5 * (a + d + disc), 0.0)), k)
 
 
-def _sym_min_eig(m: np.ndarray):
-    m00, m01, m10, m11 = _entries(m)
+def _sym_min_eig(e):
+    """Smallest eigenvalue of the symmetric part (m + m^T)/2."""
+    m00, m01, m10, m11 = e
     # the entries of (m + m^T)/2, rounded and overflowing as that matrix
     # sum would round and overflow them
     s00, s11, s01 = 0.5 * (m00 + m00), 0.5 * (m11 + m11), 0.5 * (m01 + m10)
     disc = np.sqrt(np.maximum((s00 - s11) ** 2 + 4.0 * s01 ** 2, 0.0))
     return 0.5 * ((s00 + s11) - disc)
+
+
+def realize(z) -> np.ndarray:
+    """The scaled-rotation matrix acting on R^2 as multiplication by z; an
+    array of n values gives an (n, 2, 2) stack."""
+    return _matrix(_rotation(np.asarray(z, dtype=complex)))
+
+
+def spectral_norm_2x2(m: np.ndarray):
+    """Largest singular value of a 2x2 matrix, in closed form (_norm)."""
+    return _norm(_entries(m))
 
 
 def operator_from_resolvent_point(z_j, alpha: float) -> np.ndarray:
@@ -85,18 +117,22 @@ def operator_from_resolvent_point(z_j, alpha: float) -> np.ndarray:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
-        op = (realize(1.0 / z_j) - I2) / alpha
-    if not np.isfinite(op).all():
+        op = [x / alpha for x in _shift(_rotation(1.0 / z_j), 1.0)]
+    if not all(np.isfinite(x).all() for x in op):
         raise SingularResolventError(
             "the operator (J^-1 - I)/alpha realized from a resolvent value "
             f"J is not finite at alpha = {alpha!r}")
-    return op
+    return _matrix(op)
 
 
 def dys_matrix(j_a: np.ndarray, j_b: np.ndarray, c: np.ndarray,
                alpha: float, lam: float) -> np.ndarray:
     """T = I - lam*J_B + lam*J_A (2 J_B - I - alpha*C J_B)."""
-    return I2 - lam * j_b + lam * j_a @ (2.0 * j_b - I2 - alpha * c @ j_b)
+    j_b = _entries(j_b)
+    c_jb = _product([alpha * x for x in _entries(c)], j_b)
+    inner = _shift([2.0 * b - x for b, x in zip(j_b, c_jb)], 1.0)
+    outer = _product([lam * x for x in _entries(j_a)], inner)
+    return _matrix(_shift([x - lam * b for x, b in zip(outer, j_b)], -1.0))
 
 
 def class_membership(m: np.ndarray, spec: OperatorClassSpec, tol=0.0):
@@ -105,23 +141,25 @@ def class_membership(m: np.ndarray, spec: OperatorClassSpec, tol=0.0):
     mask for a stack."""
     if np.any(np.asarray(tol) < 0):
         raise ValueError("tol must be nonnegative")
+    e = _entries(m)
     ok = np.ones(m.shape[:-2], dtype=bool)
     for atom in spec.atoms:
         if isinstance(atom, Monotone):
-            ok &= _sym_min_eig(m) >= -tol
+            ok &= _sym_min_eig(e) >= -tol
         elif isinstance(atom, StronglyMonotone):
-            ok &= _sym_min_eig(m) >= atom.mu - tol
+            ok &= _sym_min_eig(e) >= atom.mu - tol
         elif isinstance(atom, Lipschitz):
-            ok &= spectral_norm_2x2(m) <= atom.L + tol
+            ok &= _norm(e) <= atom.L + tol
         elif isinstance(atom, Cocoercive):
             # <x, Mx> >= beta ||Mx||^2  <=>  sym(M) - beta M^T M psd
-            mtm = np.swapaxes(m, -1, -2) @ m
-            ok &= _sym_min_eig(m - atom.beta * mtm) >= -tol
+            m00, m01, m10, m11 = e
+            mtm = _product((m00, m10, m01, m11), e)
+            ok &= _sym_min_eig([x - atom.beta * y
+                                for x, y in zip(e, mtm)]) >= -tol
         elif isinstance(atom, Averaged):
-            ok &= spectral_norm_2x2(m - (1.0 - atom.theta) * I2) \
-                <= atom.theta + tol
+            ok &= _norm(_shift(e, 1.0 - atom.theta)) <= atom.theta + tol
         elif isinstance(atom, ShiftedLipschitzBall):
-            ok &= spectral_norm_2x2(m - atom.center * I2) <= atom.radius + tol
+            ok &= _norm(_shift(e, atom.center)) <= atom.radius + tol
         else:
             raise ValueError(f"unknown atom {atom!r}")
     return bool(ok) if ok.ndim == 0 else ok
@@ -131,9 +169,11 @@ def class_membership(m: np.ndarray, spec: OperatorClassSpec, tol=0.0):
 # Randomized verification
 # ---------------------------------------------------------------------------
 
-def _random_boundary_points(region: Region, n: int,
+def _random_boundary_points(pieces, n: int,
                             rng: np.random.Generator) -> np.ndarray:
-    pieces = boundary_pieces(region)
+    """n points drawn on boundary pieces, a piece with probability in
+    proportion to its length (all alike when every length is 0), then a
+    uniform parameter on it."""
     lengths = np.array([p.length for p in pieces])
     total = lengths.sum()
     if total > 0:
@@ -170,7 +210,7 @@ class VerificationReport:
 
 def _check_trials(specs, params: DysParams, bound: float, center: float,
                   n_trials: int, rng: np.random.Generator, tol: float):
-    """Realize n_trials random boundary triples as (n, 2, 2) stacks, check
+    """Realize n_trials random boundary triples as 2x2 matrices, check
     the classes of the induced operators and ||T - center*I|| <= bound + tol,
     and report in trial order.  The maximizer of a coarse search for
     |zeta - center| is probed last, without class checks, so an undersized
@@ -189,7 +229,8 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
                                "probe was checked")
     regions = (resolvent_srg(specs[0], params.alpha),
                resolvent_srg(specs[1], params.alpha), srg(specs[2]))
-    zs = [_random_boundary_points(r, n_trials, rng) for r in regions]
+    pieces = [boundary_pieces(r) for r in regions]
+    zs = [_random_boundary_points(p, n_trials, rng) for p in pieces]
     member = np.ones(n_trials, dtype=bool)
     for m, spec in zip((operator_from_resolvent_point(zs[0], params.alpha),
                         operator_from_resolvent_point(zs[1], params.alpha),
@@ -207,11 +248,11 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
             f"the SRG theorem does not apply at s = {center!r} (false: "
             f"{'; '.join(preflight.failed)}); a pass shows no 2x2 "
             "counterexample, not a bound for every operator in the classes")
-    best = locate_maximum(*regions, probe, 1.0 / 40.0)[1]
+    best = locate_maximum(*regions, probe, 1.0 / 40.0, pieces)[1]
     zs = [np.append(z, p) for z, p in zip(zs, best)]
     member = np.append(member, True)
     t = dys_matrix(*(realize(z) for z in zs), params.alpha, params.lam)
-    norms = spectral_norm_2x2(t - center * I2)
+    norms = _norm(_shift(_entries(t), center))
     seen = np.where(member & (norms > 0.0), norms, 0.0)
     report.max_norm_seen = float(np.max(seen))
     for i in np.flatnonzero(~member | (norms > bound + tol)):

@@ -230,6 +230,51 @@ def grad_shifted_modulus_sq(z_a, z_b, z_c, params):
             2.0 * g * np.conj(dc))
 
 
+def realize_stacked(z) -> np.ndarray:
+    """The scaled rotation [[re, -im], [im, re]] of z, or an (n, 2, 2)
+    stack of them, built with np.stack."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([np.stack([z.real, -z.imag], -1),
+                     np.stack([z.imag, z.real], -1)], -2)
+
+
+def operator_stacked(z_j, alpha: float) -> np.ndarray:
+    """((realize z_j)^{-1} - I)/alpha, on (n, 2, 2) stacks."""
+    return (realize_stacked(1.0 / np.asarray(z_j, dtype=complex))
+            - np.eye(2)) / alpha
+
+
+def dys_matrix_stacked(j_a, j_b, c, alpha: float, lam: float) -> np.ndarray:
+    """T = I - lam J_B + lam J_A (2 J_B - I - alpha C J_B) with numpy's @
+    on (n, 2, 2) stacks."""
+    i2 = np.eye(2)
+    return i2 - lam * j_b + lam * j_a @ (2.0 * j_b - i2 - alpha * c @ j_b)
+
+
+def membership_margins(m: np.ndarray, atom) -> np.ndarray:
+    """How far each matrix of a stack is inside an atom's defining
+    inequality (negative outside), from numpy.linalg: the smallest
+    eigenvalue of a symmetric part, or a bound less a spectral norm.  The
+    cocoercive check is sym(M) - beta M^T M psd, with M^T M taken by @."""
+    def min_sym_eig(x):
+        return np.linalg.eigvalsh(0.5 * (x + np.swapaxes(x, -1, -2)))[..., 0]
+
+    def norm(x):
+        return np.linalg.norm(x, 2, axis=(-2, -1))
+    i2 = np.eye(2)
+    if isinstance(atom, Monotone):
+        return min_sym_eig(m)
+    if isinstance(atom, StronglyMonotone):
+        return min_sym_eig(m) - atom.mu
+    if isinstance(atom, Lipschitz):
+        return atom.L - norm(m)
+    if isinstance(atom, Cocoercive):
+        return min_sym_eig(m - atom.beta * (np.swapaxes(m, -1, -2) @ m))
+    if isinstance(atom, Averaged):
+        return atom.theta - norm(m - (1.0 - atom.theta) * i2)
+    return atom.radius - norm(m - atom.center * i2)
+
+
 def rotation_value(m: np.ndarray) -> complex:
     """The complex number a scaled-rotation matrix multiplies by."""
     return complex(m[0, 0], m[1, 0])

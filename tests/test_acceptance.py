@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from dysrates import (Disk, DysParams, averagedness_thm41,
+from dysrates import (Disk, DysParams, averagedness_thm41, boundary_pieces,
                       cocoercive, contraction_thm31, contraction_thm32,
                       contraction_thm33, dominance_check, dys_matrix,
                       enlarge_C, lipschitz, monotone, realize, resolvent_srg,
@@ -115,7 +115,8 @@ def test_criterion_04_gap_below_tight_factor(criterion1_run):
 # ---------------------------------------------------------------------------
 
 def _max_symbol_on_boundaries(regions, params, n, rng, shift=0.0):
-    pts = [np.asarray(_random_boundary_points(r, n, rng)) for r in regions]
+    pts = [np.asarray(_random_boundary_points(boundary_pieces(r), n, rng))
+           for r in regions]
     vals = np.abs(zeta(pts[0], pts[1], pts[2], params) - shift)
     return float(vals.max())
 
@@ -202,7 +203,8 @@ def test_criterion_06_averagedness():
             regions, params, 1000, rng, shift=1.0 - theta) - theta)
 
         # matrix side: 50 realizations per instance, 1000 total
-        pts = [np.asarray(_random_boundary_points(r, 50, rng))
+        pts = [np.asarray(_random_boundary_points(boundary_pieces(r), 50,
+                                                  rng))
                for r in (regions[0], regions[1], srg(c_spec))]
         for z_a, z_b, z_c in zip(*pts):
             t = dys_matrix(realize(z_a), realize(z_b), realize(z_c),

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from dysrates import (Averaged, Cocoercive, DysParams, InvalidClassError,
                       Lipschitz, Monotone, OperatorClassSpec,
                       ShiftedLipschitzBall, SingularResolventError,
-                      StronglyMonotone, averagedness_thm41,
+                      StronglyMonotone, averagedness_thm41, boundary_pieces,
                       class_membership, cocoercive,
                       contraction_thm33, dys_matrix, lipschitz, monotone,
                       operator_from_resolvent_point, realize,
@@ -23,8 +23,9 @@ import dysrates.verify as verify_module
 from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import boundary_grid
 from dysrates.search import search
-from dysrates.verify import _random_boundary_points, _sym_min_eig
-from oracles import assert_matches, rotation_value
+from dysrates.verify import _entries, _random_boundary_points, _sym_min_eig
+from oracles import (assert_matches, dys_matrix_stacked, membership_margins,
+                     operator_stacked, realize_stacked, rotation_value)
 
 P11 = DysParams(1.0, 1.0)
 
@@ -144,8 +145,7 @@ def test_resolvent_points_realize_class_members():
     rng = np.random.default_rng(6)
     for spec, alpha in cases:
         region = resolvent_srg(spec, alpha)
-        from dysrates.verify import _random_boundary_points
-        pts = _random_boundary_points(region, 1000, rng)
+        pts = _random_boundary_points(boundary_pieces(region), 1000, rng)
         for z in pts:
             a = operator_from_resolvent_point(complex(z), alpha)
             assert class_membership(a, spec, 1e-9)
@@ -375,7 +375,7 @@ def test_stack_norm_exact_across_exponent_range(entries):
 @settings(deadline=None)
 @given(STACK)
 def test_realized_stack_symmetric_part_min_eigenvalue_is_real_part(zs):
-    for z, eig in zip(zs, _sym_min_eig(realize(zs))):
+    for z, eig in zip(zs, _sym_min_eig(_entries(realize(zs)))):
         assert eig == pytest.approx(z.real, rel=1e-14)
 
 
@@ -384,7 +384,7 @@ def test_realized_stack_symmetric_part_min_eigenvalue_is_real_part(zs):
                                     st.just(2)), elements=ENTRY))
 def test_stack_symmetric_part_min_eigenvalue(ms):
     # general matrices, whose symmetric part has off-diagonal entries
-    for m, eig in zip(ms, _sym_min_eig(ms)):
+    for m, eig in zip(ms, _sym_min_eig(_entries(ms))):
         expect = np.linalg.eigvalsh(0.5 * (m + m.T))[0]
         assert abs(eig - expect) <= 1e-12 * max(1.0, np.abs(m).max())
 
@@ -453,6 +453,53 @@ def test_membership_refuses_a_negative_tolerance():
     for tol in (-1e-3, np.array([0.0, -1e-3])):
         with pytest.raises(ValueError, match="nonnegative"):
             class_membership(ms, monotone(), tol)
+
+
+# ---------------------------------------------------------------------------
+# the entry-array algebra against (n, 2, 2) stacks and @
+# ---------------------------------------------------------------------------
+
+def _stack(n):
+    return arrays(np.float64, (n, 2, 2), elements=st.floats(-10.0, 10.0))
+
+
+@settings(deadline=None)
+@given(STACK, st.floats(0.01, 2.0))
+def test_realize_and_operator_are_the_stacked_forms_bit_for_bit(zs, alpha):
+    assert realize(zs).tobytes() == realize_stacked(zs).tobytes()
+    assert realize(zs[0]).tobytes() == realize_stacked(zs[0]).tobytes()
+    assert (operator_from_resolvent_point(zs, alpha).tobytes()
+            == operator_stacked(zs, alpha).tobytes())
+
+
+@settings(deadline=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(*[_stack(n)] * 3)),
+       st.floats(0.01, 2.0), st.floats(0.01, 2.0))
+def test_dys_matrix_matches_the_stacked_oracle(stacks, alpha, lam):
+    # general matrices, not only scaled rotations; the two differ only in
+    # how they round, so within a few ulps of the terms they sum
+    j_a, j_b, c = stacks
+    got = dys_matrix(j_a, j_b, c, alpha, lam)
+    assert got.shape == j_a.shape
+    abs_b = np.abs(j_b)
+    terms = np.eye(2) + lam * abs_b + lam * np.abs(j_a) @ (
+        2.0 * abs_b + np.eye(2) + alpha * np.abs(c) @ abs_b)
+    error = np.abs(got - dys_matrix_stacked(j_a, j_b, c, alpha, lam))
+    assert (error <= 8.0 * np.finfo(float).eps * terms).all()
+
+
+@settings(deadline=None)
+@given(st.integers(1, 16).flatmap(_stack), ATOM)
+def test_membership_matches_the_stacked_oracle(ms, atom):
+    # away from the tolerance edge, where the two may round either way
+    try:
+        spec = OperatorClassSpec((atom,))
+    except InvalidClassError:
+        assume(False)
+    margins = membership_margins(ms, atom)
+    mask = class_membership(ms, spec, 1e-9)
+    clear = np.abs(margins + 1e-9) > 1e-9 * (1.0 + np.abs(ms).max() ** 2)
+    assert (mask[clear] == (margins[clear] >= -1e-9)).all()
 
 
 # ---------------------------------------------------------------------------
