@@ -781,7 +781,7 @@ THM41_UNIT = {"classes": {"A": [{"kind": "strongly_monotone", "mu": 1.0}],
     (_enlarged("thm33"), None, 0.7745966692414835, 0.774691323235624),
     # Theorem 4.1's ball at s = 1 - theta: theta = 2/3
     (THM41_UNIT, 1.0 - dysrates.averagedness_thm41(1.0, 1.0, 1.0).theta,
-     0.6666666666666666, 0.6669955783466545)], ids=["thm33", "thm41"])
+     0.6666666666666666, 0.6669898175629447)], ids=["thm33", "thm41"])
 def test_maxmod_theorem_enlargement_at_its_own_shift(tmp_path, capsys,
                                                      payload, shift, best,
                                                      upper):
