@@ -230,6 +230,44 @@ def grad_shifted_modulus_sq(z_a, z_b, z_c, params):
             2.0 * g * np.conj(dc))
 
 
+def polish_every_row(starts, pieces_triple, params, first=0):
+    """Cyclic per-coordinate maximization of |zeta - s| in which every row
+    takes every step until two steps in a row move no row, the schedule
+    that search.coordinate_polish retires idle rows from.  Each step
+    maximizes one coordinate on every piece with the package's closed-form
+    piece maximizer and moves a row when it gains more than POLISH_TOL.
+    Returns (best_value, best_point, evaluations), the first row winning a
+    tie."""
+    from dysrates.geometry import _piece_maximizer
+    from dysrates.search import (POLISH_MAX_SWEEPS, POLISH_TOL,
+                                 _affine_in)
+    rows = np.array(starts, dtype=complex).reshape(-1, 3).tolist()
+    maximizers = [[_piece_maximizer(p) for p in pieces]
+                  for pieces in pieces_triple]
+    values = [abs(zeta(*x, params) - params.shift) for x in rows]
+    evals, idle = len(rows), 0
+    for step in range(3 * POLISH_MAX_SWEEPS):
+        idx = (first + step) % 3
+        moved = False
+        for i, x in enumerate(rows):
+            p, q = _affine_in(idx, *x, params)
+            best = -math.inf
+            for far in maximizers[idx]:
+                trial = list(x)
+                trial[idx] = far(p, q)
+                value = abs(zeta(*trial, params) - params.shift)
+                if value > best:
+                    best, point = value, trial
+            if best > values[i] + POLISH_TOL:
+                rows[i], values[i], moved = point, best, True
+        evals += len(rows) * len(maximizers[idx])
+        idle = 0 if moved else idle + 1
+        if idle >= 2 and step >= 2 - first:
+            break
+    i = max(range(len(rows)), key=values.__getitem__)
+    return values[i], tuple(rows[i]), evals
+
+
 def realize_stacked(z) -> np.ndarray:
     """The scaled rotation [[re, -im], [im, re]] of z, or an (n, 2, 2)
     stack of them, built with np.stack."""

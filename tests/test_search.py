@@ -28,7 +28,8 @@ from dysrates.geometry import (Arc, Segment, _piece_maximizer, _value_on_piece,
                                boundary_grid)
 from dysrates.search import POLISH_SEEDS, _peaks, search, search_regions
 from dysrates.verify import _random_boundary_points
-from oracles import lipschitz_bound, project, shifted_modulus
+from oracles import (lipschitz_bound, polish_every_row, project,
+                     shifted_modulus)
 
 P11 = DysParams(1.0, 1.0)
 
@@ -564,10 +565,13 @@ def test_batched_polish_is_best_single_row(a, b, c, params, picks):
     starts = [tuple(g.points[i % len(g.points)] for g, i in zip(grids, pick))
               for pick in picks]
     starts += [tuple(z.conjugate() for z in start) for start in starts]
-    value, point, _ = coordinate_polish(starts, pieces, params)
+    value, point, evals = coordinate_polish(starts, pieces, params)
     rows = [coordinate_polish([start], pieces, params)[:2]
             for start in starts]
     assert (value, point) == max(rows, key=lambda row: row[0])
+    # a row retired after two idle steps would never have moved again
+    every_row = polish_every_row(starts, pieces, params)
+    assert (value, point) == every_row[:2] and evals <= every_row[2]
     assert value >= shifted_modulus(*np.array(starts).T, params).max()
 
 
@@ -805,3 +809,6 @@ def test_polish_from_b_matches_polish_from_a(case):
             from_b = coordinate_polish(seeds, pieces, params, first=1)
             assert from_b[:2] == from_a[:2]
             assert from_b[2] <= from_a[2]
+            every_row = polish_every_row(seeds, pieces, params, first=1)
+            assert from_b[:2] == every_row[:2]
+            assert from_b[2] <= every_row[2]
