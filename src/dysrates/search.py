@@ -5,13 +5,14 @@ of the boundary of B on an eps-grid (every region is symmetric about the
 real axis and zeta has real coefficients, so a conjugate triple has the
 same |zeta - s|); for every grid pair (z_B, z_C) take the largest
 |zeta - s| over the boundary of A exactly, since zeta - s is affine in z_A
-and each arc or segment of A has a closed-form maximum value; locate the maximizing z_A only at the peaks
-of that grid, the pairs no array neighbour exceeds; certify a global upper
-bound from the grid values alone; and only when that bound leaves room
-above the grid best, polish the peak triples by exact cyclic coordinate
-maximization (the symbol is affine in each argument, so every coordinate
-step is solved in closed form).  The grid stage has already maximized z_A
-exactly at each peak, so the polish starts at z_B.
+and each arc or segment of A has a closed-form maximum value; locate the
+maximizing z_A only at the peaks of that grid, the pairs no array
+neighbour exceeds; certify a global upper bound from the grid values
+alone; and only when that bound leaves room above the grid best, polish
+the peak triples by exact cyclic coordinate maximization over all of B
+(the symbol is affine in each argument, so every coordinate step is
+solved in closed form).  The grid stage has already maximized z_A exactly
+at each peak, so the polish starts at z_B.
 
 Values are computed on numpy arrays (the grid, the certificate, the
 Lipschitz sups) by geometry._value_on_piece; located points, the peaks'

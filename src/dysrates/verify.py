@@ -102,7 +102,8 @@ def realize(z) -> np.ndarray:
 
 
 def spectral_norm_2x2(m: np.ndarray):
-    """Largest singular value of a 2x2 matrix, in closed form (_norm)."""
+    """Largest singular value of a 2x2 matrix, or of each matrix of a
+    stack, in closed form (_norm)."""
     return _norm(_entries(m))
 
 

@@ -513,9 +513,10 @@ def test_upper_half_cases(case):
     assert _check_upper_half(pieces, 0.1) == expected
 
 
-BOUNDED_REGION = st.builds(lambda disk, others: Region((disk,) + tuple(others)),
-                           st.builds(Disk, CENTER, RADIUS),
-                           st.lists(ATOM, max_size=2))
+# one to three atoms, one of them a disk so that the region is bounded
+BOUNDED_REGION = st.builds(
+    lambda disk, others: Region((disk,) + tuple(others)),
+    st.builds(Disk, CENTER, RADIUS), st.lists(ATOM, max_size=2))
 
 
 @settings(deadline=None, max_examples=60)
