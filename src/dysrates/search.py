@@ -322,12 +322,12 @@ def _grid_stage(region_a: Region, region_b: Region, region_c: Region,
     # same at both.  Every triple with Im z_B < 0 has its mirror with
     # Im z_B > 0, so the grid and the certificate lose nothing on the
     # upper half of B.  The polish alone keeps all of B (_polish).
-    halves = upper_half(pieces[1]), pieces[2]
+    sampled = upper_half(pieces[1]), pieces[2]
     _check_pairs(*(sum(n + 1 for n in grid_intervals(p, eps))
-                   for p in halves))
+                   for p in sampled))
     _check_scale(params, *pieces)
     grids = tuple(boundary_grid(r, eps, p)
-                  for r, p in zip(regions[1:], halves))
+                  for r, p in zip(regions[1:], sampled))
     grid_best, grid_point, seeds, evals, values = grid_evaluate(
         pieces[0], grids[0].points, grids[1].points, params)
     return pieces, grids, grid_best, grid_point, seeds, evals, values
