@@ -3,9 +3,11 @@
 A complex number z embeds into the 2x2 scaled rotations [[re, -im],
 [im, re]]; the embedding is a ring homomorphism, so the splitting operator
 assembled from realized resolvents is itself a scaled rotation whose
-spectral norm equals the symbol modulus exactly.  This gives a check on
-every claimed contraction or averagedness factor that shares no code path
-with the region geometry or the closed forms.
+spectral norm equals the symbol modulus exactly.  This checks a claimed
+contraction or averagedness factor without the closed forms; of the region
+geometry it reads only the atoms' region().  Independently of the search it
+checks resolvent_srg's scale, shift and inversion, the boundary pieces,
+(J^{-1} - I)/alpha, the DYS assembly and the norms.
 
 Each public function below takes one 2x2 matrix or an (n, 2, 2) stack of
 them, so a verification run checks all of its trials in one batched pass.
@@ -20,11 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classes import (Averaged, Cocoercive, Lipschitz, Monotone,
-                      OperatorClassSpec, ShiftedLipschitzBall,
-                      StronglyMonotone, dys_preflight, resolvent_srg, srg)
+from .classes import OperatorClassSpec, dys_preflight, resolvent_srg, srg
 from .errors import PreconditionError, SingularResolventError
-from .geometry import boundary_pieces
+from .geometry import HalfPlane, boundary_pieces
 from .search import locate_maximum
 from .symbol import DysParams
 
@@ -55,7 +55,9 @@ def _rotation(z):
 
 
 def _shift(e, c):
-    """Entries of m - c I."""
+    """Entries of m - c I; at c = 0 the entries of m, which is exact."""
+    if c == 0.0:
+        return e
     m00, m01, m10, m11 = e
     return m00 - c, m01, m10, m11 - c
 
@@ -137,32 +139,20 @@ def dys_matrix(j_a: np.ndarray, j_b: np.ndarray, c: np.ndarray,
 
 
 def class_membership(m: np.ndarray, spec: OperatorClassSpec, tol=0.0):
-    """Check each atom's defining inequality for the linear map m within
-    tol, a scalar or one tolerance per matrix: a bool for one matrix, a
-    mask for a stack."""
+    """Whether the SRG of the linear map m lies within tol, a distance in
+    the plane, of each atom's region (every atom is SRG-full): HalfPlane(a)
+    when sym(m)'s smallest eigenvalue is >= a - tol, Disk(c, r) when
+    ||m - c I|| <= r + tol.  tol is a scalar or one tolerance per matrix:
+    a bool for one matrix, a mask for a stack."""
     if np.any(np.asarray(tol) < 0):
         raise ValueError("tol must be nonnegative")
     e = _entries(m)
     ok = np.ones(m.shape[:-2], dtype=bool)
-    for atom in spec.atoms:
-        if isinstance(atom, Monotone):
-            ok &= _sym_min_eig(e) >= -tol
-        elif isinstance(atom, StronglyMonotone):
-            ok &= _sym_min_eig(e) >= atom.mu - tol
-        elif isinstance(atom, Lipschitz):
-            ok &= _norm(e) <= atom.L + tol
-        elif isinstance(atom, Cocoercive):
-            # <x, Mx> >= beta ||Mx||^2  <=>  sym(M) - beta M^T M psd
-            m00, m01, m10, m11 = e
-            mtm = _product((m00, m10, m01, m11), e)
-            ok &= _sym_min_eig([x - atom.beta * y
-                                for x, y in zip(e, mtm)]) >= -tol
-        elif isinstance(atom, Averaged):
-            ok &= _norm(_shift(e, 1.0 - atom.theta)) <= atom.theta + tol
-        elif isinstance(atom, ShiftedLipschitzBall):
-            ok &= _norm(_shift(e, atom.center)) <= atom.radius + tol
+    for region in spec.regions:
+        if isinstance(region, HalfPlane):
+            ok &= _sym_min_eig(e) >= region.threshold - tol
         else:
-            raise ValueError(f"unknown atom {atom!r}")
+            ok &= _norm(_shift(e, region.center)) <= region.radius + tol
     return bool(ok) if ok.ndim == 0 else ok
 
 

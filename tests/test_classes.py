@@ -1,6 +1,7 @@
 """Operator-class regions, resolvent regions, applicability preflight and
 class enlargement."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -68,6 +69,18 @@ def test_degenerate_parameters_need_explicit_monotone_atom():
         cocoercive(0.0)
 
 
+@pytest.mark.parametrize("kind", classes_module.ATOMS, ids=lambda k: k.kind)
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_every_atom_region_is_a_disk_or_a_half_plane(kind, data):
+    # verify.class_membership checks a disk by a norm and a half-plane by
+    # an eigenvalue, and real_extent reads the same two shapes; a disk
+    # exterior would need a rule of its own in both
+    atom = kind(*(data.draw(st.floats(1e-3, 1.0 - 1e-3))
+                  for _ in dataclasses.fields(kind)))
+    assert type(atom.region()) in (Disk, HalfPlane)
+
+
 @pytest.mark.parametrize("atom", [HalfPlane(0.0), Disk(0.5, 0.5), "monotone",
                                   None],
                          ids=["region_atom", "disk", "string", "none"])
@@ -116,10 +129,11 @@ def test_is_monotone_class_matches_reference_table(atoms):
 def test_real_extent_decides_emptiness_as_the_geometry_does(atoms):
     # every drawn atom's region meets Disk(0, 1e4) on the real axis, so the
     # bounding disk leaves the emptiness of the class alone
-    lo, hi = real_extent(atoms)
+    regions = tuple(a.region() for a in atoms)
+    lo, hi = real_extent(regions)
     # at tangency both sides carry their own tolerances
     assume(abs(hi - lo) > 1e-9)
-    region = Region(tuple(a.region() for a in atoms) + (Disk(0.0, 1e4),))
+    region = Region(regions + (Disk(0.0, 1e4),))
     try:
         boundary_pieces(region)
         empty = False

@@ -1,6 +1,7 @@
 """2x2 realizations: embedding homomorphism, class membership, operator
 assembly and the contraction / averagedness checks."""
 
+import cmath
 import json
 import math
 
@@ -10,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dysrates import (Averaged, Cocoercive, DysParams, InvalidClassError,
-                      Lipschitz, Monotone, OperatorClassSpec,
+from dysrates import (Averaged, Cocoercive, Disk, DysParams,
+                      InvalidClassError, Lipschitz, Monotone, OperatorClassSpec,
                       ShiftedLipschitzBall, SingularResolventError,
                       StronglyMonotone, averagedness_thm41, boundary_pieces,
                       class_membership, cocoercive,
@@ -133,6 +134,29 @@ def test_membership_cocoercive_iff_disk_point():
         in_disk = abs(z - 1 / (2 * beta)) <= 1 / (2 * beta) + 1e-12
         assert class_membership(realize(z), cocoercive(beta),
                                 1e-9) == in_disk
+
+
+def _outside(region, d, where):
+    """The point at distance d outside a region atom's boundary (inside
+    when d < 0), at the angle or the height where."""
+    if isinstance(region, Disk):
+        return region.center + (region.radius + d) * cmath.exp(1j * where)
+    return complex(region.threshold - d, where)
+
+
+# one atom of each kind; a point 0.1 outside its region passes only at a
+# tolerance above 0.1, whichever atom it is
+TOL_ATOMS = [Monotone(), StronglyMonotone(0.5), Cocoercive(0.25),
+             Lipschitz(1.5), Averaged(0.3), ShiftedLipschitzBall(-1.0, 0.7)]
+
+
+@pytest.mark.parametrize("atom", TOL_ATOMS, ids=lambda a: a.kind)
+@pytest.mark.parametrize("angle", [0.0, 1.0, 2.5])
+def test_membership_tolerance_is_a_distance_in_the_plane(atom, angle):
+    z = _outside(atom.region(), 0.1, angle)
+    spec = OperatorClassSpec((atom,))
+    assert class_membership(realize(z), spec, 0.101)
+    assert not class_membership(realize(z), spec, 0.099)
 
 
 def test_resolvent_points_realize_class_members():
@@ -500,6 +524,25 @@ def test_membership_matches_the_stacked_oracle(ms, atom):
     mask = class_membership(ms, spec, 1e-9)
     clear = np.abs(margins + 1e-9) > 1e-9 * (1.0 + np.abs(ms).max() ** 2)
     assert (mask[clear] == (margins[clear] >= -1e-9)).all()
+
+
+@settings(deadline=None)
+@given(ATOM, st.lists(st.tuples(st.sampled_from([1, -1]),
+                                st.floats(-math.pi, math.pi)),
+                      min_size=1, max_size=16))
+def test_membership_follows_each_atom_boundary(atom, points):
+    # the points sit 1e-6 * scale on either side of the boundary that
+    # region() states, and the oracle's margins come from the atom's own
+    # parameters, so a region that moves its boundary further fails here
+    region = atom.region()
+    scale = (abs(region.center) + region.radius if isinstance(region, Disk)
+             else 1.0 + abs(region.threshold))
+    ms = realize(np.array([_outside(region, side * 1e-6 * scale, where)
+                           for side, where in points]))
+    margins = membership_margins(ms, atom)
+    mask = class_membership(ms, OperatorClassSpec((atom,)), 1e-9)
+    clear = np.abs(margins) > 1e-8 * scale ** 2
+    assert (mask[clear] == (margins[clear] > 0)).all()
 
 
 # ---------------------------------------------------------------------------
