@@ -10,7 +10,7 @@ the intersection of the atom regions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
@@ -120,10 +120,9 @@ def _positive(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class OperatorClassSpec:
-    """Intersection of class atoms; regions holds their region()s."""
+    """Intersection of class atoms."""
 
     atoms: tuple
-    regions: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.atoms:
@@ -131,9 +130,7 @@ class OperatorClassSpec:
         object.__setattr__(self, "atoms", tuple(self.atoms))
         if not all(isinstance(a, ATOMS) for a in self.atoms):
             raise InvalidClassError(f"unknown class atom in {self.atoms!r}")
-        object.__setattr__(self, "regions",
-                           tuple(a.region() for a in self.atoms))
-        lo, hi = real_extent(self.regions)
+        lo, hi = real_extent(self.atoms)
         # the allowance absorbs the rounding of a disk's ends, as in
         # cocoercive 1/beta = 2 h against strongly monotone mu = 1/beta
         if lo > hi + 1e-15:
@@ -193,7 +190,7 @@ def shifted_lipschitz_ball(center: float, radius: float) -> OperatorClassSpec:
 
 def srg(spec: OperatorClassSpec) -> Region:
     """Region of the class on the complex plane."""
-    return Region(spec.regions)
+    return Region(tuple(a.region() for a in spec.atoms))
 
 
 def resolvent_srg(spec: OperatorClassSpec, alpha: float) -> Region:
@@ -203,15 +200,16 @@ def resolvent_srg(spec: OperatorClassSpec, alpha: float) -> Region:
     return srg(spec).scale(alpha).translate(1.0).invert()
 
 
-def real_extent(regions) -> tuple:
-    """(lo, hi): the real interval that the intersection of a class's atom
-    regions meets, lo > hi when it is empty.
+def real_extent(atoms) -> tuple:
+    """(lo, hi): the real interval that the region of a class with these
+    atoms meets, lo > hi when the region is empty.
 
     Every atom's region is a half-plane Re z >= a or a real-centred disk,
     so convex and symmetric about the real axis; so is their intersection,
     and a point z of it puts Re z = (z + conj z)/2 in it too.  The region
     is therefore empty exactly when the atoms' real intervals do not meet:
     lo is the largest lower end and hi the smallest upper end."""
+    regions = [a.region() for a in atoms]
     lo = max(r.threshold if isinstance(r, HalfPlane) else r.center - r.radius
              for r in regions)
     hi = min((r.center + r.radius for r in regions if isinstance(r, Disk)),
@@ -222,7 +220,7 @@ def real_extent(regions) -> tuple:
 def is_monotone_class(spec: OperatorClassSpec) -> bool:
     """True when the class's region lies in Re z >= 0: lo >= 0 (see
     real_extent)."""
-    return real_extent(spec.regions)[0] >= 0.0
+    return real_extent(spec.atoms)[0] >= 0.0
 
 
 # ---------------------------------------------------------------------------

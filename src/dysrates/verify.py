@@ -55,9 +55,7 @@ def _rotation(z):
 
 
 def _shift(e, c):
-    """Entries of m - c I; at c = 0 the entries of m, which is exact."""
-    if c == 0.0:
-        return e
+    """Entries of m - c I."""
     m00, m01, m10, m11 = e
     return m00 - c, m01, m10, m11 - c
 
@@ -148,7 +146,7 @@ def class_membership(m: np.ndarray, spec: OperatorClassSpec, tol=0.0):
         raise ValueError("tol must be nonnegative")
     e = _entries(m)
     ok = np.ones(m.shape[:-2], dtype=bool)
-    for region in spec.regions:
+    for region in (a.region() for a in spec.atoms):
         if isinstance(region, HalfPlane):
             ok &= _sym_min_eig(e) >= region.threshold - tol
         else:

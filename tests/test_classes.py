@@ -129,11 +129,10 @@ def test_is_monotone_class_matches_reference_table(atoms):
 def test_real_extent_decides_emptiness_as_the_geometry_does(atoms):
     # every drawn atom's region meets Disk(0, 1e4) on the real axis, so the
     # bounding disk leaves the emptiness of the class alone
-    regions = tuple(a.region() for a in atoms)
-    lo, hi = real_extent(regions)
+    lo, hi = real_extent(atoms)
     # at tangency both sides carry their own tolerances
     assume(abs(hi - lo) > 1e-9)
-    region = Region(regions + (Disk(0.0, 1e4),))
+    region = Region(tuple(a.region() for a in atoms) + (Disk(0.0, 1e4),))
     try:
         boundary_pieces(region)
         empty = False
