@@ -141,23 +141,23 @@ class OperatorClassSpec:
     def intersect(self, other: "OperatorClassSpec") -> "OperatorClassSpec":
         return OperatorClassSpec(self.atoms + other.atoms)
 
-    def param(self, kind, field: str) -> Optional[float]:
-        for a in self.atoms:
-            if isinstance(a, kind):
-                return getattr(a, field)
-        return None
+    # The tightest constant of each kind, so that the order of the atoms
+    # does not matter; None when no atom carries one.
 
     @property
     def mu(self) -> Optional[float]:
-        return self.param(StronglyMonotone, "mu")
+        return max((a.mu for a in self.atoms
+                    if isinstance(a, StronglyMonotone)), default=None)
 
     @property
     def L(self) -> Optional[float]:
-        return self.param(Lipschitz, "L")
+        return min((a.L for a in self.atoms if isinstance(a, Lipschitz)),
+                   default=None)
 
     @property
     def beta(self) -> Optional[float]:
-        return self.param(Cocoercive, "beta")
+        return max((a.beta for a in self.atoms if isinstance(a, Cocoercive)),
+                   default=None)
 
 
 def monotone() -> OperatorClassSpec:

@@ -209,9 +209,26 @@ def _write_text(path: str, text: str) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True))
+def _json_default(obj):
+    """The JSON form of what json has none for: a report dataclass is
+    written as its fields, a complex point as {"re": ..., "im": ...}."""
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    "serializable")
+
+
+def _emit(report, **extra) -> None:
+    """Write report, a dict or a report dataclass, to stdout as one JSON
+    object with schema_version and the extra keys added.  This is the only
+    place that decides the JSON form of a report."""
+    if not isinstance(report, dict):
+        report = _json_default(report)
+    payload = {"schema_version": SCHEMA_VERSION, **report, **extra}
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True,
+                                default=_json_default))
     sys.stdout.write("\n")
 
 
@@ -223,7 +240,7 @@ def cmd_factor(args) -> int:
     spec = load_spec(args.spec)
     report = rates.factor(spec.a, spec.b, spec.c, spec.alpha, spec.lam,
                           args.theorem)
-    _emit(report.as_dict())
+    _emit(report)
     return EXIT_OK
 
 
@@ -235,11 +252,8 @@ def cmd_maxmod(args) -> int:
     eps = spec.eps_grid if args.eps is None else _positive(
         _finite_number(args.eps, "--eps"), "--eps")
     result = search(spec.a, spec.b, spec.effective_c(params), params, eps)
-    payload = result.as_dict()
-    payload["params"] = {"alpha": params.alpha, "lambda": params.lam,
-                         "s": params.shift}
-    payload["eps_grid"] = eps
-    _emit(payload)
+    _emit(result, params={"alpha": params.alpha, "lambda": params.lam,
+                          "s": params.shift}, eps_grid=eps)
     return EXIT_OK
 
 
@@ -266,7 +280,7 @@ def cmd_verify(args) -> int:
                 rng_seed=args.seed)
     for warning in ver.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    _emit(ver.as_dict())
+    _emit(ver, passed=ver.passed)
     return EXIT_OK if ver.passed else EXIT_COUNTEREXAMPLE
 
 

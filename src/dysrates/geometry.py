@@ -574,8 +574,9 @@ def grid_intervals(pieces, eps: float) -> tuple:
 
 def boundary_grid(region: Region, eps: float, pieces=None) -> BoundaryGrid:
     """Samples of the region's boundary, spaced at most eps along each
-    piece.  pieces, when given, is boundary_pieces(region), for a caller
-    that has decomposed the boundary already."""
+    piece.  pieces, when given, replaces boundary_pieces(region): the
+    search passes upper_half(boundary_pieces(region)) for B, so the grid
+    samples only B's boundary with Im z >= 0."""
     if not region.bounded:
         raise UnboundedRegionError(
             "cannot sample the boundary of an unbounded region; intersect "

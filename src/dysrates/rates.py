@@ -24,11 +24,6 @@ class RateReport:
     parameters: dict
     assumptions_verified: tuple
 
-    def as_dict(self) -> dict:
-        return {"rho": self.rho, "theorem": self.theorem,
-                "parameters": dict(self.parameters),
-                "assumptions_verified": list(self.assumptions_verified)}
-
 
 @dataclass(frozen=True)
 class AveragednessReport:
@@ -36,11 +31,6 @@ class AveragednessReport:
     theorem: str
     parameters: dict
     assumptions_verified: tuple
-
-    def as_dict(self) -> dict:
-        return {"theta": self.theta, "theorem": self.theorem,
-                "parameters": dict(self.parameters),
-                "assumptions_verified": list(self.assumptions_verified)}
 
 
 def _require(ok: bool, inequality: str, detail: str = "") -> str:
@@ -408,7 +398,7 @@ def compare(a, b, c, alpha: float, lam: float) -> dict:
         new = _call(row.form, row.args, values, role=row.role)
         for _, form, args in row.priors:
             prior = _prior(form, args, values)
-            pairs.append({"new": new.as_dict(), "prior": prior.as_dict(),
+            pairs.append({"new": new, "prior": prior,
                           "margin": prior.rho - new.rho})
     if not pairs:
         raise PreconditionError(

@@ -77,20 +77,6 @@ class SearchResult:
     covering_radius: float
     evaluations: int
 
-    def as_dict(self) -> dict:
-        def cpt(z):
-            return {"re": z.real, "im": z.imag}
-        return {
-            "best_value": self.best_value,
-            "best_point": [cpt(z) for z in self.best_point],
-            "grid_best_value": self.grid_best_value,
-            "grid_best_point": [cpt(z) for z in self.grid_best_point],
-            "certified_upper": self.certified_upper,
-            "lipschitz_constant": self.lipschitz_constant,
-            "covering_radius": self.covering_radius,
-            "evaluations": self.evaluations,
-        }
-
 
 # ---------------------------------------------------------------------------
 # The symbol as an affine function of one coordinate

@@ -32,6 +32,9 @@ from .symbol import DysParams
 # bytes (388 MB at 10^6 trials), so a run at this budget stays under
 # 0.8 GB.  A larger count is refused before any trial is drawn.
 TRIAL_BUDGET = 1 << 21
+# A trial fails the norm bound when its norm exceeds the bound by more
+# than this.
+BOUND_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +193,12 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def as_dict(self) -> dict:
-        return {"trials": self.trials, "rho": self.rho,
-                "max_norm_seen": self.max_norm_seen,
-                "violations": self.violations, "warnings": self.warnings,
-                "passed": self.passed}
-
 
 def _check_trials(specs, params: DysParams, bound: float, center: float,
-                  n_trials: int, rng: np.random.Generator, tol: float):
-    """Realize n_trials random boundary triples as 2x2 matrices, check
-    the classes of the induced operators and ||T - center*I|| <= bound + tol,
-    and report in trial order.  The maximizer of a coarse search for
+                  n_trials: int, rng: np.random.Generator):
+    """Realize n_trials random boundary triples as 2x2 matrices, check the
+    classes of the induced operators and ||T - center*I|| <= bound +
+    BOUND_TOL, and report in trial order.  The maximizer of a coarse search for
     |zeta - center| is probed last, without class checks, so an undersized
     bound fails deterministically rather than only when random sampling
     gets lucky; with no random trials the probe is the whole check.  When
@@ -244,7 +241,7 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
     norms = _norm(_shift(_entries(t), center))
     seen = np.where(member & (norms > 0.0), norms, 0.0)
     report.max_norm_seen = float(np.max(seen))
-    for i in np.flatnonzero(~member | (norms > bound + tol)):
+    for i in np.flatnonzero(~member | (norms > bound + BOUND_TOL)):
         triple = [str(complex(z[i])) for z in zs]
         if member[i]:
             report.violations.append({"kind": "norm_bound",
@@ -258,23 +255,22 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
 
 def verify_contraction(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
                        c_spec: OperatorClassSpec, params: DysParams,
-                       rho: float, n_trials: int = 1000, rng_seed: int = 0,
-                       tol: float = 1e-9) -> VerificationReport:
-    """Realize random boundary triples and test ||T|| <= rho + tol and class
-    membership of the induced operators.  T is a scaled rotation, so
-    ||T^k x|| = ||T||^k ||x||: iterating T can show no growth that the norm
-    bound has not already shown."""
+                       rho: float, n_trials: int = 1000,
+                       rng_seed: int = 0) -> VerificationReport:
+    """Realize random boundary triples and test ||T|| <= rho + BOUND_TOL
+    and class membership of the induced operators.  T is a scaled rotation,
+    so ||T^k x|| = ||T||^k ||x||: iterating T can show no growth that the
+    norm bound has not already shown."""
     return _check_trials((a_spec, b_spec, c_spec), params, rho, 0.0,
-                         n_trials, np.random.default_rng(rng_seed), tol)
+                         n_trials, np.random.default_rng(rng_seed))
 
 
 def verify_averagedness(a_spec: OperatorClassSpec, b_spec: OperatorClassSpec,
                         c_spec: OperatorClassSpec, params: DysParams,
                         theta: float, n_trials: int = 1000,
-                        rng_seed: int = 0,
-                        tol: float = 1e-9) -> VerificationReport:
-    """Averagedness as a norm bound: ||T - (1-theta) I|| <= theta + tol on
-    scaled-rotation realizations of boundary triples."""
+                        rng_seed: int = 0) -> VerificationReport:
+    """Averagedness as a norm bound: ||T - (1-theta) I|| <= theta +
+    BOUND_TOL on scaled-rotation realizations of boundary triples."""
     return _check_trials((a_spec, b_spec, c_spec), params, theta,
                          1.0 - theta, n_trials,
-                         np.random.default_rng(rng_seed), tol)
+                         np.random.default_rng(rng_seed))

@@ -1,7 +1,10 @@
 """Command-line surface: JSON report schema, exit codes, determinism."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
@@ -16,13 +19,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dysrates
+import dysrates.rates as rates
 import dysrates.search as search_module
 import dysrates.verify as verify_module
 from dysrates import classes as cls
 from dysrates import geometry
 from dysrates.classes import resolvent_srg, srg
 from dysrates.cli import (_ATOM_KINDS, _WRITE_CHARS, ProblemSpec, _cloud,
-                          _write_text, main)
+                          _emit, _write_text, main)
 from dysrates.geometry import boundary_grid
 from dysrates.symbol import zeta
 
@@ -926,6 +930,166 @@ def test_compare_thm31_margin(tmp_path, capsys):
     assert first["prior"]["rho"] == pytest.approx(math.sqrt(0.5))
     assert first["margin"] == pytest.approx(math.sqrt(0.5) - 2.0 / 3.0)
     assert all(p["margin"] > 0 for p in payload["pairs"])
+
+
+# ---------------------------------------------------------------------------
+# report form
+# ---------------------------------------------------------------------------
+
+def _repeated_kinds_spec(a_atoms, c_atoms):
+    return {"classes": {"A": list(a_atoms), "B": [{"kind": "monotone"}],
+                        "C": list(c_atoms)},
+            "params": {"alpha": 0.5, "lambda": 1.0}}
+
+
+@pytest.mark.parametrize("argv", [["factor"], ["compare"],
+                                  ["verify", "--rho", "auto",
+                                   "--trials", "50"]])
+def test_repeated_atom_kinds_give_the_tightest_constants(tmp_path, capsys,
+                                                          argv):
+    # an intersection reads its largest mu and beta and its smallest L
+    # whatever the order of its atoms, as its region does: every order
+    # reports exactly what the class of the tightest atoms reports
+    sm = [{"kind": "strongly_monotone", "mu": mu} for mu in (0.4, 0.6)]
+    lip = [{"kind": "lipschitz", "L": L} for L in (2.0, 1.3)]
+    coco = [{"kind": "cocoercive", "beta": beta} for beta in (0.8, 1.0)]
+    spec = write_spec(tmp_path, _repeated_kinds_spec(
+        [sm[1], lip[1]], [coco[1]]))
+    code = main([argv[0], spec] + argv[1:])
+    expected = (code, capsys.readouterr())
+    assert code == 0
+    for a_atoms in itertools.permutations(sm + lip):
+        for c_atoms in itertools.permutations(coco):
+            spec = write_spec(tmp_path, _repeated_kinds_spec(a_atoms,
+                                                             c_atoms))
+            code = main([argv[0], spec] + argv[1:])
+            assert (code, capsys.readouterr()) == expected, \
+                (a_atoms, c_atoms)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_TEXT = st.text(max_size=6)
+
+
+def _same(values):
+    """Pairs (value, its JSON form) of values that JSON writes as they
+    are."""
+    return values.map(lambda v: (v, v))
+
+
+def _point(z):
+    return {"re": float(z.real), "im": float(z.imag)}
+
+
+_COMPLEX = st.one_of(st.complex_numbers(allow_nan=False,
+                                        allow_infinity=False),
+                     st.complex_numbers(allow_nan=False, allow_infinity=False,
+                                        width=128).map(np.complex128))
+_PARAMETERS = st.dictionaries(_TEXT, st.one_of(_FLOATS, _TEXT), max_size=3)
+_CHECKED = st.lists(_TEXT, max_size=3)
+
+_REPORTS = st.one_of(
+    st.builds(lambda rho, theorem, parameters, checked: (
+        rates.RateReport(rho, theorem, parameters, tuple(checked)),
+        {"rho": rho, "theorem": theorem, "parameters": parameters,
+         "assumptions_verified": checked}),
+        _FLOATS, _TEXT, _PARAMETERS, _CHECKED),
+    st.builds(lambda theta, theorem, parameters, checked: (
+        rates.AveragednessReport(theta, theorem, parameters, tuple(checked)),
+        {"theta": theta, "theorem": theorem, "parameters": parameters,
+         "assumptions_verified": checked}),
+        _FLOATS, _TEXT, _PARAMETERS, _CHECKED),
+    st.builds(lambda values, best, grid_best, evaluations: (
+        search_module.SearchResult(values[0], tuple(best), values[1],
+                                   tuple(grid_best), values[2], values[3],
+                                   values[4], evaluations),
+        {"best_value": values[0], "best_point": [_point(z) for z in best],
+         "grid_best_value": values[1],
+         "grid_best_point": [_point(z) for z in grid_best],
+         "certified_upper": values[2], "lipschitz_constant": values[3],
+         "covering_radius": values[4], "evaluations": evaluations}),
+        st.lists(_FLOATS, min_size=5, max_size=5),
+        st.lists(_COMPLEX, min_size=3, max_size=3),
+        st.lists(_COMPLEX, min_size=3, max_size=3), st.integers(0, 10 ** 9)),
+    st.builds(lambda trials, rho, seen, violations, warnings: (
+        verify_module.VerificationReport(trials, rho, seen, violations,
+                                         warnings),
+        {"trials": trials, "rho": rho, "max_norm_seen": seen,
+         "violations": violations, "warnings": warnings}),
+        st.integers(0, 10 ** 6), _FLOATS, _FLOATS,
+        st.lists(st.dictionaries(_TEXT, st.one_of(_FLOATS, _TEXT,
+                                                  st.lists(_TEXT)),
+                                 max_size=3), max_size=2),
+        st.lists(_TEXT, max_size=2)),
+)
+
+_LEAVES = st.one_of(_same(_TEXT), _same(st.integers()), _same(_FLOATS),
+                    _same(st.booleans()), _same(st.none()),
+                    _COMPLEX.map(lambda z: (z, _point(z))), _REPORTS)
+
+
+def _nested(children):
+    return st.one_of(
+        st.lists(children, max_size=4).map(
+            lambda pairs: ([v for v, _ in pairs], [e for _, e in pairs])),
+        st.dictionaries(_TEXT, children, max_size=4).map(
+            lambda pairs: ({k: v for k, (v, _) in pairs.items()},
+                           {k: e for k, (_, e) in pairs.items()})))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(_TEXT, st.recursive(_LEAVES, _nested, max_leaves=12),
+                       max_size=5))
+def test_emit_writes_reports_as_their_fields(pairs):
+    # a report dataclass is written as its fields and a complex point as
+    # {"re", "im"}, at any depth; everything else as json writes it
+    payload = {k: v for k, (v, _) in pairs.items()}
+    expected = {"schema_version": "1",
+                **{k: e for k, (_, e) in pairs.items()}}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(payload)
+    assert out.getvalue() == json.dumps(expected, indent=2,
+                                        sort_keys=True) + "\n"
+
+
+def _field_names(report_type):
+    return {f.name for f in dataclasses.fields(report_type)}
+
+
+_THM41 = {"classes": {"A": [{"kind": "strongly_monotone", "mu": 1.0}],
+                      "B": [{"kind": "monotone"}],
+                      "C": [{"kind": "monotone"},
+                            {"kind": "lipschitz", "L": 1.0}]},
+          "params": {"alpha": 1.0, "lambda": 1.0}}
+
+
+@pytest.mark.parametrize("payload, argv, report_type, extras", [
+    (ALL_ONES_31, ["factor"], rates.RateReport, set()),
+    (_THM41, ["factor"], rates.AveragednessReport, set()),
+    (PUBLISHED, ["maxmod", "--eps", "0.05"], search_module.SearchResult,
+     {"params", "eps_grid"}),
+    (ALL_ONES_31, ["verify", "--trials", "20"],
+     verify_module.VerificationReport, {"passed"}),
+], ids=["factor-rate", "factor-averagedness", "maxmod", "verify"])
+def test_report_keys_are_the_dataclass_fields_and_the_extras(
+        tmp_path, capsys, payload, argv, report_type, extras):
+    spec = write_spec(tmp_path, payload)
+    code, report = run(capsys, [argv[0], spec] + argv[1:])
+    assert code == 0
+    assert set(report) == _field_names(report_type) | extras | {
+        "schema_version"}
+
+
+def test_compare_pairs_hold_rate_reports(tmp_path, capsys):
+    spec = write_spec(tmp_path, ALL_ONES_31)
+    code, report = run(capsys, ["compare", spec])
+    assert code == 0
+    assert set(report) == {"schema_version", "pairs", "epsilon", "eta"}
+    for pair in report["pairs"]:
+        assert set(pair) == {"new", "prior", "margin"}
+        assert set(pair["new"]) == set(pair["prior"]) == \
+            _field_names(rates.RateReport)
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_compare_names_one_operator_priors_after_it(op):
     a, b = (carrier, cls.monotone()) if op == "A" else (cls.monotone(),
                                                         carrier)
     report = rates.compare(a, b, cls.cocoercive(1.0), 0.5, 1.0)
-    priors = {p["prior"]["theorem"]: p["prior"]["parameters"]
+    priors = {p["prior"].theorem: p["prior"].parameters
               for p in report["pairs"]}
     for label in ("D.6.1", "D.6.2"):
         assert priors[label][f"mu_{op}"] == 0.6
