@@ -130,7 +130,7 @@ class Region:
 
     def contains(self, z, tol: float = 0.0):
         """Membership of a point, or a mask over an array of points."""
-        if tol < 0:
+        if not tol >= 0:
             raise ValueError("tol must be nonnegative")
         inside = True
         for a in self.atoms:

@@ -11,9 +11,10 @@ checks resolvent_srg's scale, shift and inversion, the boundary pieces,
 
 Each public function below takes one 2x2 matrix or an (n, 2, 2) stack of
 them, so a verification run checks all of its trials in one batched pass.
-The algebra itself runs on the four entry arrays (m00, m01, m10, m11) of a
-matrix or stack: a product, a shift or a norm is then a few elementwise
-numpy calls, where (n, 2, 2) stacks and @ cost many more.
+Products and shifts run on the four entry arrays (m00, m01, m10, m11) of a
+matrix or stack, a few elementwise numpy calls where (n, 2, 2) stacks and
+@ cost many more.  Norms and class membership read the map's SRG, a circle
+whose centre and radius one split of the entries gives (_parts).
 """
 
 from __future__ import annotations
@@ -71,31 +72,17 @@ def _product(a, b):
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def _norm(e):
-    """Largest singular value, in closed form.
-
-    The formula squares squared entries, so each matrix is first scaled by
-    the power of two that brings its largest entry into [0.5, 1); that
-    scaling is exact and keeps tiny and huge entries from underflowing or
-    overflowing."""
-    a00, a01, a10, a11 = map(np.abs, e)
-    k = np.frexp(np.maximum(np.maximum(a00, a01), np.maximum(a10, a11)))[1]
-    m00, m01, m10, m11 = (np.ldexp(x, -k) for x in e)
-    a = m00 ** 2 + m10 ** 2
-    d = m01 ** 2 + m11 ** 2
-    b = m00 * m01 + m10 * m11
-    disc = np.sqrt(np.maximum((a - d) ** 2 + 4.0 * b * b, 0.0))
-    return np.ldexp(np.sqrt(np.maximum(0.5 * (a + d + disc), 0.0)), k)
-
-
-def _sym_min_eig(e):
-    """Smallest eigenvalue of the symmetric part (m + m^T)/2."""
+def _parts(e):
+    """The split (w, v) of the map m x = w x + v conj(x) on R^2 = C, for
+    entries e = (m00, m01, m10, m11).  At x = exp(i t), m x / x = w +
+    v exp(-2 i t), so the SRG of m is the circle about w of radius |v|
+    with its mirror: ||m|| = |w| + |v|, and sym(m) has eigenvalues
+    Re w -+ |v|.  No entry is squared (|.| is a hypot), so these hold to
+    rounding from the smallest to the largest entries whose sums are
+    finite."""
     m00, m01, m10, m11 = e
-    # the entries of (m + m^T)/2, rounded and overflowing as that matrix
-    # sum would round and overflow them
-    s00, s11, s01 = 0.5 * (m00 + m00), 0.5 * (m11 + m11), 0.5 * (m01 + m10)
-    disc = np.sqrt(np.maximum((s00 - s11) ** 2 + 4.0 * s01 ** 2, 0.0))
-    return 0.5 * ((s00 + s11) - disc)
+    return (0.5 * ((m00 + m11) + 1j * (m10 - m01)),
+            0.5 * ((m00 - m11) + 1j * (m01 + m10)))
 
 
 def realize(z) -> np.ndarray:
@@ -106,8 +93,10 @@ def realize(z) -> np.ndarray:
 
 def spectral_norm_2x2(m: np.ndarray):
     """Largest singular value of a 2x2 matrix, or of each matrix of a
-    stack, in closed form (_norm)."""
-    return _norm(_entries(m))
+    stack: |w| + |v|, the farthest point from 0 of its SRG circle about w
+    of radius |v| (_parts), reached where w x and v conj(x) align."""
+    w, v = _parts(_entries(m))
+    return np.abs(w) + np.abs(v)
 
 
 def operator_from_resolvent_point(z_j, alpha: float) -> np.ndarray:
@@ -141,19 +130,23 @@ def dys_matrix(j_a: np.ndarray, j_b: np.ndarray, c: np.ndarray,
 
 def class_membership(m: np.ndarray, spec: OperatorClassSpec, tol=0.0):
     """Whether the SRG of the linear map m lies within tol, a distance in
-    the plane, of each atom's region (every atom is SRG-full): HalfPlane(a)
-    when sym(m)'s smallest eigenvalue is >= a - tol, Disk(c, r) when
-    ||m - c I|| <= r + tol.  tol is a scalar or one tolerance per matrix:
-    a bool for one matrix, a mask for a stack."""
-    if np.any(np.asarray(tol) < 0):
+    the plane, of each atom's region (every atom is SRG-full).  m is split
+    once (_parts); its SRG is the circle about w of radius |v| and that
+    circle's mirror, which a region symmetric about the real axis holds
+    with it.  So HalfPlane(a) holds when Re w - |v| (sym(m)'s smallest
+    eigenvalue) is >= a - tol, Disk(c, r) when |w - c| + |v| (||m - c I||)
+    is <= r + tol.  tol is a scalar or one tolerance per matrix: a bool
+    for one matrix, a mask for a stack."""
+    if not np.all(np.asarray(tol) >= 0):
         raise ValueError("tol must be nonnegative")
-    e = _entries(m)
+    w, v = _parts(_entries(m))
+    radius = np.abs(v)
     ok = np.ones(m.shape[:-2], dtype=bool)
     for region in (a.region() for a in spec.atoms):
         if isinstance(region, HalfPlane):
-            ok &= _sym_min_eig(e) >= region.threshold - tol
+            ok &= w.real - radius >= region.threshold - tol
         else:
-            ok &= _norm(_shift(e, region.center)) <= region.radius + tol
+            ok &= np.abs(w - region.center) + radius <= region.radius + tol
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -238,7 +231,8 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
     zs = [np.append(z, p) for z, p in zip(zs, best)]
     member = np.append(member, True)
     t = dys_matrix(*(realize(z) for z in zs), params.alpha, params.lam)
-    norms = _norm(_shift(_entries(t), center))
+    w, v = _parts(_entries(t))
+    norms = np.abs(w - center) + np.abs(v)
     seen = np.where(member & (norms > 0.0), norms, 0.0)
     report.max_norm_seen = float(np.max(seen))
     for i in np.flatnonzero(~member | (norms > bound + BOUND_TOL)):

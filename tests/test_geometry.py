@@ -67,6 +67,13 @@ def test_contains_rejects_negative_tol():
         Region((Disk(0.0, 1.0),)).contains(0j, -1.0)
 
 
+def test_contains_rejects_nan_tol():
+    # NaN fails every comparison: a guard that refused only tol < 0 would
+    # let it through, and every point would read as outside
+    with pytest.raises(ValueError, match="nonnegative"):
+        Region((Disk(0.0, 1.0),)).contains(0j, float("nan"))
+
+
 # ---------------------------------------------------------------------------
 # translate / scale
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import dysrates.verify as verify_module
 from dysrates.classes import resolvent_srg, srg
 from dysrates.geometry import boundary_grid
 from dysrates.search import search
-from dysrates.verify import _entries, _random_boundary_points, _sym_min_eig
+from dysrates.verify import _entries, _parts, _random_boundary_points
 from oracles import (assert_matches, dys_matrix_stacked, membership_margins,
                      operator_stacked, realize_stacked, rotation_value)
 
@@ -145,6 +145,13 @@ def _outside(region, d, where):
     return complex(region.threshold - d, where)
 
 
+def _split_map(w, v):
+    """The 2x2 matrix of x -> w x + v conj(x) on R^2 = C, whose SRG is the
+    circle about w of radius |v| with its mirror."""
+    return np.array([[w.real + v.real, v.imag - w.imag],
+                     [w.imag + v.imag, w.real - v.real]])
+
+
 # one atom of each kind; a point 0.1 outside its region passes only at a
 # tolerance above 0.1, whichever atom it is
 TOL_ATOMS = [Monotone(), StronglyMonotone(0.5), Cocoercive(0.25),
@@ -154,10 +161,14 @@ TOL_ATOMS = [Monotone(), StronglyMonotone(0.5), Cocoercive(0.25),
 @pytest.mark.parametrize("atom", TOL_ATOMS, ids=lambda a: a.kind)
 @pytest.mark.parametrize("angle", [0.0, 1.0, 2.5])
 def test_membership_tolerance_is_a_distance_in_the_plane(atom, angle):
-    z = _outside(atom.region(), 0.1, angle)
+    # a scaled rotation (v = 0), whose SRG is one point, and a general map
+    # whose SRG circle of radius |v| = 0.2 sits 0.1 outside at its farthest
+    # point: its centre w lies 0.1 - |v| outside the boundary
     spec = OperatorClassSpec((atom,))
-    assert class_membership(realize(z), spec, 0.101)
-    assert not class_membership(realize(z), spec, 0.099)
+    for v in (0j, 0.2 * cmath.exp(0.7j)):
+        m = _split_map(_outside(atom.region(), 0.1 - abs(v), angle), v)
+        assert class_membership(m, spec, 0.101)
+        assert not class_membership(m, spec, 0.099)
 
 
 def test_resolvent_points_realize_class_members():
@@ -369,8 +380,7 @@ def test_realized_stack_norm_is_modulus(zs):
         assert norm == pytest.approx(abs(complex(z)), rel=1e-14)
 
 
-# the closed form squares squared entries, so entries stay clear of 1e-77
-ENTRY = st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) > 1e-50)
+ENTRY = st.floats(-10.0, 10.0)
 
 
 @settings(deadline=None)
@@ -384,24 +394,35 @@ def test_stack_norm_is_largest_singular_value(ms):
 
 WIDE_ENTRY = st.one_of(st.just(0.0), st.builds(
     lambda mantissa, exponent: mantissa * 10.0 ** exponent,
-    st.floats(1.0, 10.0) | st.floats(-10.0, -1.0), st.integers(-150, 150)))
+    st.floats(1.0, 10.0) | st.floats(-10.0, -1.0), st.integers(-300, 300)))
+
+
+def _min_sym_eig(e):
+    """Re w - |v|: the leftmost point of the SRG circle, the smallest
+    eigenvalue of the symmetric part."""
+    w, v = _parts(e)
+    return w.real - np.abs(v)
 
 
 @settings(deadline=None)
 @given(st.lists(st.lists(WIDE_ENTRY, min_size=4, max_size=4), min_size=1,
                 max_size=16))
 def test_stack_norm_exact_across_exponent_range(entries):
-    # entries from 1e-150 to 1e150: squaring twice would underflow to 0 or
-    # overflow to inf without the power-of-two rescaling
+    # entries from 1e-300 to 1e301: a closed form that squares squared
+    # entries would underflow to 0 or overflow to inf here
     ms = np.array(entries).reshape(-1, 2, 2)
-    for m, norm in zip(ms, spectral_norm_2x2(ms)):
+    for m, norm, eig in zip(ms, spectral_norm_2x2(ms),
+                            _min_sym_eig(_entries(ms))):
         assert norm == pytest.approx(np.linalg.norm(m, 2), rel=1e-12, abs=0)
+        # Re w - |v| may cancel, so its error is relative to the entries
+        expect = np.linalg.eigvalsh(0.5 * (m + m.T))[0]
+        assert abs(eig - expect) <= 1e-12 * np.abs(m).max()
 
 
 @settings(deadline=None)
 @given(STACK)
 def test_realized_stack_symmetric_part_min_eigenvalue_is_real_part(zs):
-    for z, eig in zip(zs, _sym_min_eig(_entries(realize(zs)))):
+    for z, eig in zip(zs, _min_sym_eig(_entries(realize(zs)))):
         assert eig == pytest.approx(z.real, rel=1e-14)
 
 
@@ -410,9 +431,25 @@ def test_realized_stack_symmetric_part_min_eigenvalue_is_real_part(zs):
                                     st.just(2)), elements=ENTRY))
 def test_stack_symmetric_part_min_eigenvalue(ms):
     # general matrices, whose symmetric part has off-diagonal entries
-    for m, eig in zip(ms, _sym_min_eig(_entries(ms))):
+    for m, eig in zip(ms, _min_sym_eig(_entries(ms))):
         expect = np.linalg.eigvalsh(0.5 * (m + m.T))[0]
         assert abs(eig - expect) <= 1e-12 * max(1.0, np.abs(m).max())
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, (2, 2), elements=ENTRY),
+       st.tuples(ENTRY, ENTRY).filter(any))
+def test_split_gives_the_srg_circle(m, x):
+    # the SRG of m holds the ratio (m x)/x, as complex numbers, for every
+    # x != 0 (Ryu, Hannah and Yin 2022); for a 2x2 map these ratios fill
+    # the circle |z - w| = |v|.  x is scaled by a power of two, which is
+    # exact, to a largest entry in [0.5, 1), so the ratio does not
+    # overflow when x is subnormal
+    x = np.ldexp(np.array(x), -math.frexp(np.abs(x).max())[1])
+    mx = m @ x
+    ratio = complex(*mx) / complex(*x)
+    w, v = _parts(_entries(m))
+    assert abs(abs(ratio - w) - abs(v)) <= 1e-12 * max(1.0, np.abs(m).max())
 
 
 @settings(deadline=None)
@@ -477,6 +514,15 @@ def test_batched_membership_matches_scalar(stack_and_tols, atoms):
 def test_membership_refuses_a_negative_tolerance():
     ms = realize(np.array([1.0, 2.0j]))
     for tol in (-1e-3, np.array([0.0, -1e-3])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            class_membership(ms, monotone(), tol)
+
+
+def test_membership_refuses_a_nan_tolerance():
+    # NaN fails every comparison: a guard that refused only tol < 0 would
+    # let it through, and a member would read as outside its class
+    ms = realize(np.array([1.0, 2.0j]))
+    for tol in (float("nan"), np.array([0.0, np.nan])):
         with pytest.raises(ValueError, match="nonnegative"):
             class_membership(ms, monotone(), tol)
 
