@@ -1,8 +1,11 @@
 """Hand-rolled SVG emission for symbol-region figures.
 
 No plotting dependency: figures are assembled from circles, polylines and
-point clouds with fixed 6-decimal coordinate formatting, so identical
-inputs produce byte-identical files.
+point clouds, so identical inputs produce byte-identical files. Axes,
+outline, circle and legend write their coordinates with 6 decimals. A
+point cloud is one group scaled by 0.01, whose <circle> rows give each
+centre in whole centipixels: every coordinate is '%05.0f' % (v * 100.0)
+of its mapped float v, within 0.005 px of it.
 """
 
 from __future__ import annotations
@@ -16,40 +19,19 @@ from .geometry import Arc, Segment
 _W, _H = 640, 640
 _MARGIN = 40.0
 
-# ASCII of 0..999 as three digits packed little-endian into a uint64; in
-# _INT3 the leading zeros are the pad byte 0, which add_points drops.
-_N3 = np.arange(1000)[:, None]
-_D3 = _N3 // np.array([100, 10, 1]) % 10 + ord("0")
-_PACK3 = np.array([1, 1 << 8, 1 << 16])
-_ASCII3 = (_D3 * _PACK3).sum(axis=1).astype(np.uint64)
-_INT3 = (np.where(_N3 < [100, 10, 0], 0, _D3) * _PACK3).sum(axis=1).astype(
-    np.uint64)
-# The first 40 bytes of every cloud row, as five 8-byte words: word 1 ends
-# in the x integer slots and ".", word 2 starts with the x decimals, and
-# words 3 and 4 hold y the same way.
-_ROW_HEAD = b'<circle cx="\0\0\0.\0\0\0\0\0\0" cy="\0\0\0.\0\0\0\0\0\0'
-# Rows per cloud element; a block's buffer, bytes and str then fit in L2.
-_BLOCK_ROWS = 4096
+# ASCII of 0..99 in bytes 0-1 and of 0..999 in bytes 2-4 of a little-endian
+# uint64, so _D2[q // 1000] | _D3[q % 1000] spells 0 <= q < 100000 as the
+# five digits of '%05.0f' % q.
+_N = np.arange(1000)
+_D2 = (_N[:100] // 10 + 48 | (_N[:100] % 10 + 48) << 8).astype(np.uint64)
+_D3 = ((_N // 100 + 48) << 16 | (_N // 10 % 10 + 48) << 24
+       | (_N % 10 + 48) << 32).astype(np.uint64)
+# Byte offsets of the cx and cy digits in a cloud row
+_CX, _CY = len('<circle cx="'), len('<circle cx="00000" cy="')
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
-
-
-def _micro_units(v):
-    """(ok, q) for an array of coordinates: where ok, q = rint(v * 1e6) as
-    int64 is exactly the digit string of '%.6f' % v without its point,
-    with at most 3 integer digits; elsewhere q is 0.
-
-    For finite 0 <= v < 1000 the float product v * 1e6 is within 1.2e-7 of
-    the exact one, so away from a .5 tie it rounds as '%.6f' does
-    (correctly, half to even). ok is False for a negative or -0.0, a
-    non-finite, a too large value, and a product within 1e-6 of a tie."""
-    ok = np.isfinite(v) & ~np.signbit(v) & (v < 1000.0)
-    p = np.where(ok, v, 0.0) * 1e6
-    r = np.rint(p)
-    ok &= (np.abs(p - r) < 0.5 - 1e-6) & (r < 1e9)
-    return ok, np.where(ok, r, 0.0).astype(np.int64)
 
 
 @dataclass
@@ -92,41 +74,46 @@ class SvgFigure:
         return tuple(xy.tolist())
 
     def add_points(self, zs, color: str, radius: float = 0.8):
-        """Append the cloud as elements of `_BLOCK_ROWS` rows: a <circle> row
-        per point, rows joined by newlines, each coordinate exactly '%.6f' %
-        of its mapped float.
+        """Append the cloud as one element: a group of fill `color` scaled
+        by 0.01, with a <circle> row per point, rows joined by newlines.
+        Each coordinate is '%05.0f' % of 100 times its mapped float, and r
+        is the radius in whole centipixels. No points append nothing.
 
-        A block's rows are written into one buffer, 8-byte words at a time,
-        with the digits of `_micro_units` from 3-digit tables. The buffer is
-        cut at each row with a coordinate `_micro_units` leaves out; the
-        runs, pad bytes dropped, are joined with those rows %-formatted."""
+        The rows have one width, so they are written into one buffer: the
+        8 bytes at each coordinate, its five digits and the three template
+        bytes after them, as one uint64 from the digit tables. A row with a
+        coordinate that does not round into 0..99999 is %-formatted and
+        spliced in at its place."""
         zs = np.asarray(zs).ravel()
+        if not zs.size:
+            return
         px, py = self._map(zs.real, zs.imag)
-        tail = f'" r="{_fmt(radius)}" fill="{color}"/>\n'
-        (okx, qx), (oky, qy) = _micro_units(px), _micro_units(py)
-        fast = okx & oky & ("\0" not in tail)
+        r = round(radius * 100.0)
+        point = '<circle cx="%05.0f" cy="%05.0f' + f'" r="{r}"/>\n'
+        row = (point % (0, 0)).encode()
+        head = f'<g fill="{color}" transform="scale(0.01)">\n'.encode()
+        with np.errstate(over="ignore"):  # such a row is %-formatted
+            q = np.rint(np.stack([px, py]) * 100.0)
+        fast = ((q >= 0.0) & (q < 1e5) & ~np.signbit(q)).all(axis=0)
+        hi, lo = np.divmod(np.where(fast, q, 0.0).astype(np.int32), 1000)
 
-        row = _ROW_HEAD + tail.encode()
-        template = np.frombuffer(row + b"\0" * (-len(row) % 8), "<u8")
-        width = 8 * template.size
-        point = '<circle cx="%.6f" cy="%.6f' + tail
-        for lo in range(0, zs.size, _BLOCK_ROWS):
-            block = slice(lo, lo + _BLOCK_ROWS)
-            words = np.tile(template, (len(fast[block]), 1))
-            for col, q in ((1, qx[block]), (3, qy[block])):
-                ip = q // 1_000_000
-                fp = q - ip * 1_000_000
-                words[:, col] |= _INT3[ip] << np.uint64(32)
-                words[:, col + 1] |= (_ASCII3[fp // 1000]
-                                      | _ASCII3[fp % 1000] << np.uint64(24))
-            body = words.tobytes()
-            parts, start = [], 0
-            for i in np.flatnonzero(~fast[block]).tolist():
-                parts += [body[start:i * width].replace(b"\0", b"").decode(),
-                          point % (px[lo + i], py[lo + i])]
-                start = (i + 1) * width
-            parts.append(body[start:].replace(b"\0", b"").decode())
-            self.elements.append("".join(parts)[:-1])
+        buf = bytearray(head + row * zs.size + b"</g>")
+        words = np.frombuffer(buf, np.dtype({
+            "names": ["x", "y"], "formats": ["<u8", "<u8"],
+            "offsets": [_CX, _CY], "itemsize": len(row)}),
+            count=zs.size, offset=len(head))
+        for i, (name, at) in enumerate((("x", _CX), ("y", _CY))):
+            after = int.from_bytes(row[at + 5:at + 8], "little") << 40
+            words[name] = _D2[hi[i]] | _D3[lo[i]] | np.uint64(after)
+        parts, start = [], 0
+        for i in np.flatnonzero(~fast).tolist():
+            at = len(head) + i * len(row)
+            x, y = px[i].item(), py[i].item()
+            parts += [buf[start:at], (point % (x * 100.0, y * 100.0)).encode()]
+            start = at + len(row)
+        if parts:
+            buf = b"".join([*parts, buf[start:]])
+        self.elements.append(buf.decode())
 
     def add_circle(self, center: complex, radius: float, color: str,
                    width: float = 1.5):

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -28,6 +29,7 @@ from dysrates.classes import resolvent_srg, srg
 from dysrates.cli import (_ATOM_KINDS, _WRITE_CHARS, ProblemSpec, _cloud,
                           _emit, _write_text, main)
 from dysrates.geometry import boundary_grid
+from dysrates.svgplot import SvgFigure
 from dysrates.symbol import zeta
 
 ALL_ONES_31 = {
@@ -1138,8 +1140,7 @@ def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("variant", sorted(PLOT_GOLDEN))
-def test_plot_golden_bytes(tmp_path, capsys, variant):
+def golden_plot_spec(tmp_path, variant):
     payload = plot_payload()
     if variant.startswith("figure_"):
         del payload["plot"]["circle_radius"]
@@ -1149,7 +1150,12 @@ def test_plot_golden_bytes(tmp_path, capsys, variant):
         payload["enlargement"] = {"mode": "thm33"}
     elif variant == "auto_circle":
         del payload["plot"]["circle_radius"]
-    spec = write_spec(tmp_path, payload, name=f"{variant}.json")
+    return write_spec(tmp_path, payload, name=f"{variant}.json")
+
+
+@pytest.mark.parametrize("variant", sorted(PLOT_GOLDEN))
+def test_plot_golden_bytes(tmp_path, capsys, variant):
+    spec = golden_plot_spec(tmp_path, variant)
     out = tmp_path / "fig.svg"
     code, report = run(capsys, ["plot", spec, "--out", str(out)])
     digest, dark, light, radius = PLOT_GOLDEN[variant]
@@ -1159,6 +1165,40 @@ def test_plot_golden_bytes(tmp_path, capsys, variant):
                       "dark_points": dark, "light_points": light,
                       "circle_radius": float(radius)}
     assert repr(report["circle_radius"]) == radius
+
+
+@pytest.mark.parametrize("variant", ["figure_cprime_120", "figure_thm33_120"])
+def test_plot_cloud_rows_within_half_a_centipixel(tmp_path, capsys,
+                                                  monkeypatch, variant):
+    # each cloud row's centre, read back in pixels, lies within 0.005 px of
+    # the figure's own map of its point
+    clouds = []
+    add_points = SvgFigure.add_points
+
+    def spy(fig, zs, color, radius=0.8):
+        clouds.append((fig, np.asarray(zs).ravel(), color))
+        add_points(fig, zs, color, radius)
+
+    monkeypatch.setattr(SvgFigure, "add_points", spy)
+    out = tmp_path / "fig.svg"
+    code, report = run(capsys, ["plot", golden_plot_spec(tmp_path, variant),
+                                "--out", str(out)])
+    assert code == 0
+    svg = out.read_text()
+    groups = re.findall(r'<g ([^>]*)>\n(.*?)\n</g>', svg, re.S)
+    assert [g for g, _ in groups] == [
+        f'fill="{color}" transform="scale(0.01)"' for _, _, color in clouds]
+    for (fig, zs, _), (_, body) in zip(clouds, groups):
+        rows = body.split("\n")
+        xy = np.array([re.fullmatch(r'<circle cx="(\d{5})" cy="(\d{5})" '
+                                    r'r="80"/>', row).groups()
+                       for row in rows], dtype=float) / 100.0
+        px, py = fig._map(zs.real, zs.imag)
+        assert len(rows) == zs.size
+        assert np.max(np.abs(xy[:, 0] - px)) <= 0.005 + 1e-9
+        assert np.max(np.abs(xy[:, 1] - py)) <= 0.005 + 1e-9
+    assert svg.count("<circle") == (report["dark_points"]
+                                    + report["light_points"] + 1)
 
 
 def test_plot_structure_and_determinism(tmp_path, capsys):
