@@ -1113,25 +1113,25 @@ def plot_spec(tmp_path):
     return write_spec(tmp_path, plot_payload())
 
 
-# SHA-256 of the files written before the figure path moved to numpy arrays,
-# with the plot report's point counts and circle radius (as repr).
+# SHA-256 of the files written with centipixel cloud rows, with the plot
+# report's point counts and circle radius (as repr), which predate them.
 PLOT_GOLDEN = {
-    "cprime": ("b77ba90e6b55ed5930f4835ceb986ae6"
-               "fbac9cd2e6c8561f06073893079d0cd7", 29131, 20368,
+    "cprime": ("f5da177108210008aef45501fa4645fe"
+               "d091251788b38710ff706a379fdefe34", 29131, 20368,
                "0.7745966692"),
-    "thm33": ("220a493364abcd707a1bf80c856f1e0e"
-              "c52cd638589d83c9eab24327ae3b3b6d", 29131, 24157,
+    "thm33": ("945a603d1d7eea86c0fc9bd0d481810a"
+              "fd0ed9e69a807c1da5ef50a4100c544b", 29131, 24157,
               "0.7745966692"),
-    "auto_circle": ("52019da5d0d0b054aa8bbc01aa037e5f"
-                    "c72a4ea1de4a4ca1e19d945df36ed856", 29131, 20368,
+    "auto_circle": ("c8d5961dce3ff0a6ab8e4f01b76fb266"
+                    "72cf268edbd806449a95c21cb017ab0f", 29131, 20368,
                     "0.7741460515242731"),
     # the benchmark's two figure specs (C plain, Cprime enlarged, or the
     # thm33 enlargement; circle from the clouds) at plot.eps 1/120
-    "figure_cprime_120": ("1fb7ff2d31f47da97e37163870a8f98a"
-                          "4629ef98c8431ffb3b351e979f922001", 29977, 29988,
+    "figure_cprime_120": ("6a671689db4d4b3e3ffcf5ecac359fcc"
+                          "0520671862e9f0c1ec4f1a015fe20fe1", 29977, 29988,
                           "0.7711062145798209"),
-    "figure_thm33_120": ("29dbd4660336d5f88e70494e9174faed"
-                         "1e72ca114699879beaa35bceeee9c60b", 29977, 29996,
+    "figure_thm33_120": ("4bc206ab73a722b6ebf066a1691d739a"
+                         "dc7af5827d24814fcd8d7632c2829ce7", 29977, 29996,
                          "0.7732607663166762"),
 }
 
