@@ -92,19 +92,22 @@ class SvgFigure:
         point = '<circle cx="%05.0f" cy="%05.0f' + f'" r="{r}"/>\n'
         row = (point % (0, 0)).encode()
         head = f'<g fill="{color}" transform="scale(0.01)">\n'.encode()
+        q = np.stack([px, py])
         with np.errstate(over="ignore"):  # such a row is %-formatted
-            q = np.rint(np.stack([px, py]) * 100.0)
+            q *= 100.0
+        np.rint(q, out=q)
         fast = ((q >= 0.0) & (q < 1e5) & ~np.signbit(q)).all(axis=0)
-        hi, lo = np.divmod(np.where(fast, q, 0.0).astype(np.int32), 1000)
+        q[:, ~fast] = 0.0
+        hi, lo = np.divmod(q.astype(np.int32), 1000)
 
-        buf = bytearray(head + row * zs.size + b"</g>")
+        buf = bytearray().join((head, row * zs.size, b"</g>"))
         words = np.frombuffer(buf, np.dtype({
             "names": ["x", "y"], "formats": ["<u8", "<u8"],
             "offsets": [_CX, _CY], "itemsize": len(row)}),
             count=zs.size, offset=len(head))
-        for i, (name, at) in enumerate((("x", _CX), ("y", _CY))):
+        for name, at, h, l in zip("xy", (_CX, _CY), hi, lo):
             after = int.from_bytes(row[at + 5:at + 8], "little") << 40
-            words[name] = _D2[hi[i]] | _D3[lo[i]] | np.uint64(after)
+            words[name] = (_D2 | np.uint64(after))[h] | _D3[l]
         parts, start = [], 0
         for i in np.flatnonzero(~fast).tolist():
             at = len(head) + i * len(row)
