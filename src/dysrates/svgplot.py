@@ -111,7 +111,7 @@ class SvgFigure:
         parts, start = [], 0
         for i in np.flatnonzero(~fast).tolist():
             at = len(head) + i * len(row)
-            x, y = px[i].item(), py[i].item()
+            x, y = px[i].item(), py[i].item()  # as floats, inf is no warning
             parts += [buf[start:at], (point % (x * 100.0, y * 100.0)).encode()]
             start = at + len(row)
         if parts:

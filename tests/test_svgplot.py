@@ -79,8 +79,8 @@ def test_empty_cloud_adds_no_element():
     assert fig.elements == []
 
 
-# rows per block in the former blocked emitter: the sizes below still
-# straddle its block edges, now as runs of rows between spliced slow rows
+# a row count for the splice cases below, which put slow rows first,
+# last, next to each other and in long runs of the cloud's one buffer
 B = 4096
 
 
