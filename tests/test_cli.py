@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -1199,6 +1200,30 @@ def test_plot_cloud_rows_within_half_a_centipixel(tmp_path, capsys,
         assert np.max(np.abs(xy[:, 1] - py)) <= 0.005 + 1e-9
     assert svg.count("<circle") == (report["dark_points"]
                                     + report["light_points"] + 1)
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the heap thresholds are glibc's")
+def test_repeated_plots_reuse_freed_memory(tmp_path, capsys):
+    # figures after the first in one process take the memory the earlier
+    # ones freed from the heap instead of faulting it back in (several
+    # hundred to two thousand minor faults per figure without the hold)
+    spec = golden_plot_spec(tmp_path, "figure_thm33_120")
+    argv = ["plot", spec, "--out", str(tmp_path / "fig.svg")]
+    for _ in range(2):
+        assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        assert main(argv) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    capsys.readouterr()
+    assert faults < 100, faults
 
 
 def test_plot_structure_and_determinism(tmp_path, capsys):
