@@ -4,8 +4,8 @@ splitting, computed and certified on the complex plane.
 The package builds scaled-relative-graph regions for operator classes,
 evaluates and maximizes the splitting symbol over region boundaries with a
 certified upper bound, provides the closed-form factors with their
-preconditions, and cross-checks everything against explicit 2x2 operator
-realizations.
+preconditions, and cross-checks everything against 2x2 scaled-rotation
+realizations held as complex numbers.
 """
 
 from .classes import (Averaged, Cocoercive, Lipschitz, Monotone,
@@ -30,8 +30,7 @@ from .search import (SearchResult, coordinate_polish, grid_evaluate,
                      search_regions)
 from .symbol import DysParams, zeta
 from .verify import (VerificationReport, class_membership, dys_matrix,
-                     operator_from_resolvent_point, realize,
-                     spectral_norm_2x2, verify_averagedness,
+                     operator_from_resolvent_point, verify_averagedness,
                      verify_contraction)
 
 __version__ = "0.1.0"

@@ -128,9 +128,10 @@ class Region:
     def bounded(self) -> bool:
         return any(isinstance(a, Disk) for a in self.atoms)
 
-    def contains(self, z, tol: float = 0.0):
-        """Membership of a point, or a mask over an array of points."""
-        if not tol >= 0:
+    def contains(self, z, tol=0.0):
+        """Membership of a point, or a mask over an array of points; tol is
+        a scalar or one tolerance per point."""
+        if not np.all(np.asarray(tol) >= 0):
             raise ValueError("tol must be nonnegative")
         inside = True
         for a in self.atoms:

@@ -1,31 +1,35 @@
-"""Independent verification with explicit 2x2 operator realizations.
+"""Independent verification on 2x2 scaled rotations held as complex numbers.
 
-A complex number z embeds into the 2x2 scaled rotations [[re, -im],
-[im, re]]; the embedding is a ring homomorphism, so the splitting operator
-assembled from realized resolvents is itself a scaled rotation whose
-spectral norm equals the symbol modulus exactly.  This checks a claimed
-contraction or averagedness factor without the closed forms; of the region
-geometry it reads only the atoms' region().  Independently of the search it
-checks resolvent_srg's scale, shift and inversion, the boundary pieces,
-(J^{-1} - I)/alpha, the DYS assembly and the norms.
+A complex number z acts on R^2 = C as the scaled rotation [[re, -im],
+[im, re]].  That embedding is a ring homomorphism (Ryu, Hannah and Yin,
+Math. Program. 2022): sums and products of scaled rotations are those of
+their numbers, the SRG of the rotation of z is z with its mirror conj(z),
+and its spectral norm is |z|.  Every map this module builds is a scaled
+rotation, so it holds each one as its complex number: the operator
+(J^{-1} - I)/alpha realized from a resolvent value J, the splitting
+operator T assembled from three of them, and the norm ||T - c I|| =
+|t - c|.  Class membership is a point in the class's region
+(Region.contains), the one point-in-region rule of the package.
 
-Each public function below takes one 2x2 matrix or an (n, 2, 2) stack of
-them, so a verification run checks all of its trials in one batched pass.
-Products and shifts run on the four entry arrays (m00, m01, m10, m11) of a
-matrix or stack, a few elementwise numpy calls where (n, 2, 2) stacks and
-@ cost many more.  Norms and class membership read the map's SRG, a circle
-whose centre and radius one split of the entries gives (_parts).
+This checks a claimed contraction or averagedness factor without the
+closed forms; of the region geometry it reads only the atoms' region().
+Independently of the search it checks resolvent_srg's scale, shift and
+inversion, the boundary pieces, (J^{-1} - I)/alpha, the DYS assembly and
+the norms.  The public functions below take one complex number or an
+array of them, so a verification run checks all of its trials in one
+batched pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classes import OperatorClassSpec, dys_preflight, resolvent_srg, srg
 from .errors import PreconditionError, SingularResolventError
-from .geometry import HalfPlane, boundary_pieces
+from .geometry import boundary_pieces
 from .search import locate_maximum
 from .symbol import DysParams
 
@@ -39,70 +43,17 @@ BOUND_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# 2x2 algebra on entry arrays
+# Scaled rotations as complex numbers
 # ---------------------------------------------------------------------------
 
-def _entries(m: np.ndarray):
-    """The entries (m00, m01, m10, m11) of a 2x2 matrix or of a stack of
-    them."""
-    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-
-
-def _matrix(e) -> np.ndarray:
-    """The 2x2 matrix, or (n, 2, 2) stack, with entries e."""
-    return np.stack(e, -1).reshape(np.shape(e[0]) + (2, 2))
-
-
-def _rotation(z):
-    """Entries of the scaled rotation that multiplies by z."""
-    return z.real, -z.imag, z.imag, z.real
-
-
-def _shift(e, c):
-    """Entries of m - c I."""
-    m00, m01, m10, m11 = e
-    return m00 - c, m01, m10, m11 - c
-
-
-def _product(a, b):
-    """Entries of the product a b."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
-
-
-def _parts(e):
-    """The split (w, v) of the map m x = w x + v conj(x) on R^2 = C, for
-    entries e = (m00, m01, m10, m11).  At x = exp(i t), m x / x = w +
-    v exp(-2 i t), so the SRG of m is the circle about w of radius |v|
-    with its mirror: ||m|| = |w| + |v|, and sym(m) has eigenvalues
-    Re w -+ |v|.  No entry is squared (|.| is a hypot), so these hold to
-    rounding from the smallest to the largest entries whose sums are
-    finite."""
-    m00, m01, m10, m11 = e
-    return (0.5 * ((m00 + m11) + 1j * (m10 - m01)),
-            0.5 * ((m00 - m11) + 1j * (m01 + m10)))
-
-
-def realize(z) -> np.ndarray:
-    """The scaled-rotation matrix acting on R^2 as multiplication by z; an
-    array of n values gives an (n, 2, 2) stack."""
-    return _matrix(_rotation(np.asarray(z, dtype=complex)))
-
-
-def spectral_norm_2x2(m: np.ndarray):
-    """Largest singular value of a 2x2 matrix, or of each matrix of a
-    stack: |w| + |v|, the farthest point from 0 of its SRG circle about w
-    of radius |v| (_parts), reached where w x and v conj(x) align."""
-    w, v = _parts(_entries(m))
-    return np.abs(w) + np.abs(v)
-
-
-def operator_from_resolvent_point(z_j, alpha: float) -> np.ndarray:
-    """The operator A with resolvent value z_j: A = ((realize z_j)^{-1} - I)/alpha.
-    An A that overflows, as at a subnormal alpha, is refused: its class
-    checks would read inf and nan."""
+def operator_from_resolvent_point(z_j, alpha: float):
+    """The operator A whose resolvent (I + alpha A)^{-1} is the scaled
+    rotation z_j: A = (1/z_j - 1)/alpha, a scaled rotation held as its
+    complex number (an array of them for an array of z_j).  Each part is
+    divided by alpha on its own: numpy's complex division multiplies by
+    1/alpha, which rounds once more and overflows at a subnormal alpha
+    where A may not.  An A that overflows, as at alpha 1e-320, is refused:
+    its class checks would read inf and nan."""
     z_j = np.asarray(z_j, dtype=complex)
     if np.any(z_j == 0):
         raise SingularResolventError(
@@ -110,44 +61,33 @@ def operator_from_resolvent_point(z_j, alpha: float) -> np.ndarray:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
-        op = [x / alpha for x in _shift(_rotation(1.0 / z_j), 1.0)]
-    if not all(np.isfinite(x).all() for x in op):
+        inverse = 1.0 / z_j - 1.0
+        op = inverse.real / alpha + 1j * (inverse.imag / alpha)
+    if not np.isfinite(op).all():
         raise SingularResolventError(
             "the operator (J^-1 - I)/alpha realized from a resolvent value "
             f"J is not finite at alpha = {alpha!r}")
-    return _matrix(op)
+    return op
 
 
-def dys_matrix(j_a: np.ndarray, j_b: np.ndarray, c: np.ndarray,
-               alpha: float, lam: float) -> np.ndarray:
-    """T = I - lam*J_B + lam*J_A (2 J_B - I - alpha*C J_B)."""
-    j_b = _entries(j_b)
-    c_jb = _product([alpha * x for x in _entries(c)], j_b)
-    inner = _shift([2.0 * b - x for b, x in zip(j_b, c_jb)], 1.0)
-    outer = _product([lam * x for x in _entries(j_a)], inner)
-    return _matrix(_shift([x - lam * b for x, b in zip(outer, j_b)], -1.0))
+def dys_matrix(j_a, j_b, c, alpha: float, lam: float):
+    """T = I - lam*J_B + lam*J_A (2 J_B - I - alpha*C J_B) for scaled
+    rotations held as complex numbers, or arrays of them:
+    1 - lam j_B + lam j_A (2 j_B - 1 - alpha c j_B)."""
+    return lam * j_a * (2.0 * j_b - alpha * c * j_b - 1.0) - lam * j_b + 1.0
 
 
-def class_membership(m: np.ndarray, spec: OperatorClassSpec, tol=0.0):
-    """Whether the SRG of the linear map m lies within tol, a distance in
-    the plane, of each atom's region (every atom is SRG-full).  m is split
-    once (_parts); its SRG is the circle about w of radius |v| and that
-    circle's mirror, which a region symmetric about the real axis holds
-    with it.  So HalfPlane(a) holds when Re w - |v| (sym(m)'s smallest
-    eigenvalue) is >= a - tol, Disk(c, r) when |w - c| + |v| (||m - c I||)
-    is <= r + tol.  tol is a scalar or one tolerance per matrix: a bool
-    for one matrix, a mask for a stack."""
-    if not np.all(np.asarray(tol) >= 0):
-        raise ValueError("tol must be nonnegative")
-    w, v = _parts(_entries(m))
-    radius = np.abs(v)
-    ok = np.ones(m.shape[:-2], dtype=bool)
-    for region in (a.region() for a in spec.atoms):
-        if isinstance(region, HalfPlane):
-            ok &= w.real - radius >= region.threshold - tol
-        else:
-            ok &= np.abs(w - region.center) + radius <= region.radius + tol
-    return bool(ok) if ok.ndim == 0 else ok
+def class_membership(z, spec: OperatorClassSpec, tol=0.0):
+    """Whether the scaled rotation z, held as its complex number, belongs
+    to the class spec within tol, a distance in the plane: a truth value
+    for one number, a mask for an array.  Every atom is SRG-full, so a
+    linear map belongs to it exactly when its SRG lies in the atom's
+    region; the SRG of z is z with its mirror, which a region symmetric
+    about the real axis holds with it.  So HalfPlane(a) holds when Re z
+    (the symmetric part's eigenvalue) is >= a - tol, Disk(c, r) when
+    |z - c| (||z - c I||) is <= r + tol.  tol is a scalar or one tolerance
+    per number."""
+    return srg(spec).contains(z, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +129,21 @@ class VerificationReport:
 
 def _check_trials(specs, params: DysParams, bound: float, center: float,
                   n_trials: int, rng: np.random.Generator):
-    """Realize n_trials random boundary triples as 2x2 matrices, check the
-    classes of the induced operators and ||T - center*I|| <= bound +
-    BOUND_TOL, and report in trial order.  The maximizer of a coarse search for
-    |zeta - center| is probed last, without class checks, so an undersized
-    bound fails deterministically rather than only when random sampling
-    gets lucky; with no random trials the probe is the whole check.  When
-    the SRG theorem's hypotheses fail at s = center, a warning says that a
-    pass bounds only the 2x2 realizations."""
+    """Realize n_trials random boundary triples as scaled rotations, check
+    the classes of the induced operators and |t - center| = ||T -
+    center*I|| <= bound + BOUND_TOL, and report in trial order.  The
+    maximizer of a coarse search for |zeta - center| is probed last,
+    without class checks, so an undersized bound fails deterministically
+    rather than only when random sampling gets lucky; with no random
+    trials the probe is the whole check.  A bound that is not finite is
+    refused before any trial is drawn.  When the SRG theorem's hypotheses
+    fail at s = center, a warning says that a pass bounds only the 2x2
+    realizations."""
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
+    if not math.isfinite(bound):
+        # no norm exceeds NaN, so a NaN bound would pass every trial
+        raise ValueError(f"the bound must be finite, got {bound!r}")
     if n_trials > TRIAL_BUDGET:
         raise PreconditionError(f"at most {TRIAL_BUDGET} verify trials",
                                 f"{n_trials} requested")
@@ -211,13 +156,13 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
     pieces = [boundary_pieces(r) for r in regions]
     zs = [_random_boundary_points(p, n_trials, rng) for p in pieces]
     member = np.ones(n_trials, dtype=bool)
-    for m, spec in zip((operator_from_resolvent_point(zs[0], params.alpha),
-                        operator_from_resolvent_point(zs[1], params.alpha),
-                        realize(zs[2])), specs):
+    for op, spec in zip((operator_from_resolvent_point(zs[0], params.alpha),
+                         operator_from_resolvent_point(zs[1], params.alpha),
+                         zs[2]), specs):
         # A = (J^{-1} - I)/alpha carries rounding relative to its norm,
         # which grows without bound as the resolvent value J nears 0
         member &= class_membership(
-            m, spec, 1e-9 * np.maximum(1.0, spectral_norm_2x2(m)))
+            op, spec, 1e-9 * np.maximum(1.0, np.abs(op)))
     # the probe maximizes |zeta - center|, the quantity checked below,
     # whatever shift params carries
     probe = DysParams(params.alpha, params.lam, center)
@@ -230,9 +175,7 @@ def _check_trials(specs, params: DysParams, bound: float, center: float,
     best = locate_maximum(*regions, probe, 1.0 / 40.0, pieces)[1]
     zs = [np.append(z, p) for z, p in zip(zs, best)]
     member = np.append(member, True)
-    t = dys_matrix(*(realize(z) for z in zs), params.alpha, params.lam)
-    w, v = _parts(_entries(t))
-    norms = np.abs(w - center) + np.abs(v)
+    norms = np.abs(dys_matrix(*zs, params.alpha, params.lam) - center)
     seen = np.where(member & (norms > 0.0), norms, 0.0)
     report.max_norm_seen = float(np.max(seen))
     for i in np.flatnonzero(~member | (norms > bound + BOUND_TOL)):

@@ -73,9 +73,10 @@ def test_degenerate_parameters_need_explicit_monotone_atom():
 @settings(deadline=None, max_examples=25)
 @given(st.data())
 def test_every_atom_region_is_a_disk_or_a_half_plane(kind, data):
-    # verify.class_membership checks a disk by a norm and a half-plane by
-    # an eigenvalue, and real_extent reads the same two shapes; a disk
-    # exterior would need a rule of its own in both
+    # real_extent reads only these two shapes, and verify.class_membership
+    # relies on them: a scaled rotation z lies in a disk by the norm
+    # |z - c| and in a half-plane by the eigenvalue Re z; a disk exterior
+    # would need a rule of its own in real_extent
     atom = kind(*(data.draw(st.floats(1e-3, 1.0 - 1e-3))
                   for _ in dataclasses.fields(kind)))
     assert type(atom.region()) in (Disk, HalfPlane)

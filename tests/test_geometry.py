@@ -74,6 +74,20 @@ def test_contains_rejects_nan_tol():
         Region((Disk(0.0, 1.0),)).contains(0j, float("nan"))
 
 
+def test_contains_takes_one_tolerance_per_point():
+    region = Region((Disk(0.0, 1.0), HalfPlane(-0.5)))
+    zs = np.array([1.05 + 0j, 1.05 + 0j, -0.55 + 0j, 0.5j])
+    tols = np.array([0.1, 0.01, 0.1, 0.0])
+    mask = region.contains(zs, tols)
+    assert mask.tolist() == [True, False, True, True]
+    assert mask.tolist() == [region.contains(complex(z), float(t))
+                             for z, t in zip(zs, tols)]
+    for bad in (np.array([0.1, -1e-3, 0.0, 0.0]),
+                np.array([0.1, np.nan, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            region.contains(zs, bad)
+
+
 # ---------------------------------------------------------------------------
 # translate / scale
 # ---------------------------------------------------------------------------
