@@ -2,32 +2,40 @@
 
 No plotting dependency: figures are assembled from circles, polylines and
 point clouds, so identical inputs produce byte-identical files. Axes,
-outline, circle and legend write their coordinates with 6 decimals. A
-point cloud is one group scaled by 0.01, whose <circle> rows give each
-centre in whole centipixels: every coordinate is '%05.0f' % (v * 100.0)
-of its mapped float v, within 0.005 px of it.
+outline, circle and legend write their coordinates with 6 decimals; an arc
+of the outline is drawn through at most _ARC_POINTS points. A point cloud
+is one group scaled by 0.01, whose <circle> rows give each centre in whole
+centipixels: every coordinate is '%05.0f' % (v * 100.0) of its mapped
+float v, within 0.005 px of it. A figure whose bounds or scale leave the
+floating-point range is refused when it is made.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import PreconditionError
 from .geometry import Arc, Segment
 
 _W, _H = 640, 640
 _MARGIN = 40.0
+# Most points of an arc's polyline: chords within 0.0014 px at radius 280 px
+_ARC_POINTS = 1024
 
-# ASCII of 0..99 in bytes 0-1 and of 0..999 in bytes 2-4 of a little-endian
-# uint64, so _D2[q // 1000] | _D3[q % 1000] spells 0 <= q < 100000 as the
-# five digits of '%05.0f' % q.
-_N = np.arange(1000)
-_D2 = (_N[:100] // 10 + 48 | (_N[:100] % 10 + 48) << 8).astype(np.uint64)
-_D3 = ((_N // 100 + 48) << 16 | (_N // 10 % 10 + 48) << 24
-       | (_N % 10 + 48) << 32).astype(np.uint64)
-# Byte offsets of the cx and cy digits in a cloud row
-_CX, _CY = len('<circle cx="'), len('<circle cx="00000" cy="')
+# A cloud row; each coordinate is its centipixels, rounded half to even
+_ROW = '<circle cx="%05.0f" cy="%05.0f" r="80"/>\n'
+_ZERO_ROW = (_ROW % (0, 0)).encode()
+# The cx and cy digits of each row in a buffer of _ZERO_ROW
+_DIGITS = np.dtype({"names": ["x", "y"], "formats": ["S5", "S5"],
+                    "offsets": [12, 23], "itemsize": len(_ZERO_ROW)})
+# _FIVE[k] is b'%05d' % k, for 0 <= k < 100000
+_FIVE = np.empty((100, 1000), [("hi", "S2"), ("lo", "S3")])
+_FIVE["hi"] = np.array([b"%02d" % k for k in range(100)])[:, None]
+_FIVE["lo"] = [b"%03d" % k for k in range(1000)]
+_FIVE = _FIVE.view("S5").ravel()
 
 
 def _fmt(x: float) -> str:
@@ -42,14 +50,23 @@ class SvgFigure:
     ymax: float
     elements: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self._s = min((_W - 2 * _MARGIN) / (self.xmax - self.xmin),
+                      (_H - 2 * _MARGIN) / (self.ymax - self.ymin))
+        self._cx = 0.5 * (self.xmin + self.xmax)
+        self._cy = 0.5 * (self.ymin + self.ymax)
+        # a finite centre has finite bounds
+        if not (0.0 < self._s < math.inf and math.isfinite(self._cx)
+                and math.isfinite(self._cy)):
+            raise PreconditionError(
+                "a figure's bounds and scale in floating-point range",
+                f"bounds {(self.xmin, self.xmax, self.ymin, self.ymax)!r}, "
+                f"scale {self._s!r}")
+
     def _map(self, x, y):
         """Figure coordinates of (x, y); elementwise on arrays."""
-        sx = (_W - 2 * _MARGIN) / (self.xmax - self.xmin)
-        sy = (_H - 2 * _MARGIN) / (self.ymax - self.ymin)
-        s = min(sx, sy)
-        cx = 0.5 * (self.xmin + self.xmax)
-        cy = 0.5 * (self.ymin + self.ymax)
-        return (_W / 2 + (x - cx) * s, _H / 2 - (y - cy) * s)
+        return (_W / 2 + (x - self._cx) * self._s,
+                _H / 2 - (y - self._cy) * self._s)
 
     def add_axes(self):
         x0, y0 = self._map(self.xmin, 0.0)
@@ -73,62 +90,42 @@ class SvgFigure:
         xy[1::2] = py
         return tuple(xy.tolist())
 
-    def add_points(self, zs, color: str, radius: float = 0.8):
+    def add_points(self, zs, color: str):
         """Append the cloud as one element: a group of fill `color` scaled
-        by 0.01, with a <circle> row per point, rows joined by newlines.
-        Each coordinate is '%05.0f' % of 100 times its mapped float, and r
-        is the radius in whole centipixels. No points append nothing.
-
-        The rows have one width, so they are written into one buffer: the
-        8 bytes at each coordinate, its five digits and the three template
-        bytes after them, as one uint64 from the digit tables. A row with a
-        coordinate that does not round into 0..99999 is %-formatted and
-        spliced in at its place."""
+        by 0.01 around one _ROW per point, its coordinates 100 times the
+        point's mapped floats. If every coordinate rounds into 0..99999, as
+        for any cloud inside the canvas, the rows are _ZERO_ROW copies with
+        each coordinate's digits copied in from _FIVE; any other cloud is
+        %-formatted whole. No points append nothing."""
         zs = np.asarray(zs).ravel()
         if not zs.size:
             return
-        px, py = self._map(zs.real, zs.imag)
-        r = round(radius * 100.0)
-        point = '<circle cx="%05.0f" cy="%05.0f' + f'" r="{r}"/>\n'
-        row = (point % (0, 0)).encode()
-        head = f'<g fill="{color}" transform="scale(0.01)">\n'.encode()
-        q = np.stack([px, py])
-        with np.errstate(over="ignore"):  # such a row is %-formatted
+        q = np.stack(self._map(zs.real, zs.imag))
+        with np.errstate(over="ignore"):  # such a cloud is %-formatted
             q *= 100.0
-        np.rint(q, out=q)
-        fast = ((q >= 0.0) & (q < 1e5) & ~np.signbit(q)).all(axis=0)
-        q[:, ~fast] = 0.0
-        hi, lo = np.divmod(q.astype(np.int32), 1000)
+        np.rint(q, out=q)  # '%05.0f' prints the digits of v as of rint(v)
+        head = f'<g fill="{color}" transform="scale(0.01)">\n'
+        if (q < 1e5).all() and not np.signbit(q).any():
+            head = head.encode()
+            buf = bytearray().join((head, _ZERO_ROW * zs.size, b"</g>"))
+            digits = np.frombuffer(buf, _DIGITS, zs.size, len(head))
+            for name, k in zip("xy", q.astype(np.int32)):
+                digits[name] = _FIVE[k]
+            self.elements.append(buf.decode())
+        else:
+            self.elements.append(
+                head + _ROW * zs.size % tuple(q.T.ravel().tolist()) + "</g>")
 
-        buf = bytearray().join((head, row * zs.size, b"</g>"))
-        words = np.frombuffer(buf, np.dtype({
-            "names": ["x", "y"], "formats": ["<u8", "<u8"],
-            "offsets": [_CX, _CY], "itemsize": len(row)}),
-            count=zs.size, offset=len(head))
-        for name, at, h, l in zip("xy", (_CX, _CY), hi, lo):
-            after = int.from_bytes(row[at + 5:at + 8], "little") << 40
-            words[name] = (_D2 | np.uint64(after))[h] | _D3[l]
-        parts, start = [], 0
-        for i in np.flatnonzero(~fast).tolist():
-            at = len(head) + i * len(row)
-            x, y = px[i].item(), py[i].item()  # as floats, inf is no warning
-            parts += [buf[start:at], (point % (x * 100.0, y * 100.0)).encode()]
-            start = at + len(row)
-        if parts:
-            buf = b"".join([*parts, buf[start:]])
-        self.elements.append(buf.decode())
-
-    def add_circle(self, center: complex, radius: float, color: str,
-                   width: float = 1.5):
+    def add_circle(self, center: complex, radius: float, color: str):
         px, py = self._map(center.real, center.imag)
         pr, _ = self._map(center.real + radius, center.imag)
         self.elements.append(
             f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(pr - px)}" '
-            f'fill="none" stroke="{color}" stroke-width="{width}"/>')
+            f'fill="none" stroke="{color}" stroke-width="1.5"/>')
 
-    def add_piece_outline(self, piece, color: str, width: float = 1.0):
+    def add_piece_outline(self, piece, color: str):
         if isinstance(piece, Arc):
-            n = max(16, int(piece.length * 64))
+            n = int(min(max(16.0, piece.length * 64), _ARC_POINTS - 1))
             pts = piece.point_at(np.arange(n + 1) / n)
         elif isinstance(piece, Segment):
             pts = np.array([piece.p0, piece.p1])
@@ -138,7 +135,7 @@ class SvgFigure:
         coords = " ".join(["%.6f,%.6f"] * (len(xy) // 2)) % xy
         self.elements.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"/>')
+            f'stroke-width="1.0"/>')
 
     def add_legend(self, entries):
         y = _MARGIN / 2.0

@@ -396,7 +396,7 @@ def rerecorded(fresh, committed):
     return committed
 
 
-def svg_points_reference(fig, zs, color: str, radius: float = 0.8) -> str:
+def svg_points_reference(fig, zs, color: str) -> str:
     """The element string `SvgFigure.add_points` appends for a cloud: a
     group of fill `color` scaled by 0.01 around one `%`-formatted <circle>
     row per point, each coordinate mapped alone through `fig._map` and
@@ -404,8 +404,8 @@ def svg_points_reference(fig, zs, color: str, radius: float = 0.8) -> str:
     rows = []
     for z in np.asarray(zs).ravel().tolist():
         x, y = fig._map(z.real, z.imag)
-        rows.append('<circle cx="%05.0f" cy="%05.0f" r="%d"/>'
-                    % (x * 100.0, y * 100.0, round(radius * 100.0)))
+        rows.append('<circle cx="%05.0f" cy="%05.0f" r="80"/>'
+                    % (x * 100.0, y * 100.0))
     if not rows:
         return ""
     return "\n".join([f'<g fill="{color}" transform="scale(0.01)">', *rows,

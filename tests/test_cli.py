@@ -735,6 +735,17 @@ REFUSALS = {
         "error: violated precondition: a symbol scale whose square is "
         "finite (scale inf)")
        for argv in (["maxmod", "--eps", "0.1"], ["plot", "--out", "fig.svg"])},
+    # a huge plot.circle_radius: the padded extent overflows to inf (1e308),
+    # or the bounds stay finite while their extent overflows and the map's
+    # scale 560 / extent is 0 (8e307)
+    **{f"huge_circle_radius_{name}_plot": (
+        _edited(lambda p, r=r: p.__setitem__("plot", {"circle_radius": r})),
+        ["plot", "--out", "fig.svg"], 3,
+        "error: violated precondition: a figure's bounds and scale in "
+        f"floating-point range (bounds {bounds}, scale 0.0)")
+       for name, r, bounds in (
+           ("1e308", 1e308, "(-inf, inf, -inf, inf)"),
+           ("8e307", 8e307, "(-9.6e+307, 9.6e+307, -9.6e+307, 9.6e+307)"))},
 }
 
 
@@ -1176,9 +1187,9 @@ def test_plot_cloud_rows_within_half_a_centipixel(tmp_path, capsys,
     clouds = []
     add_points = SvgFigure.add_points
 
-    def spy(fig, zs, color, radius=0.8):
+    def spy(fig, zs, color):
         clouds.append((fig, np.asarray(zs).ravel(), color))
-        add_points(fig, zs, color, radius)
+        add_points(fig, zs, color)
 
     monkeypatch.setattr(SvgFigure, "add_points", spy)
     out = tmp_path / "fig.svg"
@@ -1251,6 +1262,22 @@ def test_plot_clouds_relative_to_circle(tmp_path, capsys):
     circle = 0.7745966692
     assert np.abs(dark).max() < circle
     assert np.abs(light).max() == pytest.approx(circle, abs=5e-3)
+
+
+def test_plot_largest_circle_radius_in_range(tmp_path, capsys):
+    # 7.4e307 keeps the padded extent, 1.776e308, finite: the figure is
+    # drawn, with the circle at 280 px / 1.2 (its padding) and no nan or
+    # inf coordinate
+    spec = write_spec(tmp_path, _edited(
+        lambda p: p.__setitem__("plot", {"circle_radius": 7.4e307})))
+    out = tmp_path / "fig.svg"
+    code, report = run(capsys, ["plot", spec, "--out", str(out)])
+    svg = out.read_text()
+    assert code == 0 and report["circle_radius"] == 7.4e307
+    assert "nan" not in svg and "inf" not in svg
+    assert re.search(r'<circle cx="320.000000" cy="320.000000" '
+                     r'r="233.333333" fill="none"', svg)
+    assert svg.count("<circle") == report["dark_points"] + 1
 
 
 def test_plot_empty_region_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""SVG emission: the point-cloud rows against the per-point reference."""
+"""SVG emission: the point-cloud rows against the per-point reference,
+the digit table, the figure map and the outline's point cap."""
 
 import math
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dysrates.svgplot import SvgFigure, bounds_for
+from dysrates.errors import PreconditionError
+from dysrates.geometry import Arc
+from dysrates.svgplot import _ARC_POINTS, _FIVE, SvgFigure, bounds_for
 from oracles import svg_points_reference
 
 INF = math.inf
@@ -29,9 +32,9 @@ def _cloud(pairs):
     return zs
 
 
-def _emitted(fig, zs, color, radius=0.8):
+def _emitted(fig, zs, color):
     before = len(fig.elements)
-    fig.add_points(zs, color, radius)
+    fig.add_points(zs, color)
     return "\n".join(fig.elements[before:])
 
 
@@ -55,13 +58,12 @@ COORDS = st.one_of(
 
 @settings(deadline=None, max_examples=300)
 @given(st.lists(st.tuples(COORDS, COORDS), max_size=40),
-       st.sampled_from(["#555555", "#bbbbbb"]),
-       st.sampled_from([0.8, 1.25]))
-def test_add_points_matches_reference(pairs, color, radius):
+       st.sampled_from(["#555555", "#bbbbbb"]))
+def test_add_points_matches_reference(pairs, color):
+    # the reference formats v * 100.0 unrounded, add_points its rint
     fig = _Unmapped(0.0, 1.0, 0.0, 1.0)
     zs = _cloud(pairs)
-    assert _emitted(fig, zs, color, radius) == svg_points_reference(
-        fig, zs, color, radius)
+    assert _emitted(fig, zs, color) == svg_points_reference(fig, zs, color)
 
 
 def test_add_points_matches_reference_through_the_map():
@@ -79,8 +81,8 @@ def test_empty_cloud_adds_no_element():
     assert fig.elements == []
 
 
-# a row count for the splice cases below, which put slow rows first,
-# last, next to each other and in long runs of the cloud's one buffer
+# a row count for the cases below, which put rows off the digit table
+# first, last, next to each other and in long runs of a cloud
 B = 4096
 
 
@@ -98,8 +100,8 @@ B = 4096
         "multiple_of_block_slow_last", "all_slow"])
 def test_add_points_across_block_edges(size, slow):
     # a slow row has an x that does not round into 0..99999 centipixels:
-    # negative, not finite, too large, or rounding up to 100000; it is
-    # %-formatted and spliced into the cloud's one element at its place
+    # negative, not finite, too large, or rounding up to 100000; a cloud
+    # with one is %-formatted whole, still as one element
     rng = np.random.default_rng(size + len(slow))
     zs = rng.uniform(0.0, 640.0, size) + 1j * rng.uniform(0.0, 640.0, size)
     zs.real[slow] = rng.choice([-1.5, INF, 1e6, 999.995], len(slow))
@@ -121,7 +123,7 @@ def test_nul_in_color_matches_reference():
 def test_color_written_once_per_cloud_in_its_group():
     rng = np.random.default_rng(3)
     zs = rng.uniform(0.0, 640.0, 500) + 1j * rng.uniform(0.0, 640.0, 500)
-    zs[7] = -1.0 + 2.0j  # a spliced row carries no colour either
+    zs[7] = -1.0 + 2.0j  # a cloud %-formatted whole has one colour too
     fig = _Unmapped(0.0, 1.0, 0.0, 1.0)
     fig.add_points(zs[:300], "#bbbbbb")
     fig.add_points(zs[300:], "#555555")
@@ -133,3 +135,43 @@ def test_color_written_once_per_cloud_in_its_group():
         assert element.count("fill") == 1 and element.count(color) == 1
         assert all(row.startswith("<circle cx=") and row.endswith(' r="80"/>')
                    for row in rows)
+
+
+def test_five_digit_table():
+    assert _FIVE.tolist() == [b"%05d" % k for k in range(100000)]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=20),
+       st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_map_puts_the_cloud_inside_the_canvas(pairs, radius):
+    # an accepted figure maps its clouds into the drawing area, so they
+    # round into 0..99999 centipixels and take the digit table
+    zs = _cloud(pairs)
+    try:
+        fig = SvgFigure(*bounds_for(zs, radius))
+    except PreconditionError:
+        return
+    px, py = fig._map(zs.real, zs.imag)
+    for v in (px, py):
+        assert (v >= 40.0 - 4 * math.ulp(40.0)).all()
+        assert (v <= 600.0 + 4 * math.ulp(600.0)).all()
+
+
+@pytest.mark.parametrize("bounds", [
+    (-INF, INF, -1.0, 1.0), (0.0, 1.0, math.nan, 1.0),
+    (-9.6e307, 9.6e307, -1.0, 1.0), (0.0, 5e-324, 0.0, 5e-324)],
+    ids=["infinite", "nan", "extent_overflows", "scale_overflows"])
+def test_figure_out_of_range_refused(bounds):
+    with pytest.raises(PreconditionError, match="floating-point range"):
+        SvgFigure(*bounds)
+
+
+def test_arc_outline_takes_at_most_the_cap():
+    fig = SvgFigure(-2e5, 2e5, -2e5, 2e5)
+    fig.add_piece_outline(Arc(0.0, 1e5, -math.pi, math.pi), "#2060c0")
+    points = fig.elements[0].split('"')[1].split()
+    assert len(points) == _ARC_POINTS
