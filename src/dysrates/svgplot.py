@@ -30,7 +30,9 @@ _ROW = '<circle cx="%05.0f" cy="%05.0f" r="80"/>\n'
 _ZERO_ROW = (_ROW % (0, 0)).encode()
 # The cx and cy digits of each row in a buffer of _ZERO_ROW
 _DIGITS = np.dtype({"names": ["x", "y"], "formats": ["S5", "S5"],
-                    "offsets": [12, 23], "itemsize": len(_ZERO_ROW)})
+                    "offsets": [_ZERO_ROW.index(b"00000"),
+                                _ZERO_ROW.rindex(b"00000")],
+                    "itemsize": len(_ZERO_ROW)})
 # _FIVE[k] is b'%05d' % k, for 0 <= k < 100000
 _FIVE = np.empty((100, 1000), [("hi", "S2"), ("lo", "S3")])
 _FIVE["hi"] = np.array([b"%02d" % k for k in range(100)])[:, None]
